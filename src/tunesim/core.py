@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from bisect import bisect_left, bisect_right
+from dataclasses import dataclass, field
 from typing import Sequence
 
 ConfigId = int  # dense non-negative ids, assigned in draw order starting at 0
@@ -128,19 +129,76 @@ class RungEntry:
     completion_index: int = 0  # global tie-break counter, unique per scheduler
 
 
+def _rank_key(entry: RungEntry) -> tuple[float, int]:
+    return (-entry.metric, entry.completion_index)
+
+
+class _RankOrder:
+    """A list of entries kept in rank order, with their rank keys alongside.
+
+    Bisecting the plain key list runs at C speed; a key= function would be
+    called at every probe. Among equal keys, entries keep insertion order.
+    """
+
+    __slots__ = ("entries", "keys")
+
+    def __init__(self) -> None:
+        self.entries: list[RungEntry] = []
+        self.keys: list[tuple[float, int]] = []
+
+    def add(self, entry: RungEntry) -> None:
+        key = _rank_key(entry)
+        i = bisect_right(self.keys, key)
+        self.keys.insert(i, key)
+        self.entries.insert(i, entry)
+
+    def index(self, entry: RungEntry) -> int:
+        """Position of entry, found by identity."""
+        i = bisect_left(self.keys, _rank_key(entry))
+        while i < len(self.entries) and self.entries[i] is not entry:
+            i += 1
+        if i == len(self.entries):
+            raise InternalError(f"config {entry.config} is not in this rung")
+        return i
+
+    def remove(self, entry: RungEntry) -> None:
+        i = self.index(entry)
+        del self.keys[i]
+        del self.entries[i]
+
+
 @dataclass
 class RungLadder:
-    """Rung table. Rung k holds entries evaluated at levels[k] resource units."""
+    """Rung table. Rung k holds entries evaluated at levels[k] resource units.
+
+    Every rung is kept in rank order as results arrive: best metric first,
+    earlier completion_index first among ties (insertion order among exact
+    key ties). So rungs[k] is best-first, not completion order. The ladder
+    owns the promotion marks: promote() sets them, and an entry inserted
+    with promoted=True counts as promoted. Equality compares the levels and
+    every rung's entries, marks included; the lookup indexes are derived.
+    """
 
     levels: tuple[int, ...]
-    rungs: list[list[RungEntry]]
+    rungs: list[list[RungEntry]] = field(init=False)
+    _order: list[_RankOrder] = field(init=False, repr=False, compare=False)
+    _waiting: list[_RankOrder] = field(init=False, repr=False, compare=False)
+    _configs: list[set[ConfigId]] = field(init=False, repr=False, compare=False)
+    _promoted: list[set[ConfigId]] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.levels = tuple(self.levels)
+        if not self.levels or any(b <= a for a, b in zip(self.levels, self.levels[1:])):
+            raise ValueError(f"rung levels must be strictly increasing, got {self.levels}")
+        self._order = [_RankOrder() for _ in self.levels]
+        self.rungs = [order.entries for order in self._order]  # the same lists
+        self._waiting = [_RankOrder() for _ in self.levels]  # unpromoted entries
+        self._configs = [set() for _ in self.levels]
+        self._promoted = [set() for _ in self.levels]
 
     @classmethod
     def empty(cls, levels: Sequence[int]) -> "RungLadder":
-        levels = tuple(levels)
-        if not levels or any(b <= a for a, b in zip(levels, levels[1:])):
-            raise ValueError(f"rung levels must be strictly increasing, got {levels}")
-        return cls(levels, [[] for _ in levels])
+        return cls(levels)
 
     def insert(self, k: int, entry: RungEntry) -> None:
         if not 0 <= k < len(self.rungs):
@@ -151,21 +209,44 @@ class RungLadder:
             raise InternalError(
                 f"non-finite metric for config {entry.config} at rung {k}"
             )
-        if any(e.config == entry.config for e in self.rungs[k]):
+        if entry.config in self._configs[k]:
             raise InternalError(
                 f"duplicate result for config {entry.config} at rung {k}"
             )
-        if k > 0 and not any(
-            e.config == entry.config and e.promoted for e in self.rungs[k - 1]
-        ):
+        if k > 0 and entry.config not in self._promoted[k - 1]:
             raise InternalError(
                 f"config {entry.config} reached rung {k} without a promotion below"
             )
-        self.rungs[k].append(entry)
+        self._order[k].add(entry)
+        self._configs[k].add(entry.config)
+        if entry.promoted:
+            self._promoted[k].add(entry.config)
+        else:
+            self._waiting[k].add(entry)
+
+    def promote(self, k: int, entry: RungEntry) -> None:
+        """Mark an unpromoted entry of rung k as promoted."""
+        if entry.promoted:
+            raise InternalError(f"config {entry.config} already promoted from rung {k}")
+        self._waiting[k].remove(entry)
+        entry.promoted = True
+        self._promoted[k].add(entry.config)
+
+    def best_unpromoted(self, k: int) -> RungEntry | None:
+        """Best-ranked entry of rung k not yet promoted, if any."""
+        waiting = self._waiting[k].entries
+        return waiting[0] if waiting else None
+
+    def position(self, k: int, entry: RungEntry) -> int:
+        """Rank of entry within rung k, 0 for the best."""
+        return self._order[k].index(entry)
 
     def sorted_rung(self, k: int) -> list[RungEntry]:
-        """Entries of rung k, best metric first, earlier completion wins ties."""
-        return sorted(self.rungs[k], key=lambda e: (-e.metric, e.completion_index))
+        """Entries of rung k, best metric first, earlier completion wins ties.
+
+        This is the ladder's own rank-ordered list; callers must not modify it.
+        """
+        return self.rungs[k]
 
     def highest_nonempty(self) -> int | None:
         for k in range(len(self.rungs) - 1, -1, -1):

@@ -9,11 +9,12 @@ config set.
 
 from __future__ import annotations
 
+import math
 import statistics
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .core import ConfigId, InternalError, RungEntry, UsageError
+from .core import ConfigId, InternalError, UsageError
 
 CRITERION_KINDS = (
     "direct",
@@ -34,11 +35,6 @@ class RankedList:
 
     entries: tuple[tuple[ConfigId, float], ...]
 
-    @classmethod
-    def from_entries(cls, entries: Iterable[RungEntry]) -> "RankedList":
-        ordered = sorted(entries, key=lambda e: (-e.metric, e.completion_index))
-        return cls(tuple((e.config, e.metric) for e in ordered))
-
     def configs(self) -> tuple[ConfigId, ...]:
         return tuple(c for c, _ in self.entries)
 
@@ -52,25 +48,6 @@ class RankedList:
 
     def __len__(self) -> int:
         return len(self.entries)
-
-
-@dataclass(frozen=True)
-class SoftRank:
-    """Per rank position, the set of configs interchangeable at that position."""
-
-    positions: tuple[frozenset[ConfigId], ...]
-
-
-def soft_rank(ranked: RankedList, epsilon: float) -> SoftRank:
-    """Positions[i] holds every config whose metric is within epsilon of rank i's."""
-    if epsilon < 0:
-        raise ValueError(f"epsilon must be >= 0, got {epsilon}")
-    metrics = ranked.metrics()
-    positions = tuple(
-        frozenset(c for c, m in ranked.entries if abs(anchor - m) <= epsilon)
-        for anchor in metrics
-    )
-    return SoftRank(positions)
 
 
 def project(below: RankedList, top: RankedList) -> RankedList:
@@ -87,9 +64,17 @@ def project(below: RankedList, top: RankedList) -> RankedList:
 
 
 def _soft_positions_ok(top: RankedList, below_projected: RankedList, epsilon: float) -> bool:
-    soft = soft_rank(below_projected, epsilon) if len(below_projected) else SoftRank(())
-    top_configs = top.configs()
-    return all(top_configs[i] in soft.positions[i] for i in range(len(top_configs)))
+    """True iff each top config i has a below metric within epsilon of below rank i's.
+
+    That is membership of top config i in the soft position i of the
+    projected below list (every config within epsilon of rank i's metric),
+    tested in O(n) without building the positions.
+    """
+    below_metric = dict(below_projected.entries)
+    anchors = below_projected.metrics()
+    return all(
+        abs(anchors[i] - below_metric[c]) <= epsilon for i, c in enumerate(top.configs())
+    )
 
 
 def is_stable_soft(top: RankedList, below: RankedList, epsilon: float) -> bool:
@@ -248,8 +233,8 @@ class RankingCriterion:
                 f"unknown ranking criterion {self.kind!r}; expected one of "
                 + ", ".join(CRITERION_KINDS)
             )
-        if self.epsilon < 0:
-            raise UsageError(f"epsilon must be >= 0, got {self.epsilon}")
+        if not math.isfinite(self.epsilon) or self.epsilon < 0:
+            raise UsageError(f"epsilon must be finite and >= 0, got {self.epsilon}")
         if self.kind == "soft-sigma" and self.multiplier not in (1, 2, 3):
             raise UsageError(
                 f"sigma multiplier must be 1, 2 or 3, got {self.multiplier}"

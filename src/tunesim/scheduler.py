@@ -65,6 +65,11 @@ class Job:
     target_resource: int
 
 
+def _ranked(rung: Sequence[RungEntry]) -> RankedList:
+    """A rung's (config, metric) pairs in the ladder's rank order."""
+    return RankedList(tuple((e.config, e.metric) for e in rung))
+
+
 class RandomSearcher:
     """Uniform draws without replacement from a fixed config universe.
 
@@ -121,16 +126,19 @@ class Scheduler:
         return bisect_right(self.levels, self.pasha.resource_cap) - 1
 
     def _find_promotion(self) -> tuple[int, RungEntry] | None:
-        """Highest rung holding an unpromoted top-fraction entry, if any."""
+        """Highest rung holding an unpromoted top-fraction entry, if any.
+
+        Only a rung's best unpromoted entry can qualify: it is promotable iff
+        its rank falls inside the rung's top len // eta positions.
+        """
         eta = self.spec.reduction_factor
         for k in range(self.top_index - 1, -1, -1):
-            rung = self.ladder.rungs[k]
-            quota = len(rung) // eta
+            quota = len(self.ladder.rungs[k]) // eta
             if quota == 0:
                 continue
-            for entry in self.ladder.sorted_rung(k)[:quota]:
-                if not entry.promoted:
-                    return k, entry
+            entry = self.ladder.best_unpromoted(k)
+            if entry is not None and self.ladder.position(k, entry) < quota:
+                return k, entry
         return None
 
     def get_job(self) -> Job | None:
@@ -142,7 +150,7 @@ class Scheduler:
         found = self._find_promotion()
         if found is not None:
             k, entry = found
-            entry.promoted = True
+            self.ladder.promote(k, entry)
             job = Job(entry.config, k + 1, self.levels[k + 1])
             self._in_flight.add((job.config, job.rung))
             return job
@@ -186,8 +194,8 @@ class Scheduler:
             pair_top, triggers = top, (top, top - 1)
         if job.rung not in triggers:
             return
-        top_ranked = RankedList.from_entries(self.ladder.rungs[pair_top])
-        below_ranked = RankedList.from_entries(self.ladder.rungs[pair_top - 1])
+        top_ranked = _ranked(self.ladder.sorted_rung(pair_top))
+        below_ranked = _ranked(self.ladder.sorted_rung(pair_top - 1))
         if not is_stable(self.criterion, top_ranked, below_ranked):
             self.pasha = grow(self.pasha, self.spec)
 

@@ -41,9 +41,9 @@ from tunesim import (
     replay_trace,
     rrr,
     simulate,
-    soft_rank,
     write_trace,
 )
+from util import soft_rank
 
 SEEDS = range(20)
 NOISY_MODEL = CurveModel(

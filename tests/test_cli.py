@@ -129,6 +129,14 @@ class TestRunVerb:
         assert code == 1
         assert "unknown method" in capsys.readouterr().err
 
+    def test_non_finite_soft_epsilon_is_a_usage_error(self, bench, capsys):
+        code = main(
+            ["run", "--benchmark", bench, "--method", "pasha:soft:nan",
+             "--max-resource", "9", "--num-configs", "12"]
+        )
+        assert code == 1
+        assert "epsilon must be finite" in capsys.readouterr().err
+
     def test_missing_benchmark_flag(self, capsys):
         code = main(["run", "--method", "asha", "--max-resource", "9",
                      "--num-configs", "12"])

@@ -1,6 +1,11 @@
 """Resource geometry, progressive cap growth, and rung ladder invariants."""
 
+import copy
+import math
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tunesim import (
     InternalError,
@@ -8,6 +13,8 @@ from tunesim import (
     ResourceSpec,
     RungEntry,
     RungLadder,
+    Scheduler,
+    SchedulerConfig,
     UsageError,
     grow,
     initial_pasha_state,
@@ -189,3 +196,108 @@ class TestRungLadder:
         assert ladder.highest_nonempty() == 0
         ladder.insert(1, RungEntry(0, 0.6))
         assert ladder.highest_nonempty() == 1
+
+    def test_rungs_are_kept_best_first(self):
+        ladder = RungLadder.empty((1, 3, 9))
+        for config, metric in enumerate((0.2, 0.9, 0.5, 0.9)):
+            ladder.insert(0, RungEntry(config, metric, completion_index=config))
+        assert [e.config for e in ladder.rungs[0]] == [1, 3, 2, 0]
+
+    def test_promote_marks_once(self):
+        ladder = RungLadder.empty((1, 3, 9))
+        entry = RungEntry(0, 0.5)
+        ladder.insert(0, entry)
+        assert ladder.best_unpromoted(0) is entry
+        ladder.promote(0, entry)
+        assert entry.promoted and ladder.best_unpromoted(0) is None
+        with pytest.raises(InternalError, match="already promoted"):
+            ladder.promote(0, entry)
+        ladder.insert(1, RungEntry(0, 0.6))  # the mark is what insert checks
+
+    def test_equality_includes_promotion_marks(self):
+        a, b = RungLadder.empty((1, 3, 9)), RungLadder.empty((1, 3, 9))
+        for ladder in (a, b):
+            ladder.insert(0, RungEntry(0, 0.5))
+        assert a == b
+        a.promote(0, a.rungs[0][0])
+        assert a != b
+
+
+def rank_key(entry):
+    return (-entry.metric, entry.completion_index)
+
+
+def brute_force_promotion(inserted, top_index, eta):
+    """First unpromoted entry in the sorted top quota, highest rung first."""
+    for k in range(top_index - 1, -1, -1):
+        ordered = sorted(inserted[k], key=rank_key)
+        for entry in ordered[: len(ordered) // eta]:
+            if not entry.promoted:
+                return k, entry
+    return None
+
+
+# few distinct values, so exact metric and completion-index ties are common
+METRICS = st.sampled_from((0.1, 0.3, 0.5, 0.7, 0.9))
+COMPLETIONS = st.integers(0, 4)
+
+
+class TestIncrementalLadderProperties:
+    @settings(max_examples=100, deadline=None)
+    @given(eta=st.integers(2, 4), data=st.data())
+    def test_ladder_matches_a_brute_force_sort(self, eta, data):
+        config = SchedulerConfig(ResourceSpec(1, eta, eta**3), num_configs=1, mode="asha")
+        sched = Scheduler(config, [0])
+        ladder = sched.ladder
+        inserted = [[] for _ in ladder.levels]  # insertion order, per rung
+        fresh = 0
+        for _ in range(data.draw(st.integers(0, 50), label="steps")):
+            waiting = [(k, e) for k, rung in enumerate(inserted) for e in rung if not e.promoted]
+            if waiting and data.draw(st.booleans(), label="promote"):
+                k, entry = data.draw(st.sampled_from(waiting), label="promoted")
+                ladder.promote(k, entry)
+            else:
+                climbs = [
+                    (k + 1, e.config)
+                    for k, rung in enumerate(inserted[:-1])
+                    for e in rung
+                    if e.promoted and all(x.config != e.config for x in inserted[k + 1])
+                ]
+                k, config = data.draw(st.sampled_from([(0, None)] + climbs), label="slot")
+                if config is None:
+                    config, fresh = fresh, fresh + 1
+                entry = RungEntry(
+                    config,
+                    data.draw(METRICS, label="metric"),
+                    promoted=data.draw(st.booleans(), label="inserted promoted"),
+                    completion_index=data.draw(COMPLETIONS, label="completion"),
+                )
+                ladder.insert(k, entry)
+                inserted[k].append(entry)
+            for k, rung in enumerate(inserted):
+                assert ladder.sorted_rung(k) == sorted(rung, key=rank_key)
+            expected = brute_force_promotion(inserted, sched.top_index, eta)
+            found = sched._find_promotion()
+            if expected is None:
+                assert found is None
+            else:
+                assert found[0] == expected[0] and found[1] is expected[1]
+
+        before = copy.deepcopy(ladder)
+        bad = [
+            (len(ladder.levels), RungEntry(fresh, 0.5), "outside ladder"),
+            (-1, RungEntry(fresh, 0.5), "outside ladder"),
+            (0, RungEntry(fresh, math.nan), "non-finite"),
+            (0, RungEntry(fresh, math.inf), "non-finite"),
+            (0, RungEntry(fresh, -math.inf), "non-finite"),
+            (1, RungEntry(fresh, 0.5), "without a promotion below"),
+        ]
+        for k, rung in enumerate(inserted):
+            for entry in rung:
+                bad.append((k, RungEntry(entry.config, 0.5), "duplicate result"))
+                if k + 1 < len(inserted) and not entry.promoted:
+                    bad.append((k + 1, RungEntry(entry.config, 0.5), "without a promotion"))
+        for k, entry, message in bad:
+            with pytest.raises(InternalError, match=message):
+                ladder.insert(k, entry)
+        assert ladder == before

@@ -6,6 +6,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tunesim import (
     InternalError,
@@ -23,9 +25,8 @@ from tunesim import (
     project,
     rbo,
     rrr,
-    soft_rank,
 )
-from util import A, B, C, ranked
+from util import A, B, C, ranked, soft_rank
 
 
 # independent oracles: direct summation of the defining formulas
@@ -123,6 +124,58 @@ class TestSoftStability:
 
     def test_single_element_lists_always_stable(self):
         assert is_stable_direct(ranked((A, 0.1)), ranked((A, 0.9)))
+
+
+# a coarse grid makes exact metric ties and exact epsilon boundaries common
+GRID = (0.0, 0.25, 0.5, 0.75, 1.0)
+METRIC = st.one_of(st.sampled_from(GRID), st.floats(-2.0, 2.0))
+EPSILON = st.one_of(st.just(0.0), st.sampled_from(GRID), st.floats(0.0, 3.0))
+
+
+@st.composite
+def ranked_pairs(draw):
+    """(top, below): below over configs 0..n-1, top over a subset of them."""
+    n = draw(st.integers(1, 8))
+    below_metrics = draw(st.lists(METRIC, min_size=n, max_size=n))
+    below = RankedList(tuple(sorted(enumerate(below_metrics), key=lambda cm: -cm[1])))
+    members = draw(st.permutations(range(n)))[: draw(st.integers(1, n))]
+    top_metrics = draw(st.lists(METRIC, min_size=len(members), max_size=len(members)))
+    top = RankedList(tuple(sorted(zip(members, top_metrics), key=lambda cm: -cm[1])))
+    return top, below
+
+
+def oracle_soft_stable(top, below, epsilon):
+    soft = soft_rank(project(below, top), epsilon)
+    return all(c in soft.positions[i] for i, c in enumerate(top.configs()))
+
+
+class TestSoftCheckAgainstOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(pair=ranked_pairs(), epsilon=EPSILON)
+    def test_fast_check_agrees_with_soft_rank(self, pair, epsilon):
+        top, below = pair
+        expected = oracle_soft_stable(top, below, epsilon)
+        assert is_stable_soft(top, below, epsilon) == expected
+        assert is_stable(RankingCriterion("soft", epsilon=epsilon), top, below) == (
+            len(top) <= 1 or expected
+        )
+        if epsilon == 0.0:
+            assert is_stable_direct(top, below) == expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(pair=ranked_pairs(), multiplier=st.sampled_from((1, 2, 3)))
+    def test_adaptive_epsilons_agree_with_soft_rank(self, pair, multiplier):
+        top, below = pair
+        projected = project(below, top)
+        for criterion, epsilon in (
+            (RankingCriterion("soft-sigma", multiplier=multiplier),
+             epsilon_sigma(projected, multiplier)),
+            (RankingCriterion("soft-mean-dist"), epsilon_mean_distance(projected)),
+            (RankingCriterion("soft-median-dist"), epsilon_median_distance(projected)),
+        ):
+            assert is_stable(criterion, top, below) == (
+                len(top) <= 1 or oracle_soft_stable(top, below, epsilon)
+            )
 
 
 class TestAdaptiveEpsilon:
@@ -367,6 +420,13 @@ class TestCriterionSpelling:
         ):
             with pytest.raises(UsageError):
                 RankingCriterion.parse(text)
+
+    def test_non_finite_epsilon_rejected_naming_the_value(self):
+        for text, shown in (("soft:nan", "nan"), ("soft:inf", "inf"), ("soft:-inf", "-inf")):
+            with pytest.raises(UsageError, match=f"got {shown}$"):
+                RankingCriterion.parse(text)
+        with pytest.raises(UsageError, match="got nan"):
+            RankingCriterion("soft", epsilon=math.nan)
 
     def test_constructor_validation(self):
         with pytest.raises(UsageError):

@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import math
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tunesim import (
     Curve,
@@ -324,3 +327,43 @@ class TestReplay:
         )
         with pytest.raises(UsageError, match="random"):
             replay_trace([], config, table)
+
+
+REPLAY_CRITERIA = (
+    "soft:0.025", "direct", "soft-sigma:1", "soft-mean-dist", "rbo:p=0.9,t=0.5",
+    "rrr", "always-unstable",
+)
+
+
+@st.composite
+def replay_setups(draw):
+    eta = draw(st.integers(2, 4))
+    r = draw(st.integers(1, 2))
+    cap = draw(st.integers(eta**2 * r, eta**3 * r + 2))
+    mode = draw(st.sampled_from(("asha", "pasha", "one-epoch", "no-increase")))
+    options = {}
+    if mode == "pasha":
+        options["criterion"] = RankingCriterion.parse(draw(st.sampled_from(REPLAY_CRITERIA)))
+        options["pair_below_cap"] = draw(st.booleans())
+    n = draw(st.integers(1, 40))
+    config = SchedulerConfig(
+        resources=ResourceSpec(r, eta, cap), num_configs=n, mode=mode,
+        seed=draw(st.integers(0, 2**16)), **options,
+    )
+    # rounded metrics and costs make exact metric ties and simultaneous
+    # completions common; metrics stay positive so rrr is defined
+    rng = random.Random(draw(st.integers(0, 2**16)))
+    rows = {c: [round(rng.uniform(0.1, 1.0), 1) for _ in range(cap)] for c in range(n)}
+    costs = {c: [rng.choice((0.5, 1.0, 1.5)) for _ in range(cap)] for c in range(n)}
+    return config, table_from_rows(rows, costs), draw(st.integers(1, 8))
+
+
+class TestReplayProperty:
+    @settings(max_examples=150, deadline=None)
+    @given(setup=replay_setups())
+    def test_replay_rebuilds_an_equal_ladder(self, setup):
+        config, table, workers = setup
+        res = simulate(config, table, workers=workers, collect_trace=True)
+        assert replay_trace(res.trace, config, table).ladder == res.ladder
+        for rung in res.ladder.rungs:
+            assert rung == sorted(rung, key=lambda e: (-e.metric, e.completion_index))

@@ -1,8 +1,11 @@
-"""Shared builders for hand-constructed tables and ranked lists."""
+"""Shared builders for hand-constructed tables and ranked lists, and the
+brute-force soft-rank oracle the fast soft check is compared against."""
 
 from __future__ import annotations
 
-from tunesim import Curve, LearningCurveTable, RankedList
+from dataclasses import dataclass
+
+from tunesim import ConfigId, Curve, LearningCurveTable, RankedList
 
 # readable config ids for ranking tests
 A, B, C, D, E = 0, 1, 2, 3, 4
@@ -14,6 +17,29 @@ def ranked(*pairs: tuple[int, float]) -> RankedList:
     Completion indices follow the argument order, so exact ties keep it.
     """
     return RankedList(tuple(pairs))
+
+
+@dataclass(frozen=True)
+class SoftRank:
+    """Per rank position, the set of configs interchangeable at that position."""
+
+    positions: tuple[frozenset[ConfigId], ...]
+
+
+def soft_rank(ranked: RankedList, epsilon: float) -> SoftRank:
+    """Positions[i] holds every config whose metric is within epsilon of rank i's.
+
+    Quadratic by construction: the reference definition of PASHA's soft
+    ranking, kept as an oracle for the O(n) check inside tunesim.ranking.
+    """
+    if epsilon < 0:
+        raise ValueError(f"epsilon must be >= 0, got {epsilon}")
+    metrics = ranked.metrics()
+    positions = tuple(
+        frozenset(c for c, m in ranked.entries if abs(anchor - m) <= epsilon)
+        for anchor in metrics
+    )
+    return SoftRank(positions)
 
 
 def table_from_rows(
