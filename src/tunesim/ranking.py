@@ -1,10 +1,10 @@
-"""Rank construction and rank-stability criteria over rung metric lists.
+"""Rank-stability criteria over a pair of rank-ordered rungs.
 
-A stability check always compares the ranked entries of a top rung against
-the ranked entries of the rung below it. The below list is first projected
-onto the configs present in the top rung (promotion guarantees they exist
-below), because positional comparison is only well defined over a common
-config set.
+A stability check compares the entries of a top rung against the entries of
+the rung below it, both in the ladder's rank order: best metric first,
+earlier completion first among ties. The below rung is first projected onto
+the configs present in the top rung (promotion guarantees they exist below),
+because positional comparison is only well defined over a common config set.
 """
 
 from __future__ import annotations
@@ -12,110 +12,63 @@ from __future__ import annotations
 import math
 import statistics
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Sequence
 
-from .core import ConfigId, InternalError, UsageError
-
-CRITERION_KINDS = (
-    "direct",
-    "soft",
-    "soft-sigma",
-    "soft-mean-dist",
-    "soft-median-dist",
-    "rbo",
-    "rrr",
-    "arrr",
-    "always-unstable",
-)
+from .core import ConfigId, DataError, InternalError, RungEntry, UsageError
 
 
-@dataclass(frozen=True)
-class RankedList:
-    """Configs with metrics, best first, ties broken by completion order."""
-
-    entries: tuple[tuple[ConfigId, float], ...]
-
-    def configs(self) -> tuple[ConfigId, ...]:
-        return tuple(c for c, _ in self.entries)
-
-    def metrics(self) -> tuple[float, ...]:
-        return tuple(m for _, m in self.entries)
-
-    def restrict_to(self, keep: Iterable[ConfigId]) -> "RankedList":
-        """Entries whose config is in keep, relative order preserved."""
-        keep = set(keep)
-        return RankedList(tuple(e for e in self.entries if e[0] in keep))
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-
-def project(below: RankedList, top: RankedList) -> RankedList:
-    """Below restricted to top's configs; errors if any are missing below."""
-    top_configs = set(top.configs())
-    restricted = below.restrict_to(top_configs)
-    if len(restricted) != len(top_configs):
-        missing = sorted(top_configs - set(restricted.configs()))
+def project(below: Sequence[RungEntry], top: Sequence[RungEntry]) -> list[RungEntry]:
+    """Below's entries for top's configs, in below's order; errors if any are missing."""
+    top_configs = {e.config for e in top}
+    projected = [e for e in below if e.config in top_configs]
+    if len(projected) != len(top_configs):
+        missing = sorted(top_configs - {e.config for e in projected})
         raise InternalError(
             f"configs {missing} present in the top rung but missing below; "
             "the rung ladder is corrupt"
         )
-    return restricted
+    return projected
 
 
-def _soft_positions_ok(top: RankedList, below_projected: RankedList, epsilon: float) -> bool:
+def _soft_positions_ok(
+    top: Sequence[RungEntry], below_projected: Sequence[RungEntry], epsilon: float
+) -> bool:
     """True iff each top config i has a below metric within epsilon of below rank i's.
 
     That is membership of top config i in the soft position i of the
     projected below list (every config within epsilon of rank i's metric),
     tested in O(n) without building the positions.
     """
-    below_metric = dict(below_projected.entries)
-    anchors = below_projected.metrics()
+    below_metric = {e.config: e.metric for e in below_projected}
     return all(
-        abs(anchors[i] - below_metric[c]) <= epsilon for i, c in enumerate(top.configs())
+        abs(anchor.metric - below_metric[t.config]) <= epsilon
+        for anchor, t in zip(below_projected, top)
     )
 
 
-def is_stable_soft(top: RankedList, below: RankedList, epsilon: float) -> bool:
-    """True iff every top-rung config sits inside the below rung's soft position.
+def epsilon_sigma(metrics: Sequence[float], multiplier: int) -> float:
+    """multiplier times the population standard deviation of the metrics.
 
-    The below list is projected onto the top rung's configs first; the soft
-    positions are built from the projected below metrics.
+    Fewer than two metrics carry no spread information, so the result is 0.
     """
-    return _soft_positions_ok(top, project(below, top), epsilon)
-
-
-def is_stable_direct(top: RankedList, below: RankedList) -> bool:
-    """Exact positional agreement; identical to the soft check at epsilon 0."""
-    return is_stable_soft(top, below, 0.0)
-
-
-def epsilon_sigma(below: RankedList, multiplier: int) -> float:
-    """multiplier times the population standard deviation of below's metrics.
-
-    Fewer than two entries carry no spread information, so the result is 0.
-    """
-    metrics = below.metrics()
     if len(metrics) < 2:
         return 0.0
     return multiplier * statistics.pstdev(metrics)
 
 
-def _gaps(below: RankedList) -> list[float]:
-    metrics = below.metrics()  # already descending
+def _gaps(metrics: Sequence[float]) -> list[float]:
     return [metrics[i] - metrics[i + 1] for i in range(len(metrics) - 1)]
 
 
-def epsilon_mean_distance(below: RankedList) -> float:
-    """Mean gap between consecutive metrics sorted descending; 0 under two entries."""
-    gaps = _gaps(below)
+def epsilon_mean_distance(metrics: Sequence[float]) -> float:
+    """Mean gap between consecutive metrics sorted descending; 0 under two metrics."""
+    gaps = _gaps(metrics)
     return statistics.fmean(gaps) if gaps else 0.0
 
 
-def epsilon_median_distance(below: RankedList) -> float:
-    """Median gap between consecutive metrics sorted descending; 0 under two entries."""
-    gaps = _gaps(below)
+def epsilon_median_distance(metrics: Sequence[float]) -> float:
+    """Median gap between consecutive metrics sorted descending; 0 under two metrics."""
+    gaps = _gaps(metrics)
     return float(statistics.median(gaps)) if gaps else 0.0
 
 
@@ -162,26 +115,22 @@ def rbo(
     return sum((1.0 - p) * p ** (d - 1) / norm * agreements[d - 1] for d in range(1, n + 1))
 
 
-def is_stable_rbo(top: RankedList, below: RankedList, p: float, threshold: float) -> bool:
-    """Stable iff the overlap of top's order with the projected below order >= threshold."""
-    below_projected = project(below, top)
-    return rbo(top.configs(), below_projected.configs(), p) >= threshold
-
-
 def _regret_weights(n: int, p: float) -> list[float]:
     total = sum(p**j for j in range(n))
     return [p**i / total for i in range(n)]
 
 
-def _regret(top: RankedList, below_order: Sequence[ConfigId], p: float, absolute: bool) -> float:
+def _regret(
+    top: Sequence[RungEntry], below_order: Sequence[ConfigId], p: float, absolute: bool
+) -> float:
     _check_p(p)
     n = len(top)
     if n == 0:
         raise ValueError("regret needs at least one config")
-    metric_of = dict(top.entries)
+    metric_of = {e.config: e.metric for e in top}
     if set(below_order) != set(metric_of) or len(set(below_order)) != n:
         raise ValueError("below_order must be a permutation of the top rung's configs")
-    f = top.metrics()
+    f = [e.metric for e in top]
     if any(v <= 0 for v in f):
         raise ValueError("relative regret is undefined for metrics <= 0")
     f_prime = [metric_of[c] for c in below_order]
@@ -195,7 +144,7 @@ def _regret(top: RankedList, below_order: Sequence[ConfigId], p: float, absolute
     return score
 
 
-def rrr(top: RankedList, below_order: Sequence[ConfigId], p: float) -> float:
+def rrr(top: Sequence[RungEntry], below_order: Sequence[ConfigId], p: float) -> float:
     """Weighted relative metric loss of trusting the below-rung order at the top rung.
 
     Position i contributes (f_i - f'_i) / f_i with weight p^i / sum_j p^j,
@@ -206,9 +155,116 @@ def rrr(top: RankedList, below_order: Sequence[ConfigId], p: float) -> float:
     return _regret(top, below_order, p, absolute=False)
 
 
-def arrr(top: RankedList, below_order: Sequence[ConfigId], p: float) -> float:
+def arrr(top: Sequence[RungEntry], below_order: Sequence[ConfigId], p: float) -> float:
     """Like rrr but with |f_i - f'_i| in the numerator, so never negative."""
     return _regret(top, below_order, p, absolute=True)
+
+
+# Parameter syntaxes: (kind, text after the colon) -> RankingCriterion fields.
+
+
+def _no_parameters(head: str, rest: str) -> dict:
+    if rest:
+        raise UsageError(f"{head} takes no parameters, got {rest!r}")
+    return {}
+
+
+def _one_parameter(field: str, convert: Callable[[str], object], needs: str):
+    """Syntax kind:VALUE setting one field; needs names it in the error."""
+
+    def parse(head: str, rest: str) -> dict:
+        if not rest:
+            raise UsageError(f"{head} needs {needs}")
+        return {field: convert(rest)}
+
+    return parse
+
+
+def _p_and_t(head: str, rest: str) -> dict:
+    """Syntax kind[:p=P][,t=T]; a missing key keeps its default."""
+    fields = {}
+    for item in rest.split(",") if rest else ():
+        key, _, value = item.partition("=")
+        if key not in ("p", "t"):
+            raise UsageError(f"unknown {head} parameter {key!r}; use p= and t=")
+        fields["p" if key == "p" else "threshold"] = float(value)
+    return fields
+
+
+def _metrics(entries: Sequence[RungEntry]) -> list[float]:
+    return [e.metric for e in entries]
+
+
+def _soft(epsilon: Callable[[RankingCriterion, list[RungEntry]], float]):
+    """The soft test, with epsilon taken from the criterion and the projected below rung."""
+    return lambda c, top, below: _soft_positions_ok(top, below, epsilon(c, below))
+
+
+def _rbo_ok(c: RankingCriterion, top: Sequence[RungEntry], below: list[RungEntry]) -> bool:
+    return rbo([e.config for e in top], [e.config for e in below], c.p) >= c.threshold
+
+
+def _regret_ok(absolute: bool):
+    """The rrr (or, if absolute, arrr) test; a metric <= 0 is a DataError naming c."""
+
+    def stable(c: RankingCriterion, top: Sequence[RungEntry], below: list[RungEntry]) -> bool:
+        try:
+            score = _regret(top, [e.config for e in below], c.p, absolute)
+        except ValueError as exc:
+            raise DataError(f"ranking criterion {c.spelling()!r}: {exc}") from exc
+        return score <= c.threshold
+
+    return stable
+
+
+@dataclass(frozen=True)
+class _Kind:
+    """One criterion kind: how it is spelled, its default threshold, its test.
+
+    stable(criterion, top, below) sees a top rung of two or more entries and
+    the below rung already projected onto the top rung's configs.
+    """
+
+    parse: Callable[[str, str], dict]
+    spelling: str  # canonical form, formatted with c=the criterion
+    stable: Callable[[RankingCriterion, Sequence[RungEntry], list[RungEntry]], bool]
+    threshold: float = 0.5
+
+
+_BARE = "{c.kind}"
+_P_T = "{c.kind}:p={c.p:g},t={c.threshold:g}"
+
+_KINDS = {
+    "direct": _Kind(_no_parameters, _BARE, _soft(lambda c, below: 0.0)),
+    "soft": _Kind(
+        _one_parameter("epsilon", float, "an epsilon, e.g. soft:0.025"),
+        "{c.kind}:{c.epsilon:g}",
+        _soft(lambda c, below: c.epsilon),
+    ),
+    "soft-sigma": _Kind(
+        _one_parameter("multiplier", int, "a multiplier, e.g. soft-sigma:2"),
+        "{c.kind}:{c.multiplier}",
+        _soft(lambda c, below: epsilon_sigma(_metrics(below), c.multiplier)),
+    ),
+    "soft-mean-dist": _Kind(
+        _no_parameters, _BARE, _soft(lambda c, below: epsilon_mean_distance(_metrics(below)))
+    ),
+    "soft-median-dist": _Kind(
+        _no_parameters, _BARE, _soft(lambda c, below: epsilon_median_distance(_metrics(below)))
+    ),
+    "rbo": _Kind(_p_and_t, _P_T, _rbo_ok),
+    "rrr": _Kind(_p_and_t, _P_T, _regret_ok(absolute=False), threshold=0.05),
+    "arrr": _Kind(_p_and_t, _P_T, _regret_ok(absolute=True), threshold=0.05),
+    "always-unstable": _Kind(_no_parameters, _BARE, lambda c, top, below: False),
+}
+
+CRITERION_KINDS = tuple(_KINDS)
+
+
+def _unknown_kind(name: str) -> UsageError:
+    return UsageError(
+        f"unknown ranking criterion {name!r}; expected one of " + ", ".join(CRITERION_KINDS)
+    )
 
 
 @dataclass(frozen=True)
@@ -216,26 +272,27 @@ class RankingCriterion:
     """A rank-stability rule plus its parameters.
 
     kind is one of CRITERION_KINDS. epsilon applies to "soft", multiplier to
-    "soft-sigma", p and threshold to "rbo", "rrr" and "arrr".
-    "always-unstable" forces growth at every non-degenerate check and exists
-    for diagnostics and equivalence testing.
+    "soft-sigma", p and threshold to "rbo", "rrr" and "arrr". An unset
+    threshold takes the kind's default: 0.05 for "rrr" and "arrr", 0.5
+    otherwise. "always-unstable" forces growth at every non-degenerate check
+    and exists for diagnostics and equivalence testing.
     """
 
     kind: str
     epsilon: float = 0.0
     multiplier: int = 1
     p: float = 1.0
-    threshold: float = 0.5
+    threshold: float | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in CRITERION_KINDS:
-            raise UsageError(
-                f"unknown ranking criterion {self.kind!r}; expected one of "
-                + ", ".join(CRITERION_KINDS)
-            )
+        kind = _KINDS.get(self.kind)
+        if kind is None:
+            raise _unknown_kind(self.kind)
+        if self.threshold is None:
+            object.__setattr__(self, "threshold", kind.threshold)
         if not math.isfinite(self.epsilon) or self.epsilon < 0:
             raise UsageError(f"epsilon must be finite and >= 0, got {self.epsilon}")
-        if self.kind == "soft-sigma" and self.multiplier not in (1, 2, 3):
+        if self.multiplier not in (1, 2, 3):
             raise UsageError(
                 f"sigma multiplier must be 1, 2 or 3, got {self.multiplier}"
             )
@@ -248,93 +305,34 @@ class RankingCriterion:
     def parse(cls, text: str) -> "RankingCriterion":
         """Parse a spelling like soft:0.025, soft-sigma:2, rbo:p=0.5,t=0.5."""
         head, _, rest = text.strip().partition(":")
+        kind = _KINDS.get(head)
+        if kind is None:
+            raise _unknown_kind(text)
         try:
-            if head == "direct" or head == "soft-mean-dist" or head == "soft-median-dist":
-                if rest:
-                    raise UsageError(f"{head} takes no parameters, got {rest!r}")
-                return cls(head)
-            if head == "always-unstable":
-                if rest:
-                    raise UsageError(f"{head} takes no parameters, got {rest!r}")
-                return cls(head)
-            if head == "soft":
-                if not rest:
-                    raise UsageError("soft needs an epsilon, e.g. soft:0.025")
-                return cls("soft", epsilon=float(rest))
-            if head == "soft-sigma":
-                if not rest:
-                    raise UsageError("soft-sigma needs a multiplier, e.g. soft-sigma:2")
-                return cls("soft-sigma", multiplier=int(rest))
-            if head in ("rbo", "rrr", "arrr"):
-                p = 1.0
-                threshold = 0.5 if head == "rbo" else 0.05
-                if rest:
-                    for item in rest.split(","):
-                        key, _, value = item.partition("=")
-                        if key == "p":
-                            p = float(value)
-                        elif key == "t":
-                            threshold = float(value)
-                        else:
-                            raise UsageError(
-                                f"unknown {head} parameter {key!r}; use p= and t="
-                            )
-                return cls(head, p=p, threshold=threshold)
+            return cls(head, **kind.parse(head, rest))
         except (ValueError, TypeError) as exc:
             raise UsageError(f"bad criterion spelling {text!r}: {exc}") from exc
-        raise UsageError(
-            f"unknown ranking criterion {text!r}; expected one of "
-            + ", ".join(CRITERION_KINDS)
-        )
 
     def spelling(self) -> str:
         """Canonical text form, the inverse of parse."""
-        if self.kind == "soft":
-            return f"soft:{self.epsilon:g}"
-        if self.kind == "soft-sigma":
-            return f"soft-sigma:{self.multiplier}"
-        if self.kind in ("rbo", "rrr", "arrr"):
-            return f"{self.kind}:p={self.p:g},t={self.threshold:g}"
-        return self.kind
+        return _KINDS[self.kind].spelling.format(c=self)
 
     def __str__(self) -> str:
         return self.spelling()
 
 
-def is_stable(criterion: RankingCriterion, top: RankedList, below: RankedList) -> bool:
-    """Dispatch the criterion over a (top rung, below rung) ranked pair.
+def is_stable(
+    criterion: RankingCriterion, top: Sequence[RungEntry], below: Sequence[RungEntry]
+) -> bool:
+    """Whether the criterion finds the (top rung, below rung) pair stable.
 
-    The below list is projected onto the top rung's configs first; adaptive
-    epsilon statistics are computed on that projected list. A top rung with
-    fewer than two configs carries no ordering evidence, so every criterion
-    reports stable for it.
+    Both rungs are in the ladder's rank order. The below rung is projected
+    onto the top rung's configs first; adaptive epsilon statistics are
+    computed on that projection. A top rung with fewer than two configs
+    carries no ordering evidence, so every criterion reports stable for it.
+    A regret criterion on a metric <= 0 raises a DataError naming it.
     """
     below_projected = project(below, top)
     if len(top) <= 1:
         return True
-    kind = criterion.kind
-    if kind == "always-unstable":
-        return False
-    if kind == "direct":
-        return _soft_positions_ok(top, below_projected, 0.0)
-    if kind == "soft":
-        return _soft_positions_ok(top, below_projected, criterion.epsilon)
-    if kind == "soft-sigma":
-        return _soft_positions_ok(
-            top, below_projected, epsilon_sigma(below_projected, criterion.multiplier)
-        )
-    if kind == "soft-mean-dist":
-        return _soft_positions_ok(
-            top, below_projected, epsilon_mean_distance(below_projected)
-        )
-    if kind == "soft-median-dist":
-        return _soft_positions_ok(
-            top, below_projected, epsilon_median_distance(below_projected)
-        )
-    if kind == "rbo":
-        return rbo(top.configs(), below_projected.configs(), criterion.p) >= criterion.threshold
-    if kind == "rrr":
-        return rrr(top, below_projected.configs(), criterion.p) <= criterion.threshold
-    if kind == "arrr":
-        return arrr(top, below_projected.configs(), criterion.p) <= criterion.threshold
-    raise InternalError(f"criterion kind {kind!r} fell through the dispatcher")
+    return _KINDS[criterion.kind].stable(criterion, top, below_projected)

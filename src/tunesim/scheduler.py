@@ -26,7 +26,7 @@ from .core import (
     initial_pasha_state,
     rung_levels,
 )
-from .ranking import RankedList, RankingCriterion, is_stable
+from .ranking import RankingCriterion, is_stable
 
 MODES = ("pasha", "asha", "one-epoch", "no-increase", "random")
 
@@ -65,11 +65,6 @@ class Job:
     target_resource: int
 
 
-def _ranked(rung: Sequence[RungEntry]) -> RankedList:
-    """A rung's (config, metric) pairs in the ladder's rank order."""
-    return RankedList(tuple((e.config, e.metric) for e in rung))
-
-
 class RandomSearcher:
     """Uniform draws without replacement from a fixed config universe.
 
@@ -99,7 +94,7 @@ class Scheduler:
         if config.mode == "random":
             raise UsageError(
                 "the random baseline draws once and runs no jobs; "
-                "use run_baseline or simulate instead of a Scheduler"
+                "run it with simulate instead of a Scheduler"
             )
         self.config = config
         self.spec = config.resources
@@ -194,9 +189,9 @@ class Scheduler:
             pair_top, triggers = top, (top, top - 1)
         if job.rung not in triggers:
             return
-        top_ranked = _ranked(self.ladder.sorted_rung(pair_top))
-        below_ranked = _ranked(self.ladder.sorted_rung(pair_top - 1))
-        if not is_stable(self.criterion, top_ranked, below_ranked):
+        top_rung = self.ladder.sorted_rung(pair_top)
+        below_rung = self.ladder.sorted_rung(pair_top - 1)
+        if not is_stable(self.criterion, top_rung, below_rung):
             self.pasha = grow(self.pasha, self.spec)
 
     def in_flight(self) -> int:
@@ -218,30 +213,3 @@ class Scheduler:
         best = self.ladder.sorted_rung(k)[0]
         return best.config, best.metric, self.levels[k]
 
-
-def run_baseline(
-    mode: str,
-    table,
-    resources: ResourceSpec,
-    num_configs: int,
-    seed: int,
-    workers: int = 1,
-    random_draws: int | None = None,
-):
-    """Convenience runner for the reference methods over one benchmark.
-
-    one-epoch evaluates every drawn config at the minimum resource and picks
-    the best; no-increase runs the progressive scheduler with growth disabled
-    (ladder capped at its starting height); random draws a candidate pool and
-    picks one uniformly, spending no simulated time.
-    """
-    from .simulator import simulate
-
-    config = SchedulerConfig(
-        resources=resources,
-        num_configs=num_configs,
-        mode=mode,
-        seed=seed,
-        random_draws=random_draws,
-    )
-    return simulate(config, table, workers)

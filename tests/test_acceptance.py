@@ -25,7 +25,6 @@ import time
 
 from tunesim import (
     CurveModel,
-    RankedList,
     RankingCriterion,
     ResourceSpec,
     SchedulerConfig,
@@ -33,8 +32,7 @@ from tunesim import (
     generate,
     grow,
     initial_pasha_state,
-    is_stable_direct,
-    is_stable_soft,
+    is_stable,
     max_rung_index,
     rbo,
     read_trace,
@@ -43,7 +41,7 @@ from tunesim import (
     simulate,
     write_trace,
 )
-from util import soft_rank
+from util import ranked, soft_rank
 
 SEEDS = range(20)
 NOISY_MODEL = CurveModel(
@@ -153,7 +151,7 @@ def test_ranking_oracles():
     for n in range(1, 6):
         top_order = list(range(n))
         metric_of = {c: 1.0 - 0.07 * c for c in top_order}
-        top = RankedList(tuple((c, metric_of[c]) for c in top_order))
+        top = ranked(*((c, metric_of[c]) for c in top_order))
         for below in itertools.permutations(top_order):
             for p in (0.25, 0.5, 0.9, 1.0):
                 below = list(below)
@@ -180,22 +178,24 @@ def test_soft_ranking_semantics():
         k = rng.randint(1, n)
         # distinct metrics, then a random subset as the rung above
         metrics = rng.sample(range(1000, 9999), n)
-        below = RankedList(
-            tuple(sorted(((c, m / 1000.0) for c, m in enumerate(metrics)),
-                         key=lambda cm: -cm[1]))
-        )
-        members = rng.sample(below.configs(), k)
-        top_metrics = {c: m + rng.uniform(-0.5, 0.5) for c, m in below.entries if c in members}
-        top = RankedList(tuple(sorted(top_metrics.items(), key=lambda cm: -cm[1])))
+        below = ranked(*sorted(((c, m / 1000.0) for c, m in enumerate(metrics)),
+                               key=lambda cm: -cm[1]))
+        members = rng.sample([e.config for e in below], k)
+        top_metrics = {
+            e.config: e.metric + rng.uniform(-0.5, 0.5) for e in below if e.config in members
+        }
+        top = ranked(*sorted(top_metrics.items(), key=lambda cm: -cm[1]))
 
         eps_small = rng.uniform(0.0, 2.0)
         eps_big = eps_small + rng.uniform(0.0, 2.0)
-        if is_stable_soft(top, below, eps_small):
-            assert is_stable_soft(top, below, eps_big)
-        assert is_stable_soft(top, below, 0.0) == is_stable_direct(top, below)
+        if is_stable(RankingCriterion("soft", epsilon=eps_small), top, below):
+            assert is_stable(RankingCriterion("soft", epsilon=eps_big), top, below)
+        assert is_stable(RankingCriterion("soft", epsilon=0.0), top, below) == is_stable(
+            RankingCriterion("direct"), top, below
+        )
 
         soft = soft_rank(below, eps_small)
-        order = below.configs()
+        order = [e.config for e in below]
         assert all(order[i] in soft.positions[i] for i in range(n))
     finish("soft-ranking semantics", 10.0, started, f"{instances} random instances")
 

@@ -137,6 +137,23 @@ class TestRunVerb:
         assert code == 1
         assert "epsilon must be finite" in capsys.readouterr().err
 
+    def test_regret_on_a_minimize_table_names_the_cell(self, tmp_path, capsys):
+        # metrics of a minimize table are negated on load, so relative regret
+        # is undefined for them; the error must name the cell and criterion
+        path = tmp_path / "flipped.csv"
+        save(generate(27, 27, CurveModel(crossing_horizon=2, head_count=4), 0), str(path))
+        path.write_text(path.read_text().replace("direction=maximize", "direction=minimize"))
+        code = main(
+            ["run", "--benchmark", str(path), "--method", "pasha:rrr",
+             "--max-resource", "27", "--num-configs", "27"]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: cell (method 'pasha:rrr', scheduler seed 0, benchmark seed 0): "
+            "ranking criterion 'rrr:p=1,t=0.05': "
+            "relative regret is undefined for metrics <= 0\n"
+        )
+
     def test_missing_benchmark_flag(self, capsys):
         code = main(["run", "--method", "asha", "--max-resource", "9",
                      "--num-configs", "12"])

@@ -10,8 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tunesim import (
+    CRITERION_KINDS,
+    DataError,
     InternalError,
-    RankedList,
     RankingCriterion,
     UsageError,
     arrr,
@@ -19,9 +20,6 @@ from tunesim import (
     epsilon_median_distance,
     epsilon_sigma,
     is_stable,
-    is_stable_direct,
-    is_stable_rbo,
-    is_stable_soft,
     project,
     rbo,
     rrr,
@@ -80,50 +78,50 @@ class TestSoftRank:
         rng = random.Random(0)
         for _ in range(300):
             n = rng.randint(1, 8)
-            entries = ranked(*((i, rng.uniform(0, 1)) for i in range(n)))
-            entries = RankedList(tuple(sorted(entries.entries, key=lambda e: -e[1])))
+            pairs = [(i, rng.uniform(0, 1)) for i in range(n)]
+            entries = ranked(*sorted(pairs, key=lambda e: -e[1]))
             soft = soft_rank(entries, rng.uniform(0, 0.5))
-            for i, (config, _) in enumerate(entries.entries):
-                assert config in soft.positions[i]
+            for i, entry in enumerate(entries):
+                assert entry.config in soft.positions[i]
 
 
 class TestSoftStability:
     def test_identical_orders_stable(self):
         top = ranked((A, 0.8), (B, 0.7))
         below = ranked((A, 0.9), (B, 0.8))
-        assert is_stable_soft(top, below, 0.0)
+        assert is_stable(RankingCriterion("soft", epsilon=0.0), top, below)
 
     def test_swap_within_epsilon_stable(self):
         top = ranked((A, 0.80), (B, 0.79))
         below = ranked((B, 0.90), (A, 0.89))
-        assert is_stable_soft(top, below, 0.025)
+        assert is_stable(RankingCriterion("soft", epsilon=0.025), top, below)
 
     def test_swap_beyond_epsilon_unstable(self):
         top = ranked((A, 0.80), (B, 0.79))
         below = ranked((B, 0.90), (A, 0.50))
-        assert not is_stable_soft(top, below, 0.025)
+        assert not is_stable(RankingCriterion("soft", epsilon=0.025), top, below)
 
     def test_projection_drops_unpromoted_configs(self):
         top = ranked((A, 0.8), (B, 0.7))
         below = ranked((A, 0.9), (C, 0.85), (B, 0.8))  # C only exists below
-        assert is_stable_soft(top, below, 0.0)
+        assert is_stable(RankingCriterion("soft", epsilon=0.0), top, below)
 
     def test_missing_config_below_is_ladder_corruption(self):
         top = ranked((A, 0.8), (B, 0.7))
         below = ranked((A, 0.9))
         with pytest.raises(InternalError):
-            is_stable_soft(top, below, 0.0)
+            is_stable(RankingCriterion("soft", epsilon=0.0), top, below)
         with pytest.raises(InternalError):
             project(below, top)
 
     def test_direct_equals_soft_at_zero(self):
         top = ranked((A, 0.8), (B, 0.7))
         swapped = ranked((B, 0.9), (A, 0.8))
-        assert not is_stable_direct(top, swapped)
-        assert is_stable_direct(top, ranked((A, 0.9), (B, 0.8)))
+        assert not is_stable(RankingCriterion("direct"), top, swapped)
+        assert is_stable(RankingCriterion("direct"), top, ranked((A, 0.9), (B, 0.8)))
 
     def test_single_element_lists_always_stable(self):
-        assert is_stable_direct(ranked((A, 0.1)), ranked((A, 0.9)))
+        assert is_stable(RankingCriterion("direct"), ranked((A, 0.1)), ranked((A, 0.9)))
 
 
 # a coarse grid makes exact metric ties and exact epsilon boundaries common
@@ -137,16 +135,16 @@ def ranked_pairs(draw):
     """(top, below): below over configs 0..n-1, top over a subset of them."""
     n = draw(st.integers(1, 8))
     below_metrics = draw(st.lists(METRIC, min_size=n, max_size=n))
-    below = RankedList(tuple(sorted(enumerate(below_metrics), key=lambda cm: -cm[1])))
+    below = ranked(*sorted(enumerate(below_metrics), key=lambda cm: -cm[1]))
     members = draw(st.permutations(range(n)))[: draw(st.integers(1, n))]
     top_metrics = draw(st.lists(METRIC, min_size=len(members), max_size=len(members)))
-    top = RankedList(tuple(sorted(zip(members, top_metrics), key=lambda cm: -cm[1])))
+    top = ranked(*sorted(zip(members, top_metrics), key=lambda cm: -cm[1]))
     return top, below
 
 
 def oracle_soft_stable(top, below, epsilon):
     soft = soft_rank(project(below, top), epsilon)
-    return all(c in soft.positions[i] for i, c in enumerate(top.configs()))
+    return all(e.config in soft.positions[i] for i, e in enumerate(top))
 
 
 class TestSoftCheckAgainstOracle:
@@ -155,18 +153,18 @@ class TestSoftCheckAgainstOracle:
     def test_fast_check_agrees_with_soft_rank(self, pair, epsilon):
         top, below = pair
         expected = oracle_soft_stable(top, below, epsilon)
-        assert is_stable_soft(top, below, epsilon) == expected
+        assert is_stable(RankingCriterion("soft", epsilon=epsilon), top, below) == expected
         assert is_stable(RankingCriterion("soft", epsilon=epsilon), top, below) == (
             len(top) <= 1 or expected
         )
         if epsilon == 0.0:
-            assert is_stable_direct(top, below) == expected
+            assert is_stable(RankingCriterion("direct"), top, below) == expected
 
     @settings(max_examples=100, deadline=None)
     @given(pair=ranked_pairs(), multiplier=st.sampled_from((1, 2, 3)))
     def test_adaptive_epsilons_agree_with_soft_rank(self, pair, multiplier):
         top, below = pair
-        projected = project(below, top)
+        projected = [e.metric for e in project(below, top)]
         for criterion, epsilon in (
             (RankingCriterion("soft-sigma", multiplier=multiplier),
              epsilon_sigma(projected, multiplier)),
@@ -180,31 +178,31 @@ class TestSoftCheckAgainstOracle:
 
 class TestAdaptiveEpsilon:
     def test_sigma_of_two_points_is_half_the_gap(self):
-        assert epsilon_sigma(ranked((A, 0.8), (B, 0.6)), 1) == pytest.approx(0.1)
+        assert epsilon_sigma([0.8, 0.6], 1) == pytest.approx(0.1)
 
     def test_sigma_of_equal_metrics_is_zero(self):
-        assert epsilon_sigma(ranked((A, 0.5), (B, 0.5), (C, 0.5)), 3) == 0.0
+        assert epsilon_sigma([0.5, 0.5, 0.5], 3) == 0.0
 
     def test_sigma_multiplier_two(self):
-        value = epsilon_sigma(ranked((A, 0.9), (B, 0.8), (C, 0.4)), 2)
+        value = epsilon_sigma([0.9, 0.8, 0.4], 2)
         assert value == pytest.approx(2 * math.sqrt(0.14 / 3), abs=1e-12)
         assert value == pytest.approx(0.4320, abs=5e-5)
 
     def test_sigma_under_two_entries_is_zero(self):
-        assert epsilon_sigma(ranked((A, 0.7)), 2) == 0.0
+        assert epsilon_sigma([0.7], 2) == 0.0
 
     def test_mean_and_median_gap_three_metrics(self):
-        below = ranked((A, 0.9), (B, 0.8), (C, 0.4))
+        below = [0.9, 0.8, 0.4]
         assert epsilon_mean_distance(below) == pytest.approx(0.25)
         assert epsilon_median_distance(below) == pytest.approx(0.25)
 
     def test_mean_and_median_gap_four_metrics(self):
-        below = ranked((A, 1.0), (B, 0.9), (C, 0.9), (3, 0.0))
+        below = [1.0, 0.9, 0.9, 0.0]
         assert epsilon_mean_distance(below) == pytest.approx(1 / 3)
         assert epsilon_median_distance(below) == pytest.approx(0.1)
 
     def test_gaps_of_equal_metrics_are_zero(self):
-        below = ranked((A, 0.5), (B, 0.5))
+        below = [0.5, 0.5]
         assert epsilon_mean_distance(below) == 0.0
         assert epsilon_median_distance(below) == 0.0
 
@@ -242,10 +240,10 @@ class TestRbo:
         top = ranked((A, 0.9), (B, 0.8))
         same = ranked((A, 0.7), (B, 0.6))
         swapped = ranked((B, 0.7), (A, 0.6))
-        assert is_stable_rbo(top, same, 0.5, 0.5)
+        assert is_stable(RankingCriterion("rbo", p=0.5, threshold=0.5), top, same)
         # 0.5 sits exactly on the threshold and counts as stable
-        assert is_stable_rbo(top, swapped, 1.0, 0.5)
-        assert not is_stable_rbo(top, swapped, 1.0, 0.51)
+        assert is_stable(RankingCriterion("rbo", p=1.0, threshold=0.5), top, swapped)
+        assert not is_stable(RankingCriterion("rbo", p=1.0, threshold=0.51), top, swapped)
 
 
 class TestRegret:
@@ -325,8 +323,8 @@ class TestRelabelingEquivariance:
             top = ranked(*((i, top_metrics[i]) for i in range(n)))
             below = ranked(*((below_ids[i], below_metrics[i]) for i in range(n)))
             relabel = {i: i + 100 for i in range(n)}
-            top2 = ranked(*((relabel[c], m) for c, m in top.entries))
-            below2 = ranked(*((relabel[c], m) for c, m in below.entries))
+            top2 = ranked(*((relabel[e.config], e.metric) for e in top))
+            below2 = ranked(*((relabel[e.config], e.metric) for e in below))
             for criterion in criteria:
                 assert is_stable(criterion, top, below) == is_stable(
                     criterion, top2, below2
@@ -345,12 +343,14 @@ class TestEpsilonProperties:
             top = ranked(*((i, top_metrics[i]) for i in range(n)))
             below = ranked(*((ids[i], below_metrics[i]) for i in range(n)))
             eps = sorted(rng.uniform(0, 0.6) for _ in range(3))
-            results = [is_stable_soft(top, below, e) for e in eps]
+            results = [is_stable(RankingCriterion("soft", epsilon=e), top, below) for e in eps]
             # once stable, stays stable as epsilon grows
             for earlier, later in zip(results, results[1:]):
                 assert later or not earlier
             # distinct metrics: epsilon zero reduces to the direct check
-            assert is_stable_soft(top, below, 0.0) == is_stable_direct(top, below)
+            assert is_stable(RankingCriterion("soft", epsilon=0.0), top, below) == is_stable(
+                RankingCriterion("direct"), top, below
+            )
 
 
 class TestCriterionDispatch:
@@ -372,6 +372,14 @@ class TestCriterionDispatch:
         top = ranked((A, 0.8), (B, 0.7))
         below = ranked((A, 0.9), (B, 0.85))
         assert not is_stable(RankingCriterion("always-unstable"), top, below)
+
+    def test_regret_on_nonpositive_metric_is_a_data_error_naming_the_criterion(self):
+        top = ranked((A, 0.8), (B, -0.1))
+        below = ranked((B, 0.9), (A, 0.5))
+        for text in ("rrr", "arrr:p=0.5,t=0.1"):
+            criterion = RankingCriterion.parse(text)
+            with pytest.raises(DataError, match=f"ranking criterion '{criterion}': relative"):
+                is_stable(criterion, top, below)
 
     def test_adaptive_epsilon_uses_projected_below_spread(self):
         # below's full spread is huge because of C, but C is not in the top
@@ -405,6 +413,15 @@ class TestCriterionSpelling:
             "rrr", p=1.0, threshold=0.05
         )
 
+    def test_bare_spelling_matches_constructor_defaults(self):
+        for kind in CRITERION_KINDS:
+            if kind in ("soft", "soft-sigma"):  # these need a parameter
+                continue
+            assert RankingCriterion(kind) == RankingCriterion.parse(kind)
+        assert RankingCriterion("rrr").spelling() == "rrr:p=1,t=0.05"
+        assert RankingCriterion("arrr").spelling() == "arrr:p=1,t=0.05"
+        assert RankingCriterion("rbo").spelling() == "rbo:p=1,t=0.5"
+
     def test_bad_spellings_rejected(self):
         for text in (
             "soft",
@@ -433,5 +450,7 @@ class TestCriterionSpelling:
             RankingCriterion("soft", epsilon=-0.1)
         with pytest.raises(UsageError):
             RankingCriterion("soft-sigma", multiplier=5)
+        with pytest.raises(UsageError):
+            RankingCriterion("soft", multiplier=5)
         with pytest.raises(UsageError):
             RankingCriterion("rbo", p=0.0)

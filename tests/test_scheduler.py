@@ -11,7 +11,6 @@ from tunesim import (
     Scheduler,
     SchedulerConfig,
     UsageError,
-    run_baseline,
     simulate,
 )
 from util import ScriptedSearcher, table_from_rows
@@ -181,8 +180,9 @@ class TestBaselines:
             {0: [0.3, 0.9], 1: [0.8, 0.4], 2: [0.1, 0.2]},
             finals={0: 0.9, 1: 0.4, 2: 0.2},
         )
-        result = run_baseline(
-            "one-epoch", table, ResourceSpec(1, 2, 4), num_configs=3, seed=0
+        result = simulate(
+            SchedulerConfig(ResourceSpec(1, 2, 4), num_configs=3, mode="one-epoch", seed=0),
+            table, 1,
         )
         assert result.chosen == 1  # dominates at one unit
         assert result.max_resources == 1
@@ -190,15 +190,17 @@ class TestBaselines:
 
     def test_one_epoch_parallel_runtime(self):
         table = table_from_rows({0: [0.3], 1: [0.8], 2: [0.1]})
-        result = run_baseline(
-            "one-epoch", table, ResourceSpec(1, 2, 4), num_configs=3, seed=0, workers=3
+        result = simulate(
+            SchedulerConfig(ResourceSpec(1, 2, 4), num_configs=3, mode="one-epoch", seed=0),
+            table, 3,
         )
         assert result.wall_clock == pytest.approx(1.0)
 
     def test_random_spends_nothing(self):
         table = table_from_rows({i: [0.1 * i] * 4 for i in range(8)})
-        result = run_baseline(
-            "random", table, ResourceSpec(1, 2, 4), num_configs=8, seed=1
+        result = simulate(
+            SchedulerConfig(ResourceSpec(1, 2, 4), num_configs=8, mode="random", seed=1),
+            table, 1,
         )
         assert result.wall_clock == 0.0
         assert result.max_resources == 0
@@ -208,9 +210,10 @@ class TestBaselines:
     def test_random_draw_pool_flag(self):
         table = table_from_rows({i: [0.1 * i] * 4 for i in range(8)})
         chosen = {
-            run_baseline(
-                "random", table, ResourceSpec(1, 2, 4),
-                num_configs=8, seed=s, random_draws=2,
+            simulate(
+                SchedulerConfig(ResourceSpec(1, 2, 4), num_configs=8, mode="random",
+                                seed=s, random_draws=2),
+                table, 1,
             ).chosen
             for s in range(30)
         }
@@ -218,8 +221,9 @@ class TestBaselines:
 
     def test_no_increase_caps_at_the_initial_ladder(self):
         table = table_from_rows({i: [0.9 - 0.05 * i] * 27 for i in range(18)})
-        result = run_baseline(
-            "no-increase", table, ResourceSpec(1, 3, 27), num_configs=18, seed=0
+        result = simulate(
+            SchedulerConfig(ResourceSpec(1, 3, 27), num_configs=18, mode="no-increase", seed=0),
+            table, 1,
         )
         assert result.max_resources == 9  # eta^2 * r with r=1, eta=3
 

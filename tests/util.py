@@ -1,22 +1,22 @@
-"""Shared builders for hand-constructed tables and ranked lists, and the
-brute-force soft-rank oracle the fast soft check is compared against."""
+"""Shared builders for hand-constructed tables and rank-ordered rung entries,
+and the brute-force soft-rank oracle the fast soft check is compared against."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from tunesim import ConfigId, Curve, LearningCurveTable, RankedList
+from tunesim import ConfigId, Curve, LearningCurveTable, RungEntry
 
 # readable config ids for ranking tests
 A, B, C, D, E = 0, 1, 2, 3, 4
 
 
-def ranked(*pairs: tuple[int, float]) -> RankedList:
-    """RankedList from (config, metric) pairs given best first.
+def ranked(*pairs: tuple[int, float]) -> list[RungEntry]:
+    """Rung entries from (config, metric) pairs given best first.
 
     Completion indices follow the argument order, so exact ties keep it.
     """
-    return RankedList(tuple(pairs))
+    return [RungEntry(c, m, completion_index=i) for i, (c, m) in enumerate(pairs)]
 
 
 @dataclass(frozen=True)
@@ -26,7 +26,7 @@ class SoftRank:
     positions: tuple[frozenset[ConfigId], ...]
 
 
-def soft_rank(ranked: RankedList, epsilon: float) -> SoftRank:
+def soft_rank(ranked: list[RungEntry], epsilon: float) -> SoftRank:
     """Positions[i] holds every config whose metric is within epsilon of rank i's.
 
     Quadratic by construction: the reference definition of PASHA's soft
@@ -34,10 +34,9 @@ def soft_rank(ranked: RankedList, epsilon: float) -> SoftRank:
     """
     if epsilon < 0:
         raise ValueError(f"epsilon must be >= 0, got {epsilon}")
-    metrics = ranked.metrics()
     positions = tuple(
-        frozenset(c for c, m in ranked.entries if abs(anchor - m) <= epsilon)
-        for anchor in metrics
+        frozenset(e.config for e in ranked if abs(anchor.metric - e.metric) <= epsilon)
+        for anchor in ranked
     )
     return SoftRank(positions)
 
