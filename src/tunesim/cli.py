@@ -13,9 +13,10 @@ import configparser
 import dataclasses
 import sys
 
-from .benchgen import CurveModel, crossing_report, generate, load, save
+from .benchgen import FAMILIES, CurveModel, crossing_report, generate, load, save
 from .core import DataError, InternalError, ResourceSpec, UsageError
 from .experiment import (
+    REPORT_FORMATS,
     ExperimentSpec,
     MethodSpec,
     aggregate,
@@ -57,6 +58,26 @@ def _parse_seeds(text: str) -> tuple[int, ...]:
     return tuple(seeds)
 
 
+# [experiment] keys (each its run flag without --) -> (type, default, help)
+_SETTINGS = {
+    "benchmark": (str, None, "benchmark path; {seed} expands per benchmark seed"),
+    "ranking": (str, None, "criterion for pasha methods given without one"),
+    "eta": (int, 3, "reduction factor (default 3)"),
+    "min-resource": (int, 1, "rung 0 resource (default 1)"),
+    "max-resource": (int, None, "safety-net resource cap"),
+    "num-configs": (int, None, None),
+    "workers": (int, 1, None),
+    "seeds": (_parse_seeds, (0,), "scheduler seeds, e.g. 0,1,2 or 0..4"),
+    "bench-seeds": (_parse_seeds, (0,), "benchmark seeds (same syntax)"),
+    "out": (str, None, "write the report here instead of stdout"),
+    "format": (str, "markdown", None),
+    "cells": (str, None, "also write per-run results to this csv"),
+    "traces": (str, None, "also write per-run event traces here"),
+}
+_REQUIRED = ("benchmark", "max-resource", "num-configs")
+_METHOD_KEYS = ("ranking", "pair-below-cap", "random-draws")
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="tunesim", description=__doc__)
     verbs = parser.add_subparsers(dest="verb", required=True)
@@ -66,51 +87,30 @@ def _build_parser() -> _Parser:
     gen.add_argument("--num-configs", type=int, required=True)
     gen.add_argument("--units", type=int, required=True, help="curve length U")
     gen.add_argument("--seed", type=int, default=0)
-    gen.add_argument("--family", choices=("power_law", "exponential_saturation"))
-    gen.add_argument("--crossing-horizon", type=int)
-    gen.add_argument("--noise-std", type=float)
-    gen.add_argument("--hard", action="store_true", default=None,
-                     help="accept noise levels that may reorder curves late")
-    gen.add_argument("--top-metric", type=float)
-    gen.add_argument("--head-count", type=int)
-    gen.add_argument("--head-gap", type=float)
-    gen.add_argument("--head-jitter", type=float)
-    gen.add_argument("--gap-scale", type=float)
-    gen.add_argument("--tail-theta", type=float)
-    gen.add_argument("--decay", type=float)
-    gen.add_argument("--early-scale", type=float)
-    gen.add_argument("--damp-lo", type=float)
-    gen.add_argument("--damp-hi", type=float)
-    gen.add_argument("--cost-mean", type=float)
-    gen.add_argument("--cost-spread", type=float)
+    for field in dataclasses.fields(CurveModel):
+        flag = "--" + field.name.replace("_", "-")
+        if isinstance(field.default, bool):
+            gen.add_argument(flag, action="store_true", default=None,
+                             help="accept noise levels that may reorder curves late")
+        else:
+            gen.add_argument(flag, type=type(field.default),
+                             choices=FAMILIES if field.name == "family" else None)
 
     run = verbs.add_parser("run", help="run an experiment grid")
     run.add_argument("--config", help="INI experiment file; flags override it")
-    run.add_argument("--benchmark", help="benchmark path; {seed} expands per benchmark seed")
     run.add_argument("--method", action="append", dest="methods", metavar="TOKEN",
                      help="mode[:criterion], e.g. asha or pasha:soft:0.025; repeatable")
-    run.add_argument("--ranking", help="criterion for pasha methods given without one")
-    run.add_argument("--eta", type=int, help="reduction factor (default 3)")
-    run.add_argument("--min-resource", type=int, help="rung 0 resource (default 1)")
-    run.add_argument("--max-resource", type=int, help="safety-net resource cap")
-    run.add_argument("--num-configs", type=int)
-    run.add_argument("--workers", type=int)
-    run.add_argument("--seeds", type=_parse_seeds,
-                     help="scheduler seeds, e.g. 0,1,2 or 0..4")
-    run.add_argument("--bench-seeds", type=_parse_seeds,
-                     help="benchmark seeds (same syntax)")
     run.add_argument("--random-draws", type=int,
                      help="candidate pool size for random methods")
     run.add_argument("--pair-below-cap", action="store_true", default=None,
                      help="compare the two rungs beneath the cap instead")
-    run.add_argument("--out", help="write the report here instead of stdout")
-    run.add_argument("--format", choices=("markdown", "csv"))
-    run.add_argument("--cells", help="also write per-run results to this csv")
-    run.add_argument("--traces", help="also write per-run event traces here")
+    for key, (cast, _, text) in _SETTINGS.items():
+        run.add_argument("--" + key, type=cast, help=text,
+                         choices=REPORT_FORMATS if key == "format" else None)
 
     rep = verbs.add_parser("report", help="re-aggregate a per-run cells file")
     rep.add_argument("--cells", required=True)
-    rep.add_argument("--format", choices=("markdown", "csv"), default="markdown")
+    rep.add_argument("--format", choices=REPORT_FORMATS, default="markdown")
     rep.add_argument("--out")
 
     cross = verbs.add_parser("crossings", help="pairwise curve-order diagnostic")
@@ -119,26 +119,20 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _write_output(text: str, out: str | None) -> int:
+    """Write text to out, or print it when no path is given."""
+    if out:
+        with open(out, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        print(f"wrote {out}")
+    else:
+        print(text, end="")
+    return 0
+
+
 def _generate_command(args) -> int:
-    fields = {
-        "family": args.family,
-        "crossing_horizon": args.crossing_horizon,
-        "noise_std": args.noise_std,
-        "hard": args.hard,
-        "top_metric": args.top_metric,
-        "head_count": args.head_count,
-        "head_gap": args.head_gap,
-        "head_jitter": args.head_jitter,
-        "gap_scale": args.gap_scale,
-        "tail_theta": args.tail_theta,
-        "decay": args.decay,
-        "early_scale": args.early_scale,
-        "damp_lo": args.damp_lo,
-        "damp_hi": args.damp_hi,
-        "cost_mean": args.cost_mean,
-        "cost_spread": args.cost_spread,
-    }
-    model = CurveModel(**{k: v for k, v in fields.items() if v is not None})
+    values = {f.name: getattr(args, f.name) for f in dataclasses.fields(CurveModel)}
+    model = CurveModel(**{k: v for k, v in values.items() if v is not None})
     table = generate(args.num_configs, args.units, model, args.seed)
     save(table, args.out)
     print(f"wrote {args.out}: {args.num_configs} configs x {args.units} units")
@@ -157,32 +151,32 @@ def _read_experiment_file(path: str) -> tuple[dict[str, str], list[MethodSpec]]:
     methods: list[MethodSpec] = []
     for section in parser.sections():
         if section == "experiment":
-            settings = dict(parser[section])
+            known = _SETTINGS
         elif section.startswith("method:"):
-            token = section[len("method:"):].strip()
-            options = parser[section]
-            for key in options:
-                if key not in ("ranking", "pair-below-cap", "random-draws"):
-                    raise DataError(f"config file [{section}]: unknown key {key!r}")
-            try:
-                below = options.getboolean("pair-below-cap", fallback=False)
-                draws = options.getint("random-draws", fallback=None)
-            except ValueError as exc:
-                raise DataError(f"config file [{section}]: {exc}") from exc
-            spec = MethodSpec.parse(token, pair_below_cap=below, random_draws=draws)
-            ranking = options.get("ranking", fallback=None)
-            if ranking is not None:
-                if spec.mode != "pasha":
-                    raise DataError(
-                        f"config file [{section}]: {spec.mode!r} takes no ranking"
-                    )
-                if spec.criterion is None:
-                    spec = dataclasses.replace(
-                        spec, criterion=RankingCriterion.parse(ranking)
-                    )
-            methods.append(spec)
+            known = _METHOD_KEYS
         else:
             raise DataError(f"config file: unknown section [{section}]")
+        options = parser[section]
+        for key in options:
+            if key not in known:
+                raise DataError(f"config file [{section}]: unknown key {key!r}")
+        if section == "experiment":
+            settings = dict(options)
+            continue
+        token = section[len("method:"):].strip()
+        try:
+            below = options.getboolean("pair-below-cap", fallback=False)
+            draws = options.getint("random-draws", fallback=None)
+        except ValueError as exc:
+            raise DataError(f"config file [{section}]: {exc}") from exc
+        spec = MethodSpec.parse(token, pair_below_cap=below, random_draws=draws)
+        ranking = options.get("ranking", fallback=None)
+        if ranking is not None:
+            if spec.mode != "pasha":
+                raise DataError(f"config file [{section}]: {spec.mode!r} takes no ranking")
+            if spec.criterion is None:
+                spec = dataclasses.replace(spec, criterion=RankingCriterion.parse(ranking))
+        methods.append(spec)
     return settings, methods
 
 
@@ -192,26 +186,19 @@ def _run_command(args) -> int:
     if args.config:
         settings, file_methods = _read_experiment_file(args.config)
 
-    def pick(cli_value, key, cast, default=None):
-        # CLI flag beats file value beats default
-        if cli_value is not None:
-            return cli_value
-        if key in settings:
+    # each setting: its flag beats the file's value beats its default
+    values = {}
+    for key, (cast, default, _) in _SETTINGS.items():
+        value = getattr(args, key.replace("-", "_"))
+        if value is None and key in settings:
             try:
-                return cast(settings[key])
+                value = cast(settings[key])
             except (ValueError, UsageError) as exc:
                 raise DataError(f"config file {key}: {exc}") from exc
-        return default
-
-    benchmark = pick(args.benchmark, "benchmark", str)
-    if benchmark is None:
-        raise UsageError("--benchmark is required (flag or config file)")
-    max_resource = pick(args.max_resource, "max-resource", int)
-    if max_resource is None:
-        raise UsageError("--max-resource is required (flag or config file)")
-    num_configs = pick(args.num_configs, "num-configs", int)
-    if num_configs is None:
-        raise UsageError("--num-configs is required (flag or config file)")
+        values[key] = default if value is None else value
+    for key in _REQUIRED:
+        if values[key] is None:
+            raise UsageError(f"--{key} is required (flag or config file)")
 
     if args.methods:
         methods = [
@@ -226,9 +213,8 @@ def _run_command(args) -> int:
         methods = file_methods
     else:
         raise UsageError("give at least one --method or a config file with methods")
-    ranking = pick(args.ranking, "ranking", str)
-    if ranking is not None:
-        criterion = RankingCriterion.parse(ranking)
+    if values["ranking"] is not None:
+        criterion = RankingCriterion.parse(values["ranking"])
         methods = [
             dataclasses.replace(m, criterion=criterion)
             if m.mode == "pasha" and m.criterion is None
@@ -239,70 +225,42 @@ def _run_command(args) -> int:
     spec = ExperimentSpec(
         methods=tuple(methods),
         resources=ResourceSpec(
-            min_resource=pick(args.min_resource, "min-resource", int, 1),
-            reduction_factor=pick(args.eta, "eta", int, 3),
-            max_resource=max_resource,
+            min_resource=values["min-resource"],
+            reduction_factor=values["eta"],
+            max_resource=values["max-resource"],
         ),
-        num_configs=num_configs,
-        benchmark=benchmark,
-        workers=pick(args.workers, "workers", int, 1),
-        scheduler_seeds=pick(args.seeds, "seeds", _parse_seeds, (0,)),
-        benchmark_seeds=pick(args.bench_seeds, "bench-seeds", _parse_seeds, (0,)),
-        out=pick(args.out, "out", str),
-        format=pick(args.format, "format", str, "markdown"),
+        num_configs=values["num-configs"],
+        benchmark=values["benchmark"],
+        workers=values["workers"],
+        scheduler_seeds=values["seeds"],
+        benchmark_seeds=values["bench-seeds"],
+        out=values["out"],
+        format=values["format"],
     )
-    report = run_experiment(
-        spec,
-        traces_dir=pick(args.traces, "traces", str),
-        cells_out=pick(args.cells, "cells", str),
-    )
-    text = emit_report(report, spec.format)
-    if spec.out:
-        with open(spec.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
-        print(f"wrote {spec.out}")
-    else:
-        print(text, end="")
-    return 0
+    report = run_experiment(spec, traces_dir=values["traces"], cells_out=values["cells"])
+    return _write_output(emit_report(report, spec.format), spec.out)
 
 
 def _report_command(args) -> int:
     report = aggregate(read_cells(args.cells))
-    text = emit_report(report, args.format)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
-        print(f"wrote {args.out}")
-    else:
-        print(text, end="")
-    return 0
+    return _write_output(emit_report(report, args.format), args.out)
 
 
 def _crossings_command(args) -> int:
-    table = load(args.benchmark)
-    lines = ["config_a,config_b,last_crossing"]
-    for (a, b), resource in crossing_report(table):
-        lines.append(f"{a},{b},{resource}")
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
-        print(f"wrote {args.out}")
-    else:
-        print(text, end="")
-    return 0
+    rows = [f"{a},{b},{level}" for (a, b), level in crossing_report(load(args.benchmark))]
+    return _write_output("\n".join(["config_a,config_b,last_crossing", *rows]) + "\n", args.out)
 
 
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        if args.verb == "generate":
-            return _generate_command(args)
-        if args.verb == "run":
-            return _run_command(args)
-        if args.verb == "report":
-            return _report_command(args)
-        return _crossings_command(args)
+        command = {
+            "generate": _generate_command,
+            "run": _run_command,
+            "report": _report_command,
+            "crossings": _crossings_command,
+        }[args.verb]
+        return command(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
 from tunesim import CurveModel, generate, load, save
@@ -254,6 +256,49 @@ class TestConfigFile:
         )
         assert main(["run", "--config", config]) == 2
         assert "unknown key" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "line", ["worker = 4", "pair-below-cap = yes", "random-draws = 3"]
+    )
+    def test_unknown_experiment_key_is_a_data_error(self, bench, tmp_path, capsys, line):
+        config = self.write_config(tmp_path, bench)
+        path = tmp_path / "experiment.ini"
+        path.write_text(path.read_text().replace("[experiment]\n", f"[experiment]\n{line}\n"))
+        assert main(["run", "--config", config]) == 2
+        key = line.split(" = ")[0]
+        assert f"config file [experiment]: unknown key {key!r}" in capsys.readouterr().err
+
+    def test_every_run_setting_is_an_experiment_key(self, bench, tmp_path, capsys):
+        out, cells, traces = (str(tmp_path / name) for name in ("r.csv", "c.csv", "t"))
+        path = tmp_path / "all.ini"
+        path.write_text(
+            "[experiment]\n"
+            f"benchmark = {bench}\nranking = direct\neta = 2\nmin-resource = 2\n"
+            "max-resource = 8\nnum-configs = 12\nworkers = 3\nseeds = 0..2\n"
+            f"bench-seeds = 0\nout = {out}\nformat = csv\ncells = {cells}\n"
+            f"traces = {traces}\n\n[method:pasha]\n"
+        )
+        assert main(["run", "--config", str(path)]) == 0
+        assert capsys.readouterr().out == f"wrote {out}\n"
+        assert open(out).read().startswith("method,")
+        rows = open(cells).read().splitlines()
+        assert len(rows) == 1 + 3
+        assert len(os.listdir(traces)) == 3
+
+    def test_bad_setting_value_is_a_data_error(self, bench, tmp_path, capsys):
+        config = self.write_config(tmp_path, bench)
+        path = tmp_path / "experiment.ini"
+        path.write_text(path.read_text().replace("seeds = 0,1", "seeds = zero"))
+        assert main(["run", "--config", config]) == 2
+        assert "config file seeds:" in capsys.readouterr().err
+
+    def test_required_setting_missing_from_flag_and_file(self, bench, tmp_path, capsys):
+        config = self.write_config(tmp_path, bench)
+        path = tmp_path / "experiment.ini"
+        path.write_text(path.read_text().replace("num-configs = 12\n", ""))
+        assert main(["run", "--config", config]) == 1
+        assert "--num-configs is required (flag or config file)" in capsys.readouterr().err
+        assert main(["run", "--config", config, "--num-configs", "12"]) == 0
 
     def test_ranking_on_a_fixed_mode_is_refused(self, bench, tmp_path, capsys):
         config = self.write_config(
