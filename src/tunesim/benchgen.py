@@ -291,20 +291,16 @@ def crossing_report(table: LearningCurveTable) -> list[tuple[tuple[ConfigId, Con
     the last resource level at which it deviates.
 
     An empty list means the ordering is already final after the first unit.
-    Builds an n x n x units array, so it is meant for desk-scale tables.
+    Each row is compared with the rows after it in one step, so memory stays
+    O(n x units).
     """
     ids = table.config_ids()
-    n = len(ids)
-    if n < 2:
-        return []
     matrix = np.array([table.curves[c].metrics for c in ids])
-    sign = np.sign(matrix[:, None, :] - matrix[None, :, :])
-    mismatch = sign != sign[:, :, -1:]
-    any_mismatch = mismatch.any(axis=2)
-    last_index = matrix.shape[1] - 1 - np.argmax(mismatch[:, :, ::-1], axis=2)
     report = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            if any_mismatch[i, j]:
-                report.append(((ids[i], ids[j]), int(last_index[i, j]) + 1))
+    for i in range(len(ids) - 1):
+        sign = np.sign(matrix[i] - matrix[i + 1 :])
+        mismatch = sign != sign[:, -1:]
+        last_index = matrix.shape[1] - 1 - np.argmax(mismatch[:, ::-1], axis=1)
+        for j in np.flatnonzero(mismatch.any(axis=1)):
+            report.append(((ids[i], ids[i + 1 + j]), int(last_index[j]) + 1))
     return report

@@ -304,3 +304,34 @@ class TestCrossingReport:
             1: [0.2, 0.3, 0.3, 0.5],
         }
         assert crossing_report(table_from_rows(rows)) == [((0, 1), 3)]
+
+
+def _oracle_crossings(table):
+    """Each pair compared level by level in plain Python."""
+    def sign(x):
+        return (x > 0) - (x < 0)
+
+    report = []
+    for a, b in itertools.combinations(table.config_ids(), 2):
+        ma, mb = table.curves[a].metrics, table.curves[b].metrics
+        final = sign(ma[-1] - mb[-1])
+        deviating = [u + 1 for u in range(len(ma)) if sign(ma[u] - mb[u]) != final]
+        if deviating:
+            report.append(((a, b), deviating[-1]))
+    return report
+
+
+class TestCrossingReportOracle:
+    def test_noisy_generated_table(self):
+        table = generate(40, 9, CurveModel(noise_std=0.02, hard=True), seed=3)
+        expected = _oracle_crossings(table)
+        assert len(expected) > 100
+        assert crossing_report(table) == expected
+
+    def test_coarse_values_with_many_ties(self):
+        rng = np.random.default_rng(7)
+        rows = {c: [float(v) for v in rng.integers(0, 3, 5) / 10] for c in range(30)}
+        table = table_from_rows(rows)
+        expected = _oracle_crossings(table)
+        assert expected
+        assert crossing_report(table) == expected
