@@ -196,10 +196,6 @@ class RungLadder:
         self._configs = [set() for _ in self.levels]
         self._promoted = [set() for _ in self.levels]
 
-    @classmethod
-    def empty(cls, levels: Sequence[int]) -> "RungLadder":
-        return cls(levels)
-
     def insert(self, k: int, entry: RungEntry) -> None:
         if not 0 <= k < len(self.rungs):
             raise InternalError(

@@ -99,7 +99,7 @@ class Scheduler:
         self.config = config
         self.spec = config.resources
         self.levels = rung_levels(self.spec)
-        self.ladder = RungLadder.empty(self.levels)
+        self.ladder = RungLadder(self.levels)
         self.searcher = searcher if searcher is not None else RandomSearcher(universe, config.seed)
         self.criterion = config.criterion or DEFAULT_CRITERION
         self.pasha: PashaState | None = (
@@ -193,9 +193,6 @@ class Scheduler:
         below_rung = self.ladder.sorted_rung(pair_top - 1)
         if not is_stable(self.criterion, top_rung, below_rung):
             self.pasha = grow(self.pasha, self.spec)
-
-    def in_flight(self) -> int:
-        return len(self._in_flight)
 
     def should_stop(self) -> bool:
         """True once every config is drawn, nothing runs, nothing is promotable."""

@@ -286,8 +286,6 @@ def replay_trace(
     so the returned ladder must equal the one the original run produced; any
     divergence raises.
     """
-    if config.mode == "random":
-        raise UsageError("the random baseline produces no trace to replay")
     sched = Scheduler(config, table.config_ids())
     pending: dict[tuple[ConfigId, int], Job] = {}
     for ev in events:

@@ -149,26 +149,26 @@ class TestGrow:
 class TestRungLadder:
     def test_levels_must_increase(self):
         with pytest.raises(ValueError):
-            RungLadder.empty((1, 3, 3))
+            RungLadder((1, 3, 3))
 
     def test_insert_rejects_out_of_range_rung(self):
-        ladder = RungLadder.empty((1, 3, 9))
+        ladder = RungLadder((1, 3, 9))
         with pytest.raises(InternalError):
             ladder.insert(3, RungEntry(0, 0.5))
 
     def test_insert_rejects_non_finite_metric(self):
-        ladder = RungLadder.empty((1, 3, 9))
+        ladder = RungLadder((1, 3, 9))
         with pytest.raises(InternalError):
             ladder.insert(0, RungEntry(0, float("nan")))
 
     def test_insert_rejects_duplicate_config_per_rung(self):
-        ladder = RungLadder.empty((1, 3, 9))
+        ladder = RungLadder((1, 3, 9))
         ladder.insert(0, RungEntry(0, 0.5))
         with pytest.raises(InternalError):
             ladder.insert(0, RungEntry(0, 0.6))
 
     def test_upper_rung_requires_promotion_below(self):
-        ladder = RungLadder.empty((1, 3, 9))
+        ladder = RungLadder((1, 3, 9))
         with pytest.raises(InternalError):
             ladder.insert(1, RungEntry(0, 0.5))
         ladder.insert(0, RungEntry(0, 0.5, promoted=True))
@@ -176,21 +176,21 @@ class TestRungLadder:
         assert [len(r) for r in ladder.rungs] == [1, 1, 0]
 
     def test_occupied_rungs_form_a_prefix(self):
-        ladder = RungLadder.empty((1, 3, 9, 27))
+        ladder = RungLadder((1, 3, 9, 27))
         for k in range(3):
             ladder.insert(k, RungEntry(7, 0.5 + k / 10, promoted=True))
         occupied = [k for k, rung in enumerate(ladder.rungs) if rung]
         assert occupied == list(range(len(occupied)))
 
     def test_sorted_rung_breaks_ties_by_completion_index(self):
-        ladder = RungLadder.empty((1, 3, 9))
+        ladder = RungLadder((1, 3, 9))
         ladder.insert(0, RungEntry(0, 0.5, completion_index=1))
         ladder.insert(0, RungEntry(1, 0.5, completion_index=0))
         ladder.insert(0, RungEntry(2, 0.9, completion_index=2))
         assert [e.config for e in ladder.sorted_rung(0)] == [2, 1, 0]
 
     def test_highest_nonempty(self):
-        ladder = RungLadder.empty((1, 3, 9))
+        ladder = RungLadder((1, 3, 9))
         assert ladder.highest_nonempty() is None
         ladder.insert(0, RungEntry(0, 0.5, promoted=True))
         assert ladder.highest_nonempty() == 0
@@ -198,13 +198,13 @@ class TestRungLadder:
         assert ladder.highest_nonempty() == 1
 
     def test_rungs_are_kept_best_first(self):
-        ladder = RungLadder.empty((1, 3, 9))
+        ladder = RungLadder((1, 3, 9))
         for config, metric in enumerate((0.2, 0.9, 0.5, 0.9)):
             ladder.insert(0, RungEntry(config, metric, completion_index=config))
         assert [e.config for e in ladder.rungs[0]] == [1, 3, 2, 0]
 
     def test_promote_marks_once(self):
-        ladder = RungLadder.empty((1, 3, 9))
+        ladder = RungLadder((1, 3, 9))
         entry = RungEntry(0, 0.5)
         ladder.insert(0, entry)
         assert ladder.best_unpromoted(0) is entry
@@ -215,7 +215,7 @@ class TestRungLadder:
         ladder.insert(1, RungEntry(0, 0.6))  # the mark is what insert checks
 
     def test_equality_includes_promotion_marks(self):
-        a, b = RungLadder.empty((1, 3, 9)), RungLadder.empty((1, 3, 9))
+        a, b = RungLadder((1, 3, 9)), RungLadder((1, 3, 9))
         for ladder in (a, b):
             ladder.insert(0, RungEntry(0, 0.5))
         assert a == b
