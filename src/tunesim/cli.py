@@ -254,13 +254,13 @@ def _crossings_command(args) -> int:
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        command = {
-            "generate": _generate_command,
-            "run": _run_command,
-            "report": _report_command,
-            "crossings": _crossings_command,
-        }[args.verb]
-        return command(args)
+        if args.verb == "generate":
+            return _generate_command(args)
+        if args.verb == "run":
+            return _run_command(args)
+        if args.verb == "report":
+            return _report_command(args)
+        return _crossings_command(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
