@@ -9,8 +9,6 @@ that aggregates seeded repetitions into comparison tables.
 """
 
 from .benchgen import (
-    FAMILIES,
-    FORMAT_MAGIC,
     CurveModel,
     FormatError,
     GenerationError,
@@ -19,58 +17,20 @@ from .benchgen import (
     load,
     save,
 )
-from .core import (
-    ConfigId,
-    DataError,
-    InternalError,
-    PashaState,
-    ResourceSpec,
-    RungEntry,
-    RungLadder,
-    TunesimError,
-    UsageError,
-    grow,
-    initial_pasha_state,
-    max_rung_index,
-    rung_levels,
-    rung_resource,
-)
+from .core import DataError, InternalError, ResourceSpec, TunesimError, UsageError
 from .experiment import (
     CellResult,
-    ExperimentReport,
     ExperimentSpec,
-    GeneratorSpec,
-    MethodRow,
     MethodSpec,
     aggregate,
     emit_report,
     read_cells,
-    reference_method,
-    resolve_tables,
     run_cells,
     run_experiment,
     write_cells,
 )
-from .ranking import (
-    CRITERION_KINDS,
-    RankingCriterion,
-    arrr,
-    epsilon_mean_distance,
-    epsilon_median_distance,
-    epsilon_sigma,
-    is_stable,
-    project,
-    rbo,
-    rrr,
-)
-from .scheduler import (
-    DEFAULT_CRITERION,
-    MODES,
-    Job,
-    RandomSearcher,
-    Scheduler,
-    SchedulerConfig,
-)
+from .ranking import RankingCriterion
+from .scheduler import SchedulerConfig
 from .simulator import (
     Curve,
     LearningCurveTable,
@@ -86,66 +46,41 @@ from .simulator import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CRITERION_KINDS",
-    "CellResult",
-    "ConfigId",
-    "Curve",
-    "CurveModel",
-    "DEFAULT_CRITERION",
-    "DataError",
-    "FAMILIES",
-    "FORMAT_MAGIC",
-    "ExperimentReport",
-    "ExperimentSpec",
-    "FormatError",
-    "GenerationError",
-    "GeneratorSpec",
-    "InternalError",
-    "Job",
-    "LearningCurveTable",
-    "MODES",
-    "MethodRow",
-    "MethodSpec",
-    "PashaState",
-    "RandomSearcher",
-    "RankingCriterion",
-    "ResourceSpec",
-    "RungEntry",
-    "RungLadder",
-    "Scheduler",
-    "SchedulerConfig",
-    "SimResult",
-    "TraceEvent",
+    # errors
     "TunesimError",
     "UsageError",
-    "aggregate",
-    "arrr",
-    "crossing_report",
-    "emit_report",
-    "epsilon_mean_distance",
-    "epsilon_median_distance",
-    "epsilon_sigma",
+    "DataError",
+    "InternalError",
+    "FormatError",
+    "GenerationError",
+    # benchmarks
+    "CurveModel",
     "generate",
-    "grow",
-    "initial_pasha_state",
-    "is_stable",
     "load",
-    "max_rung_index",
-    "project",
-    "rbo",
-    "read_cells",
-    "read_trace",
-    "reference_method",
-    "replay_trace",
-    "resolve_tables",
-    "rrr",
-    "run_cells",
-    "run_experiment",
-    "rung_levels",
-    "rung_resource",
     "save",
+    "crossing_report",
+    "LearningCurveTable",
+    "Curve",
+    # scheduling
+    "ResourceSpec",
+    "RankingCriterion",
+    "SchedulerConfig",
     "simulate",
+    "SimResult",
     "speedup",
-    "write_cells",
+    # traces
+    "TraceEvent",
     "write_trace",
+    "read_trace",
+    "replay_trace",
+    # experiments
+    "ExperimentSpec",
+    "MethodSpec",
+    "CellResult",
+    "run_experiment",
+    "run_cells",
+    "aggregate",
+    "emit_report",
+    "read_cells",
+    "write_cells",
 ]

@@ -75,7 +75,8 @@ _SETTINGS = {
     "traces": (str, None, "also write per-run event traces here"),
 }
 _REQUIRED = ("benchmark", "max-resource", "num-configs")
-_METHOD_KEYS = ("ranking", "pair-below-cap", "random-draws")
+# [method:…] keys -> the one mode that takes each
+_METHOD_KEYS = {"ranking": "pasha", "pair-below-cap": "pasha", "random-draws": "random"}
 
 
 def _build_parser() -> _Parser:
@@ -170,12 +171,12 @@ def _read_experiment_file(path: str) -> tuple[dict[str, str], list[MethodSpec]]:
         except ValueError as exc:
             raise DataError(f"config file [{section}]: {exc}") from exc
         spec = MethodSpec.parse(token, pair_below_cap=below, random_draws=draws)
+        for key in options:
+            if _METHOD_KEYS[key] != spec.mode:
+                raise DataError(f"config file [{section}]: {spec.mode!r} takes no {key}")
         ranking = options.get("ranking", fallback=None)
-        if ranking is not None:
-            if spec.mode != "pasha":
-                raise DataError(f"config file [{section}]: {spec.mode!r} takes no ranking")
-            if spec.criterion is None:
-                spec = dataclasses.replace(spec, criterion=RankingCriterion.parse(ranking))
+        if ranking is not None and spec.criterion is None:
+            spec = dataclasses.replace(spec, criterion=RankingCriterion.parse(ranking))
         methods.append(spec)
     return settings, methods
 
@@ -200,18 +201,22 @@ def _run_command(args) -> int:
         if values[key] is None:
             raise UsageError(f"--{key} is required (flag or config file)")
 
-    if args.methods:
-        methods = [
-            MethodSpec.parse(
-                token,
-                pair_below_cap=bool(args.pair_below_cap),
-                random_draws=args.random_draws,
-            )
-            for token in args.methods
-        ]
-    elif file_methods:
-        methods = file_methods
-    else:
+    flag_methods = [
+        MethodSpec.parse(
+            token,
+            pair_below_cap=bool(args.pair_below_cap),
+            random_draws=args.random_draws,
+        )
+        for token in args.methods or ()
+    ]
+    for key in ("pair-below-cap", "random-draws"):
+        mode = _METHOD_KEYS[key]
+        if getattr(args, key.replace("-", "_")) is not None and all(
+            m.mode != mode for m in flag_methods
+        ):
+            raise UsageError(f"--{key} applies only to {mode} methods; no --method {mode} given")
+    methods = flag_methods or file_methods
+    if not methods:
         raise UsageError("give at least one --method or a config file with methods")
     if values["ranking"] is not None:
         criterion = RankingCriterion.parse(values["ranking"])
@@ -234,11 +239,10 @@ def _run_command(args) -> int:
         workers=values["workers"],
         scheduler_seeds=values["seeds"],
         benchmark_seeds=values["bench-seeds"],
-        out=values["out"],
         format=values["format"],
     )
     report = run_experiment(spec, traces_dir=values["traces"], cells_out=values["cells"])
-    return _write_output(emit_report(report, spec.format), spec.out)
+    return _write_output(emit_report(report, spec.format), values["out"])
 
 
 def _report_command(args) -> int:

@@ -17,7 +17,7 @@ import os
 import statistics
 from dataclasses import dataclass
 
-from .benchgen import CurveModel, generate, load
+from .benchgen import load
 from .core import DataError, ResourceSpec, TunesimError, UsageError
 from .ranking import RankingCriterion
 from .scheduler import MODES, SchedulerConfig
@@ -81,32 +81,21 @@ class MethodSpec:
 
 
 @dataclass(frozen=True)
-class GeneratorSpec:
-    """Recipe for drawing one synthetic benchmark per benchmark seed."""
-
-    units: int
-    model: CurveModel
-    n_configs: int | None = None  # defaults to the experiment's num_configs
-
-
-@dataclass(frozen=True)
 class ExperimentSpec:
     """A complete experiment: who runs, on what, and how often.
 
-    The benchmark is either a file path (a literal "{seed}" expands to each
-    benchmark seed; missing seed files are imputed by averaging the available
-    ones elementwise) or a GeneratorSpec drawing a fresh table per seed.
+    The benchmark is a file path: a literal "{seed}" expands to each
+    benchmark seed, and missing seed files are imputed by averaging the
+    available ones elementwise. Without one, pass the tables to run_cells.
     """
 
     methods: tuple[MethodSpec, ...]
     resources: ResourceSpec
     num_configs: int
     benchmark: str | None = None
-    generator: GeneratorSpec | None = None
     workers: int = 1
     scheduler_seeds: tuple[int, ...] = (0,)
     benchmark_seeds: tuple[int, ...] = (0,)
-    out: str | None = None
     format: str = "markdown"
 
     def __post_init__(self) -> None:
@@ -115,8 +104,6 @@ class ExperimentSpec:
         names = [m.name for m in self.methods]
         if len(set(names)) != len(names):
             raise UsageError(f"duplicate method names: {names}")
-        if (self.benchmark is None) == (self.generator is None):
-            raise UsageError("give exactly one of a benchmark path or a generator")
         if self.workers < 1:
             raise UsageError(f"workers must be >= 1, got {self.workers}")
         if not self.scheduler_seeds or not self.benchmark_seeds:
@@ -196,19 +183,14 @@ def _average_tables(tables: list[LearningCurveTable]) -> LearningCurveTable:
 
 
 def resolve_tables(spec: ExperimentSpec) -> dict[int, LearningCurveTable]:
-    """One table per benchmark seed, generated or loaded.
+    """One table per benchmark seed, loaded from the spec's benchmark path.
 
     A path without the seed placeholder is shared across all benchmark seeds.
     With the placeholder, seeds whose file is absent receive the elementwise
     average of the seeds that do exist.
     """
-    if spec.generator is not None:
-        gen = spec.generator
-        count = gen.n_configs if gen.n_configs is not None else spec.num_configs
-        return {
-            bs: generate(count, gen.units, gen.model, bs) for bs in spec.benchmark_seeds
-        }
-    assert spec.benchmark is not None
+    if spec.benchmark is None:
+        raise UsageError("no benchmark path to load tables from; pass tables to run_cells")
     if SEED_PLACEHOLDER not in spec.benchmark:
         table = load(spec.benchmark)
         return {bs: table for bs in spec.benchmark_seeds}

@@ -28,19 +28,14 @@ from tunesim import (
     RankingCriterion,
     ResourceSpec,
     SchedulerConfig,
-    arrr,
     generate,
-    grow,
-    initial_pasha_state,
-    is_stable,
-    max_rung_index,
-    rbo,
     read_trace,
     replay_trace,
-    rrr,
     simulate,
     write_trace,
 )
+from tunesim.core import grow, initial_pasha_state, max_rung_index
+from tunesim.ranking import arrr, is_stable, rbo, rrr
 from util import ranked, soft_rank
 
 SEEDS = range(20)

@@ -10,7 +10,6 @@ import pytest
 from tunesim import (
     Curve,
     CurveModel,
-    FORMAT_MAGIC,
     FormatError,
     GenerationError,
     LearningCurveTable,
@@ -19,6 +18,7 @@ from tunesim import (
     load,
     save,
 )
+from tunesim.benchgen import FORMAT_MAGIC
 
 from util import table_from_rows
 

@@ -7,21 +7,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tunesim import (
-    InternalError,
+from tunesim import InternalError, ResourceSpec, SchedulerConfig, UsageError
+from tunesim.core import (
     PashaState,
-    ResourceSpec,
     RungEntry,
     RungLadder,
-    Scheduler,
-    SchedulerConfig,
-    UsageError,
     grow,
     initial_pasha_state,
     max_rung_index,
     rung_levels,
     rung_resource,
 )
+from tunesim.scheduler import Scheduler
 
 
 def spec(r=1, eta=3, cap=81):

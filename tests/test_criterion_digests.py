@@ -15,7 +15,6 @@ import hashlib
 import pytest
 
 from tunesim import (
-    CRITERION_KINDS,
     CurveModel,
     RankingCriterion,
     ResourceSpec,
@@ -24,6 +23,7 @@ from tunesim import (
     simulate,
     write_trace,
 )
+from tunesim.ranking import CRITERION_KINDS
 
 NOISY_TIGHT = CurveModel(
     noise_std=0.01, hard=True, head_gap=0.005, head_jitter=0.002, gap_scale=0.01

@@ -15,11 +15,8 @@ from tunesim import (
     Curve,
     CurveModel,
     DataError,
-    ExperimentReport,
     ExperimentSpec,
-    GeneratorSpec,
     LearningCurveTable,
-    MethodRow,
     MethodSpec,
     ResourceSpec,
     UsageError,
@@ -27,12 +24,16 @@ from tunesim import (
     emit_report,
     generate,
     read_cells,
-    reference_method,
-    resolve_tables,
     run_cells,
     run_experiment,
     save,
     write_cells,
+)
+from tunesim.experiment import (
+    ExperimentReport,
+    MethodRow,
+    reference_method,
+    resolve_tables,
 )
 
 SMALL_MODEL = CurveModel(crossing_horizon=2, head_count=4)
@@ -43,10 +44,23 @@ def small_spec(**kw):
         methods=(MethodSpec.parse("asha"), MethodSpec.parse("one-epoch")),
         resources=ResourceSpec(1, 3, 9),
         num_configs=8,
-        generator=GeneratorSpec(units=9, model=SMALL_MODEL),
     )
     defaults.update(kw)
     return ExperimentSpec(**defaults)
+
+
+def generated_tables(spec, units=9):
+    """One SMALL_MODEL table per benchmark seed of spec, for run_cells."""
+    return {
+        bs: generate(spec.num_configs, units, SMALL_MODEL, bs) for bs in spec.benchmark_seeds
+    }
+
+
+def seed_files(tmp_path, seeds):
+    """Write generated_tables' tables as bench-{seed}.csv; return the pattern."""
+    for bs in seeds:
+        save(generate(8, 9, SMALL_MODEL, bs), str(tmp_path / f"bench-{bs}.csv"))
+    return str(tmp_path / "bench-{seed}.csv")
 
 
 class TestMethodSpec:
@@ -92,12 +106,6 @@ class TestExperimentSpec:
         with pytest.raises(UsageError, match="duplicate"):
             small_spec(methods=(MethodSpec.parse("asha"), MethodSpec.parse("asha")))
 
-    def test_requires_exactly_one_benchmark_source(self):
-        with pytest.raises(UsageError, match="exactly one"):
-            small_spec(benchmark="bench.csv")
-        with pytest.raises(UsageError, match="exactly one"):
-            small_spec(generator=None)
-
     def test_rejects_zero_workers(self):
         with pytest.raises(UsageError, match="workers"):
             small_spec(workers=0)
@@ -114,23 +122,16 @@ class TestExperimentSpec:
 
 
 class TestResolveTables:
-    def test_generator_draws_one_table_per_benchmark_seed(self):
-        spec = small_spec(benchmark_seeds=(0, 1, 2))
-        tables = resolve_tables(spec)
-        assert set(tables) == {0, 1, 2}
-        for bs in (0, 1, 2):
-            assert tables[bs] == generate(8, 9, SMALL_MODEL, bs)
-
-    def test_generator_count_override(self):
-        spec = small_spec(
-            generator=GeneratorSpec(units=9, model=SMALL_MODEL, n_configs=5)
-        )
-        assert len(resolve_tables(spec)[0].curves) == 5
+    def test_without_a_benchmark_path_is_a_usage_error(self):
+        with pytest.raises(UsageError, match="pass tables to run_cells"):
+            resolve_tables(small_spec())
+        with pytest.raises(UsageError, match="pass tables to run_cells"):
+            run_experiment(small_spec())
 
     def test_shared_file_is_loaded_once(self, tmp_path):
         path = str(tmp_path / "bench.csv")
         save(generate(8, 9, SMALL_MODEL, 0), path)
-        spec = small_spec(generator=None, benchmark=path, benchmark_seeds=(0, 1))
+        spec = small_spec(benchmark=path, benchmark_seeds=(0, 1))
         tables = resolve_tables(spec)
         assert tables[0] is tables[1]
 
@@ -140,7 +141,6 @@ class TestResolveTables:
         save(t0, str(tmp_path / "bench-0.csv"))
         save(t2, str(tmp_path / "bench-2.csv"))
         spec = small_spec(
-            generator=None,
             benchmark=str(tmp_path / "bench-{seed}.csv"),
             benchmark_seeds=(0, 1, 2),
         )
@@ -159,7 +159,6 @@ class TestResolveTables:
 
     def test_no_seed_file_at_all_is_an_error(self, tmp_path):
         spec = small_spec(
-            generator=None,
             benchmark=str(tmp_path / "nope-{seed}.csv"),
             benchmark_seeds=(0, 1),
         )
@@ -170,7 +169,6 @@ class TestResolveTables:
         save(generate(6, 9, SMALL_MODEL, 0), str(tmp_path / "bench-0.csv"))
         save(generate(7, 9, SMALL_MODEL, 2), str(tmp_path / "bench-2.csv"))
         spec = small_spec(
-            generator=None,
             benchmark=str(tmp_path / "bench-{seed}.csv"),
             benchmark_seeds=(0, 1, 2),
             num_configs=6,
@@ -182,7 +180,7 @@ class TestResolveTables:
 class TestRunCells:
     def test_grid_covers_every_combination(self):
         spec = small_spec(scheduler_seeds=(0, 1, 2), benchmark_seeds=(5, 6))
-        cells = run_cells(spec)
+        cells = run_cells(spec, tables=generated_tables(spec))
         assert len(cells) == 2 * 3 * 2
         combos = {(c.method, c.scheduler_seed, c.benchmark_seed) for c in cells}
         assert len(combos) == 12
@@ -197,7 +195,6 @@ class TestRunCells:
         table = LearningCurveTable(resource_units=1, curves=curves, flipped=True)
         spec = small_spec(
             methods=(MethodSpec.parse("one-epoch"),),
-            generator=None,
             benchmark="unused-{seed}.csv",
             num_configs=2,
         )
@@ -209,19 +206,18 @@ class TestRunCells:
             methods=(MethodSpec.parse("asha"),),
             resources=ResourceSpec(1, 3, 81),
             num_configs=81,
-            generator=GeneratorSpec(units=27, model=SMALL_MODEL),
             scheduler_seeds=(4,),
             benchmark_seeds=(9,),
         )
         with pytest.raises(DataError, match=r"cell \(method 'asha', scheduler seed 4, benchmark seed 9\)"):
-            run_cells(spec)
+            run_cells(spec, tables=generated_tables(spec, units=27))
 
     def test_traces_are_written_with_sanitized_names(self, tmp_path):
         spec = small_spec(
             methods=(MethodSpec.parse("pasha:soft:0.025"),),
             scheduler_seeds=(1,),
         )
-        run_cells(spec, traces_dir=str(tmp_path))
+        run_cells(spec, tables=generated_tables(spec), traces_dir=str(tmp_path))
         assert os.path.exists(tmp_path / "pasha_soft_0.025-s1-b0.trace")
 
 
@@ -412,7 +408,11 @@ class TestCellsIO:
 class TestRunExperiment:
     def test_end_to_end_report_and_persisted_cells_agree(self, tmp_path):
         cells_path = str(tmp_path / "cells.csv")
-        spec = small_spec(scheduler_seeds=(0, 1), benchmark_seeds=(0, 1, 2))
+        spec = small_spec(
+            benchmark=seed_files(tmp_path, (0, 1, 2)),
+            scheduler_seeds=(0, 1),
+            benchmark_seeds=(0, 1, 2),
+        )
         report = run_experiment(spec, cells_out=cells_path)
         assert report.metric_name == "accuracy"
         assert [r.name for r in report.rows] == ["asha", "one-epoch"]
@@ -422,6 +422,8 @@ class TestRunExperiment:
         )
         assert again == report
 
-    def test_rerunning_the_same_spec_reproduces_the_report(self):
-        spec = small_spec(scheduler_seeds=(3,), benchmark_seeds=(1,))
+    def test_rerunning_the_same_spec_reproduces_the_report(self, tmp_path):
+        spec = small_spec(
+            benchmark=seed_files(tmp_path, (1,)), scheduler_seeds=(3,), benchmark_seeds=(1,)
+        )
         assert run_experiment(spec) == run_experiment(spec)

@@ -9,12 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tunesim import (
+from tunesim import DataError, InternalError, RankingCriterion, UsageError
+from tunesim.ranking import (
     CRITERION_KINDS,
-    DataError,
-    InternalError,
-    RankingCriterion,
-    UsageError,
     arrr,
     epsilon_mean_distance,
     epsilon_median_distance,

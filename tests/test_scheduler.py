@@ -5,14 +5,13 @@ import pytest
 from tunesim import (
     DataError,
     InternalError,
-    RandomSearcher,
     RankingCriterion,
     ResourceSpec,
-    Scheduler,
     SchedulerConfig,
     UsageError,
     simulate,
 )
+from tunesim.scheduler import RandomSearcher, Scheduler
 from util import ScriptedSearcher, table_from_rows
 
 

@@ -5,7 +5,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from tunesim import ConfigId, Curve, LearningCurveTable, RungEntry
+from tunesim import Curve, LearningCurveTable
+from tunesim.core import ConfigId, RungEntry
 
 # readable config ids for ranking tests
 A, B, C, D, E = 0, 1, 2, 3, 4
