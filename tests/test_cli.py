@@ -156,6 +156,34 @@ class TestRunVerb:
             "relative regret is undefined for metrics <= 0\n"
         )
 
+    @pytest.mark.parametrize(
+        "extra, flag",
+        [
+            (["--method", "asha", "--pair-below-cap"], "--pair-below-cap"),
+            (["--method", "asha", "--random-draws", "3"], "--random-draws"),
+            (["--method", "random", "--pair-below-cap"], "--pair-below-cap"),
+            (["--method", "pasha", "--random-draws", "3"], "--random-draws"),
+        ],
+    )
+    def test_per_method_flag_without_its_mode_is_a_usage_error(
+        self, bench, capsys, extra, flag
+    ):
+        code = main(
+            ["run", "--benchmark", bench, "--max-resource", "9", "--num-configs", "12", *extra]
+        )
+        assert code == 1
+        assert f"error: {flag} applies only to" in capsys.readouterr().err
+
+    def test_per_method_flags_with_their_modes_listed(self, bench, capsys):
+        code = main(
+            ["run", "--benchmark", bench, "--method", "asha", "--method", "pasha",
+             "--method", "random", "--pair-below-cap", "--random-draws", "3",
+             "--max-resource", "9", "--num-configs", "12"]
+        )
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "| pasha |" in out and "| random |" in out
+
     def test_missing_benchmark_flag(self, capsys):
         code = main(["run", "--method", "asha", "--max-resource", "9",
                      "--num-configs", "12"])
@@ -306,6 +334,49 @@ class TestConfigFile:
         )
         assert main(["run", "--config", config]) == 2
         assert "takes no ranking" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "mode, line",
+        [
+            ("asha", "pair-below-cap = true"),
+            ("asha", "random-draws = 5"),
+            ("one-epoch", "pair-below-cap = false"),
+            ("no-increase", "random-draws = 2"),
+            ("random", "pair-below-cap = yes"),
+            ("random", "ranking = direct"),
+            ("pasha", "random-draws = 3"),
+        ],
+    )
+    def test_per_method_key_outside_its_mode_is_a_data_error(
+        self, bench, tmp_path, capsys, mode, line
+    ):
+        config = self.write_config(tmp_path, bench)
+        path = tmp_path / "experiment.ini"
+        text = path.read_text()
+        section = f"[method:{mode}]\n"
+        if section in text:
+            text = text.replace(section, f"{section}{line}\n")
+        else:
+            text += f"\n{section}{line}\n"
+        path.write_text(text)
+        assert main(["run", "--config", config]) == 2
+        key = line.split(" = ")[0]
+        assert f"config file [method:{mode}]: {mode!r} takes no {key}" in capsys.readouterr().err
+
+    def test_pair_below_cap_in_a_pasha_section(self, bench, tmp_path, capsys):
+        config = self.write_config(tmp_path, bench, "pair-below-cap = true\n")
+        assert main(["run", "--config", config]) == 0
+        assert "| pasha |" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "extra", [["--pair-below-cap"], ["--random-draws", "3"]]
+    )
+    def test_per_method_flag_without_a_method_flag_is_a_usage_error(
+        self, bench, tmp_path, capsys, extra
+    ):
+        config = self.write_config(tmp_path, bench, "\n[method:random]\n")
+        assert main(["run", "--config", config, *extra]) == 1
+        assert f"error: {extra[0]} applies only to" in capsys.readouterr().err
 
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["run", "--config", str(tmp_path / "ghost.ini")]) == 2
