@@ -3,9 +3,13 @@
 from __future__ import annotations
 
 import itertools
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tunesim import (
     Curve,
@@ -274,6 +278,54 @@ class TestSaveLoad:
         )
         with pytest.raises(FormatError, match="declares 3 configs but the file holds 1"):
             load(path)
+
+
+@st.composite
+def small_tables(draw):
+    """Tables of 1-6 configs x 1-5 units with arbitrary finite metrics, either
+    direction, and csv-hostile payloads (commas, quotes, spaces)."""
+    units = draw(st.integers(1, 5))
+    metric = st.floats(-1e6, 1e6, allow_nan=False)
+    cost = st.floats(1e-6, 1e6)
+    payload = st.text(st.sampled_from("ab, \"'=;:.-_0"), max_size=6)
+    ids = draw(st.lists(st.integers(0, 10**6), min_size=1, max_size=6, unique=True))
+    curves = {
+        config: Curve(
+            metrics=tuple(draw(st.lists(metric, min_size=units, max_size=units))),
+            costs=tuple(draw(st.lists(cost, min_size=units, max_size=units))),
+            final_metric=draw(metric),
+            payload=draw(payload),
+        )
+        for config in ids
+    }
+    name = st.text(st.sampled_from("abXY09_-"), min_size=1, max_size=8)
+    return LearningCurveTable(
+        resource_units=units,
+        curves=curves,
+        metric_name=draw(name),
+        unit_label=draw(name),
+        flipped=draw(st.booleans()),
+    )
+
+
+class TestSaveLoadProperty:
+    @settings(max_examples=150, deadline=None)
+    @given(table=small_tables())
+    def test_save_then_load_is_the_identity(self, table):
+        with tempfile.TemporaryDirectory() as d:
+            path = os.path.join(d, "bench.csv")
+            save(table, path)
+            assert load(path) == table
+
+    @settings(max_examples=150, deadline=None)
+    @given(table=small_tables())
+    def test_load_then_save_reproduces_the_file(self, table):
+        with tempfile.TemporaryDirectory() as d:
+            first, second = os.path.join(d, "a.csv"), os.path.join(d, "b.csv")
+            save(table, first)
+            save(load(first), second)
+            with open(first, "rb") as a, open(second, "rb") as b:
+                assert a.read() == b.read()
 
 
 class TestCrossingReport:

@@ -1,6 +1,8 @@
 """The package surface: every exported name exists, and README's "Library
 use" section runs as written."""
 
+import ast
+import importlib.util
 import os
 import re
 
@@ -24,6 +26,28 @@ def _python_blocks(section: str) -> list[str]:
 def test_every_name_in_all_resolves():
     assert [name for name in tunesim.__all__ if not hasattr(tunesim, name)] == []
     assert len(set(tunesim.__all__)) == len(tunesim.__all__)
+
+
+def test_every_exported_name_is_documented():
+    section = _library_use()
+    assert [name for name in tunesim.__all__ if f"`{name}`" not in section] == []
+
+
+def test_every_documented_package_name_is_exported():
+    section = _library_use()
+    used = set()
+    for block in _python_blocks(section):
+        for node in ast.walk(ast.parse(block)):
+            if isinstance(node, ast.ImportFrom) and node.module == "tunesim":
+                used.update(alias.name for alias in node.names)
+    # tunesim.X in code or prose, unless X is a submodule
+    used.update(
+        name
+        for name in re.findall(r"\btunesim\.(\w+)", section)
+        if importlib.util.find_spec(f"tunesim.{name}") is None
+    )
+    assert used
+    assert sorted(used - set(tunesim.__all__)) == []
 
 
 def test_readme_library_example_runs(capsys):

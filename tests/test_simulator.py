@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 
@@ -367,3 +368,56 @@ class TestReplayProperty:
         assert replay_trace(res.trace, config, table).ladder == res.ladder
         for rung in res.ladder.rungs:
             assert rung == sorted(rung, key=lambda e: (-e.metric, e.completion_index))
+
+    @settings(max_examples=150, deadline=None)
+    @given(setup=replay_setups())
+    def test_accounting_matches_the_trace(self, setup):
+        config, table, workers = setup
+        res = simulate(config, table, workers=workers, collect_trace=True)
+        assigns = [ev for ev in res.trace if ev.kind == "assign"]
+        completes = [ev for ev in res.trace if ev.kind == "complete"]
+        assert res.jobs_executed == len(assigns) == len(completes)
+        # each assignment pays the units between the config's last completion and its target
+        checkpoint: dict[int, int] = {}
+        units = 0
+        for ev in res.trace:
+            if ev.kind == "assign":
+                units += ev.resource - checkpoint.get(ev.config, 0)
+            else:
+                checkpoint[ev.config] = ev.resource
+        assert res.units_consumed == units
+        assert res.wall_clock == completes[-1].time
+
+    @settings(max_examples=150, deadline=None)
+    @given(setup=replay_setups())
+    def test_chosen_is_the_best_of_the_highest_nonempty_rung(self, setup):
+        config, table, workers = setup
+        res = simulate(config, table, workers=workers, collect_trace=True)
+        completes = [ev for ev in res.trace if ev.kind == "complete"]
+        top = max(ev.rung for ev in completes)
+        # best metric first; min keeps the earliest completion among exact ties
+        best = min((ev for ev in completes if ev.rung == top), key=lambda ev: -ev.metric)
+        assert res.chosen == best.config
+        assert res.max_resources == best.resource
+        assert res.chosen_metric_full == table.final_metric(best.config)
+
+    @settings(max_examples=150, deadline=None)
+    @given(setup=replay_setups(), pair_below_cap=st.booleans())
+    def test_always_unstable_pasha_is_trace_identical_to_asha(self, setup, pair_below_cap):
+        config, table, workers = setup
+        asha = dataclasses.replace(config, mode="asha", criterion=None, pair_below_cap=False)
+        forced = dataclasses.replace(
+            config,
+            mode="pasha",
+            criterion=RankingCriterion.parse("always-unstable"),
+            pair_below_cap=pair_below_cap,
+        )
+        expected = simulate(asha, table, workers=workers, collect_trace=True)
+        res = simulate(forced, table, workers=workers, collect_trace=True)
+        assert res.trace == expected.trace
+        assert (res.chosen, res.max_resources, res.units_consumed, res.wall_clock) == (
+            expected.chosen,
+            expected.max_resources,
+            expected.units_consumed,
+            expected.wall_clock,
+        )
