@@ -209,11 +209,10 @@ def _run_command(args) -> int:
         )
         for token in args.methods or ()
     ]
+    flag_modes = {m.mode for m in flag_methods}
     for key in ("pair-below-cap", "random-draws"):
         mode = _METHOD_KEYS[key]
-        if getattr(args, key.replace("-", "_")) is not None and all(
-            m.mode != mode for m in flag_methods
-        ):
+        if getattr(args, key.replace("-", "_")) is not None and mode not in flag_modes:
             raise UsageError(f"--{key} applies only to {mode} methods; no --method {mode} given")
     methods = flag_methods or file_methods
     if not methods:

@@ -57,7 +57,8 @@ def generated_tables(spec, units=9):
 
 
 def seed_files(tmp_path, seeds):
-    """Write generated_tables' tables as bench-{seed}.csv; return the pattern."""
+    """Save small_spec's 8-config, 9-unit table per seed as bench-{seed}.csv;
+    return the path pattern."""
     for bs in seeds:
         save(generate(8, 9, SMALL_MODEL, bs), str(tmp_path / f"bench-{bs}.csv"))
     return str(tmp_path / "bench-{seed}.csv")
@@ -195,7 +196,6 @@ class TestRunCells:
         table = LearningCurveTable(resource_units=1, curves=curves, flipped=True)
         spec = small_spec(
             methods=(MethodSpec.parse("one-epoch"),),
-            benchmark="unused-{seed}.csv",
             num_configs=2,
         )
         cells = run_cells(spec, tables={0: table})
