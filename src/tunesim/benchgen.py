@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import math
+import warnings
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -221,7 +222,12 @@ def _parse_header(lines: list[str]) -> tuple[dict[str, str], int]:
 
 
 def load(path: str) -> LearningCurveTable:
-    """Read a benchmark file, normalizing the metric direction to maximize."""
+    """Read a benchmark file, normalizing the metric direction to maximize.
+
+    Values load bit for bit as Python's float() reads them. The rows are
+    parsed in one numpy pass; anything that pass refuses is read again row by
+    row, so an error names its line.
+    """
     with open(path, "r", encoding="utf-8") as handle:
         lines = handle.read().splitlines()
     header, data_start = _parse_header(lines)
@@ -241,11 +247,72 @@ def load(path: str) -> LearningCurveTable:
             f"header: direction must be maximize or minimize, got {direction!r}"
         )
     sign = -1.0 if direction == "minimize" else 1.0
+    rows = lines[data_start:]
+    curves = _rows_by_array(rows, units, sign)
+    if curves is None:
+        curves = _rows_by_line(rows, data_start + 1, units, sign)
+    if len(curves) != declared:
+        raise FormatError(
+            f"header declares {declared} configs but the file holds {len(curves)}"
+        )
+    return LearningCurveTable(
+        resource_units=units,
+        curves=curves,
+        metric_name=header.get("metric", "metric"),
+        unit_label=header.get("unit_label", "unit"),
+        flipped=(direction == "minimize"),
+    )
+
+
+def _rows_by_array(rows: list[str], units: int, sign: float) -> dict[ConfigId, Curve] | None:
+    """The data rows parsed in one numpy pass, or None if they need _rows_by_line.
+
+    numpy splits fields as csv.reader does and converts each value with the
+    same correctly rounded routine as float(). It refuses a few spellings
+    Python accepts (`1_0`, ids beyond int64) and any warning, such as the one
+    for no rows, is turned into a refusal; the row-by-row reader decides those.
+    """
+    dtype = np.dtype(
+        [("id", np.int64), ("payload", object), ("values", np.float64, (2 * units + 1,))]
+    )
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            data = np.loadtxt(
+                rows, dtype=dtype, delimiter=",", quotechar='"', comments=None, ndmin=1
+            )
+    except (ValueError, Warning):
+        return None
+    values = data["values"]
+    if not (
+        np.isfinite(values).all()
+        and (values[:, units:-1] > 0).all()
+        and (data["id"] >= 0).all()
+    ):
+        return None
+    ids = data["id"].tolist()
+    curves = {
+        config: Curve(tuple(metrics), tuple(costs), final, payload)
+        for config, payload, metrics, costs, final in zip(
+            ids,
+            data["payload"].tolist(),
+            (sign * values[:, :units]).tolist(),
+            values[:, units:-1].tolist(),
+            (sign * values[:, -1]).tolist(),
+        )
+    }
+    return curves if len(curves) == len(ids) else None
+
+
+def _rows_by_line(
+    rows: list[str], first_line: int, units: int, sign: float
+) -> dict[ConfigId, Curve]:
+    """The data rows parsed one at a time with csv and float(); errors name the
+    line (first_line is the file line of rows[0])."""
     expected_fields = 2 + 2 * units + 1
     curves: dict[ConfigId, Curve] = {}
-    reader = csv.reader(lines[data_start:])
-    for offset, row in enumerate(reader):
-        number = data_start + offset + 1
+    for offset, row in enumerate(csv.reader(rows)):
+        number = first_line + offset
         if not row:
             continue
         if len(row) != expected_fields:
@@ -273,17 +340,7 @@ def load(path: str) -> LearningCurveTable:
             final_metric=sign * values[-1],
             payload=row[1],
         )
-    if len(curves) != declared:
-        raise FormatError(
-            f"header declares {declared} configs but the file holds {len(curves)}"
-        )
-    return LearningCurveTable(
-        resource_units=units,
-        curves=curves,
-        metric_name=header.get("metric", "metric"),
-        unit_label=header.get("unit_label", "unit"),
-        flipped=(direction == "minimize"),
-    )
+    return curves
 
 
 def crossing_report(table: LearningCurveTable) -> list[tuple[tuple[ConfigId, ConfigId], int]]:

@@ -218,6 +218,9 @@ def _run_command(args) -> int:
     if not methods:
         raise UsageError("give at least one --method or a config file with methods")
     if values["ranking"] is not None:
+        if all(m.mode != "pasha" for m in methods):
+            source = "--ranking" if args.ranking is not None else "config file ranking"
+            raise UsageError(f"{source} applies only to pasha methods; no pasha method given")
         criterion = RankingCriterion.parse(values["ranking"])
         methods = [
             dataclasses.replace(m, criterion=criterion)

@@ -51,9 +51,31 @@ def epsilon_sigma(metrics: Sequence[float], multiplier: int) -> float:
 
     Fewer than two metrics carry no spread information, so the result is 0.
     """
-    if len(metrics) < 2:
+    n = len(metrics)
+    if n < 2:
         return 0.0
-    return multiplier * statistics.pstdev(metrics)
+    # exact sums: each float is num/den with den a power of two, so all of them
+    # are integers over the largest den
+    ratios = [m.as_integer_ratio() for m in metrics]
+    scale = max(den for _, den in ratios)
+    xs = [num * (scale // den) for num, den in ratios]
+    total = sum(xs)
+    variance_num = n * sum(x * x for x in xs) - total * total
+    return multiplier * _sqrt_of_frac(variance_num, n * n * scale * scale)
+
+
+def _sqrt_of_frac(n: int, m: int) -> float:
+    """sqrt(n/m) correctly rounded, as statistics.pstdev rounds it on 3.11+.
+
+    The integer root keeps at least 55 bits (109 guard bits under the square
+    root) and rounds to odd, so the one rounding to a float that follows is
+    the correct one.
+    """
+    q = (n.bit_length() - m.bit_length() - 109) // 2
+    n, m = (n, m << 2 * q) if q >= 0 else (n << -2 * q, m)
+    root = math.isqrt(n // m)
+    root |= root * root * m != n  # round to odd: an inexact root gets its last bit set
+    return float(root << q) if q >= 0 else root / (1 << -q)
 
 
 def _gaps(metrics: Sequence[float]) -> list[float]:

@@ -56,11 +56,11 @@ class LearningCurveTable:
                     f"curve for config {config} has {len(curve.metrics)} metric and "
                     f"{len(curve.costs)} cost entries; expected {self.resource_units}"
                 )
-            if not all(math.isfinite(m) for m in curve.metrics) or not math.isfinite(
+            if not all(map(math.isfinite, curve.metrics)) or not math.isfinite(
                 curve.final_metric
             ):
                 raise DataError(f"non-finite metric in curve for config {config}")
-            if not all(math.isfinite(c) and c > 0 for c in curve.costs):
+            if not all(map(math.isfinite, curve.costs)) or min(curve.costs) <= 0:
                 raise DataError(f"costs for config {config} must be finite and > 0")
 
     def config_ids(self) -> list[ConfigId]:

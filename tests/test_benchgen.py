@@ -5,6 +5,8 @@ from __future__ import annotations
 import itertools
 import os
 import tempfile
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from hypothesis import strategies as st
 from tunesim import (
     Curve,
     CurveModel,
+    DataError,
     FormatError,
     GenerationError,
     LearningCurveTable,
@@ -22,6 +25,7 @@ from tunesim import (
     load,
     save,
 )
+from tunesim import benchgen
 from tunesim.benchgen import FORMAT_MAGIC
 
 from util import table_from_rows
@@ -178,7 +182,7 @@ class TestSaveLoad:
         a, b = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
         save(table, a)
         save(generate(10, 9, DEFAULT, seed=7), b)
-        assert open(a, "rb").read() == open(b, "rb").read()
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
     def test_payload_with_commas_survives_the_round_trip(self, tmp_path):
         curve = Curve((0.5, 0.6), (1.0, 1.0), 0.6, payload="lr=0.1,depth=4")
@@ -387,3 +391,134 @@ class TestCrossingReportOracle:
         expected = _oracle_crossings(table)
         assert expected
         assert crossing_report(table) == expected
+
+
+# Tokens the one-pass parser and the row-by-row reader must read alike: quoted
+# payloads (well formed or not), spellings float() and int() accept and numpy
+# may not, non-finite values, bad costs and ids, and whitespace.
+_PAYLOADS = ['""', '"a,b"', '"say ""hi"""', '"#1,x"', "#1", 'x"a,b"', ' "a,b"', '"a"b', '"open']
+_IDS = ["-1", "-0", "+7", "007", "1_0", " 7 ", "1.0", "",
+        "9223372036854775807", "9223372036854775808", "-9223372036854775809", str(2**64)]
+_VALUES = ["nan", "-inf", "1e999", "1e-400", "0", "-0.0", "-1.5", "1_0", "+.5", "5.",
+           " 0.25", "0.25\t", "\xa00.25 ", "0x1p-2", "fast", ""]
+_SPACES = [" ", "\t", "\xa0"]
+
+_MUTATIONS = st.one_of(
+    st.tuples(st.just("field"), st.integers(0), st.just(0), st.sampled_from(_IDS)),
+    st.tuples(st.just("field"), st.integers(0), st.just(1), st.sampled_from(_PAYLOADS)),
+    st.tuples(st.just("field"), st.integers(0), st.integers(2), st.sampled_from(_VALUES)),
+    st.tuples(st.just("pad"), st.integers(0), st.integers(0), st.sampled_from(_SPACES)),
+    st.tuples(st.just("insert"), st.integers(0), st.just(0), st.sampled_from(["", " ", ",", '"'])),
+    st.tuples(st.just("drop-field"), st.integers(0), st.just(0), st.just("")),
+    st.tuples(st.just("extra-field"), st.integers(0), st.just(0), st.just("0.5")),
+    st.tuples(st.just("repeat-row"), st.integers(0), st.just(0), st.just("")),
+    st.tuples(st.just("copy-id"), st.integers(0), st.integers(0), st.just("")),
+)
+
+
+def _mutate(rows, mutation):
+    kind, at, j, token = mutation
+    if kind == "insert" or not rows:
+        return rows[: at % (len(rows) + 1)] + [token] + rows[at % (len(rows) + 1) :]
+    i = at % len(rows)
+    fields = rows[i].split(",")
+    j %= len(fields)
+    if kind == "field":
+        fields[j] = token
+    elif kind == "pad":
+        fields[j] = token + fields[j] + token
+    elif kind == "drop-field":
+        fields.pop()
+    elif kind == "extra-field":
+        fields.append(token)
+    elif kind == "repeat-row":
+        return rows + [rows[i]]
+    elif kind == "copy-id":
+        fields[0] = rows[j % len(rows)].split(",")[0]
+    return rows[:i] + [",".join(fields)] + rows[i + 1 :]
+
+
+def _outcome(path):
+    """The loaded table with every float as its bits, or the error raised."""
+    try:
+        table = load(path)
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+    curves = [
+        (config, curve.payload, [x.hex() for x in curve.metrics],
+         [x.hex() for x in curve.costs], curve.final_metric.hex())
+        for config, curve in table.curves.items()
+    ]
+    return table.resource_units, table.metric_name, table.unit_label, table.flipped, curves
+
+
+def _outcome_by_line(path):
+    with mock.patch.object(benchgen, "_rows_by_array", lambda *args: None):
+        return _outcome(path)
+
+
+class TestOnePassLoad:
+    """load parses rows in one numpy pass and falls back to the row-by-row reader;
+    both must give the same table, bit for bit, or the same error."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        table=small_tables(),
+        mutations=st.lists(_MUTATIONS, max_size=3),
+        minimize=st.booleans(),
+        no_rows=st.booleans(),
+    )
+    def test_one_pass_and_row_by_row_agree(self, table, mutations, minimize, no_rows):
+        with tempfile.TemporaryDirectory() as d:
+            path = os.path.join(d, "bench.csv")
+            save(table, path)
+            with open(path, encoding="utf-8") as handle:
+                lines = handle.read().splitlines()
+            start = lines.index("") + 1
+            header, rows = lines[:start], lines[start:]
+            if minimize:
+                header = [
+                    "direction=minimize" if h.startswith("direction=") else h for h in header
+                ]
+            if no_rows:
+                header = ["configs=0" if h.startswith("configs=") else h for h in header]
+                rows = []
+            for mutation in mutations:
+                rows = _mutate(rows, mutation)
+            with open(path, "w", encoding="utf-8", newline="") as handle:
+                handle.write("\n".join(header + rows) + "\n")
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                fast = _outcome(path)
+            assert caught == []
+            assert fast == _outcome_by_line(path)
+
+    @settings(max_examples=50, deadline=None)
+    @given(table=small_tables())
+    def test_saved_tables_take_the_one_pass(self, table):
+        with tempfile.TemporaryDirectory() as d:
+            path = os.path.join(d, "bench.csv")
+            save(table, path)
+            with mock.patch.object(
+                benchgen, "_rows_by_line", side_effect=AssertionError("fell back")
+            ):
+                assert load(path) == table
+
+    def test_no_rows_raise_no_warning_even_as_errors(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text(FORMAT_MAGIC + "\nunits=2\ndirection=maximize\nconfigs=0\n\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match="at least one config"):
+                load(str(path))
+
+    def test_spellings_only_python_reads_still_load(self, tmp_path):
+        big = 2**64
+        path = tmp_path / "bench.csv"
+        path.write_text(
+            FORMAT_MAGIC + "\nunits=1\ndirection=maximize\nconfigs=2\n\n"
+            f"1_0,,0.5,1_0.5,0.5\n{big},,0.25,1.0,0.25\n"
+        )
+        table = load(str(path))
+        assert table.config_ids() == [10, big]
+        assert table.curves[10].costs == (10.5,)

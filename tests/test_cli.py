@@ -174,6 +174,20 @@ class TestRunVerb:
         assert code == 1
         assert f"error: {flag} applies only to" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("methods", [["asha"], ["asha", "random", "one-epoch"]])
+    def test_ranking_flag_without_a_pasha_method_is_a_usage_error(
+        self, bench, capsys, methods
+    ):
+        tokens = [arg for m in methods for arg in ("--method", m)]
+        code = main(
+            ["run", "--benchmark", bench, "--max-resource", "9", "--num-configs", "12",
+             *tokens, "--ranking", "soft:0.1"]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: --ranking applies only to pasha methods; no pasha method given\n"
+        )
+
     def test_per_method_flags_with_their_modes_listed(self, bench, capsys):
         code = main(
             ["run", "--benchmark", bench, "--method", "asha", "--method", "pasha",
@@ -362,6 +376,28 @@ class TestConfigFile:
         assert main(["run", "--config", config]) == 2
         key = line.split(" = ")[0]
         assert f"config file [method:{mode}]: {mode!r} takes no {key}" in capsys.readouterr().err
+
+    def test_experiment_ranking_without_a_pasha_method_is_a_usage_error(
+        self, bench, tmp_path, capsys
+    ):
+        path = tmp_path / "asha.ini"
+        path.write_text(
+            f"[experiment]\nbenchmark = {bench}\nranking = soft:0.1\n"
+            "max-resource = 9\nnum-configs = 12\n\n[method:asha]\n"
+        )
+        assert main(["run", "--config", str(path)]) == 1
+        assert capsys.readouterr().err == (
+            "error: config file ranking applies only to pasha methods; no pasha method given\n"
+        )
+        # the flags' methods replace the file's, so the file's ranking then fits none
+        config = self.write_config(tmp_path, bench)
+        text = (tmp_path / "experiment.ini").read_text()
+        (tmp_path / "experiment.ini").write_text(
+            text.replace("[experiment]\n", "[experiment]\nranking = direct\n")
+        )
+        assert main(["run", "--config", config, "--method", "asha"]) == 1
+        assert "config file ranking applies only to pasha" in capsys.readouterr().err
+        assert main(["run", "--config", config, "--method", "pasha"]) == 0
 
     def test_pair_below_cap_in_a_pasha_section(self, bench, tmp_path, capsys):
         config = self.write_config(tmp_path, bench, "pair-below-cap = true\n")

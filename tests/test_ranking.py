@@ -4,6 +4,9 @@ and randomized property checks."""
 import itertools
 import math
 import random
+import statistics
+import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -187,6 +190,44 @@ class TestAdaptiveEpsilon:
 
     def test_sigma_under_two_entries_is_zero(self):
         assert epsilon_sigma([0.7], 2) == 0.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        metrics=st.lists(
+            st.one_of(
+                st.floats(0.0, 1.0),
+                st.floats(-1e150, 1e150, allow_nan=False),
+                st.sampled_from((0.9, 0.9000000000000001, 5e-324, -0.0, 1e-300)),
+            ),
+            min_size=2,
+            max_size=60,
+        )
+    )
+    def test_sigma_is_the_correctly_rounded_root_of_the_exact_variance(self, metrics):
+        # oracle: the exact population variance V in rationals; the float s is
+        # correctly rounded iff sqrt(V) lies within the midpoints to its neighbors
+        exact = [Fraction(m) for m in metrics]
+        mean = sum(exact) / len(exact)
+        variance = sum((x - mean) ** 2 for x in exact) / len(exact)
+        s = epsilon_sigma(metrics, 1)
+        below = max(Fraction(0), (Fraction(s) + Fraction(math.nextafter(s, 0.0))) / 2)
+        above = (Fraction(s) + Fraction(math.nextafter(s, math.inf))) / 2
+        assert below**2 <= variance <= above**2
+        assert epsilon_sigma(metrics, 3) == 3 * s
+
+    @pytest.mark.skipif(
+        sys.version_info < (3, 11), reason="pstdev rounds twice before Python 3.11"
+    )
+    @settings(max_examples=300, deadline=None)
+    @given(
+        metrics=st.lists(
+            st.one_of(st.floats(0.0, 1.0), st.floats(-1e150, 1e150, allow_nan=False)),
+            min_size=2,
+            max_size=60,
+        )
+    )
+    def test_sigma_equals_statistics_pstdev(self, metrics):
+        assert epsilon_sigma(metrics, 1) == statistics.pstdev(metrics)
 
     def test_mean_and_median_gap_three_metrics(self):
         below = [0.9, 0.8, 0.4]
