@@ -25,6 +25,7 @@ from .experiment import (
     run_experiment,
 )
 from .ranking import RankingCriterion
+from .scheduler import MODE_OPTIONS
 
 
 class _Parser(argparse.ArgumentParser):
@@ -76,7 +77,10 @@ _SETTINGS = {
 }
 _REQUIRED = ("benchmark", "max-resource", "num-configs")
 # [method:…] keys -> the one mode that takes each
-_METHOD_KEYS = {"ranking": "pasha", "pair-below-cap": "pasha", "random-draws": "random"}
+_METHOD_KEYS = {
+    "ranking": "pasha",
+    **{name.replace("_", "-"): mode for name, (mode, _) in MODE_OPTIONS.items()},
+}
 
 
 def _build_parser() -> _Parser:
@@ -164,16 +168,16 @@ def _read_experiment_file(path: str) -> tuple[dict[str, str], list[MethodSpec]]:
         if section == "experiment":
             settings = dict(options)
             continue
-        token = section[len("method:"):].strip()
+        spec = MethodSpec.parse(section[len("method:"):].strip())
+        for key in options:
+            if _METHOD_KEYS[key] != spec.mode:
+                raise DataError(f"config file [{section}]: {spec.mode!r} takes no {key}")
         try:
             below = options.getboolean("pair-below-cap", fallback=False)
             draws = options.getint("random-draws", fallback=None)
         except ValueError as exc:
             raise DataError(f"config file [{section}]: {exc}") from exc
-        spec = MethodSpec.parse(token, pair_below_cap=below, random_draws=draws)
-        for key in options:
-            if _METHOD_KEYS[key] != spec.mode:
-                raise DataError(f"config file [{section}]: {spec.mode!r} takes no {key}")
+        spec = dataclasses.replace(spec, pair_below_cap=below, random_draws=draws)
         ranking = options.get("ranking", fallback=None)
         if ranking is not None and spec.criterion is None:
             spec = dataclasses.replace(spec, criterion=RankingCriterion.parse(ranking))
@@ -201,26 +205,34 @@ def _run_command(args) -> int:
         if values[key] is None:
             raise UsageError(f"--{key} is required (flag or config file)")
 
-    flag_methods = [
-        MethodSpec.parse(
-            token,
-            pair_below_cap=bool(args.pair_below_cap),
-            random_draws=args.random_draws,
-        )
-        for token in args.methods or ()
-    ]
+    # each per-mode flag applies to the methods of its own mode only
+    flag_options = {
+        name: getattr(args, name) for name in MODE_OPTIONS if getattr(args, name) is not None
+    }
+    flag_methods = []
+    for token in args.methods or ():
+        method = MethodSpec.parse(token)
+        own = {k: v for k, v in flag_options.items() if MODE_OPTIONS[k][0] == method.mode}
+        flag_methods.append(dataclasses.replace(method, **own))
     flag_modes = {m.mode for m in flag_methods}
-    for key in ("pair-below-cap", "random-draws"):
-        mode = _METHOD_KEYS[key]
-        if getattr(args, key.replace("-", "_")) is not None and mode not in flag_modes:
-            raise UsageError(f"--{key} applies only to {mode} methods; no --method {mode} given")
+    for name in flag_options:
+        mode = MODE_OPTIONS[name][0]
+        if mode not in flag_modes:
+            flag = "--" + name.replace("_", "-")
+            raise UsageError(f"{flag} applies only to {mode} methods; no --method {mode} given")
     methods = flag_methods or file_methods
     if not methods:
         raise UsageError("give at least one --method or a config file with methods")
     if values["ranking"] is not None:
-        if all(m.mode != "pasha" for m in methods):
-            source = "--ranking" if args.ranking is not None else "config file ranking"
+        source = "--ranking" if args.ranking is not None else "config file ranking"
+        pasha = [m for m in methods if m.mode == "pasha"]
+        if not pasha:
             raise UsageError(f"{source} applies only to pasha methods; no pasha method given")
+        if all(m.criterion is not None for m in pasha):
+            raise UsageError(
+                f"{source} applies only to pasha methods without a criterion; "
+                "every pasha method names its own"
+            )
         criterion = RankingCriterion.parse(values["ranking"])
         methods = [
             dataclasses.replace(m, criterion=criterion)

@@ -146,8 +146,7 @@ class _RankOrder:
         self.entries: list[RungEntry] = []
         self.keys: list[tuple[float, int]] = []
 
-    def add(self, entry: RungEntry) -> None:
-        key = _rank_key(entry)
+    def add(self, entry: RungEntry, key: tuple[float, int]) -> None:
         i = bisect_right(self.keys, key)
         self.keys.insert(i, key)
         self.entries.insert(i, entry)
@@ -213,12 +212,13 @@ class RungLadder:
             raise InternalError(
                 f"config {entry.config} reached rung {k} without a promotion below"
             )
-        self._order[k].add(entry)
+        key = _rank_key(entry)
+        self._order[k].add(entry, key)
         self._configs[k].add(entry.config)
         if entry.promoted:
             self._promoted[k].add(entry.config)
         else:
-            self._waiting[k].add(entry)
+            self._waiting[k].add(entry, key)
 
     def promote(self, k: int, entry: RungEntry) -> None:
         """Mark an unpromoted entry of rung k as promoted."""
@@ -228,14 +228,21 @@ class RungLadder:
         entry.promoted = True
         self._promoted[k].add(entry.config)
 
-    def best_unpromoted(self, k: int) -> RungEntry | None:
-        """Best-ranked entry of rung k not yet promoted, if any."""
-        waiting = self._waiting[k].entries
-        return waiting[0] if waiting else None
+    def promotable(self, k: int, eta: int) -> RungEntry | None:
+        """Best unpromoted entry of rung k if it ranks inside the top len // eta.
 
-    def position(self, k: int, entry: RungEntry) -> int:
-        """Rank of entry within rung k, 0 for the best."""
-        return self._order[k].index(entry)
+        Only that entry can qualify. Comparing its rank key with the key at
+        the last quota position decides, except on an exact key tie (possible
+        only in a ladder filled directly), where its position is looked up.
+        """
+        order, waiting = self._order[k], self._waiting[k]
+        quota = len(order.keys) // eta
+        if not quota or not waiting.keys:
+            return None
+        key, bound = waiting.keys[0], order.keys[quota - 1]
+        if key < bound or (key == bound and order.index(waiting.entries[0]) < quota):
+            return waiting.entries[0]
+        return None
 
     def sorted_rung(self, k: int) -> list[RungEntry]:
         """Entries of rung k, best metric first, earlier completion wins ties.

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from .benchgen import load
 from .core import DataError, ResourceSpec, TunesimError, UsageError
 from .ranking import RankingCriterion
-from .scheduler import MODES, SchedulerConfig
+from .scheduler import MODES, SchedulerConfig, check_mode_options
 from .simulator import Curve, LearningCurveTable, simulate, write_trace
 
 SEED_PLACEHOLDER = "{seed}"
@@ -48,6 +48,9 @@ class MethodSpec:
     criterion: RankingCriterion | None = None
     pair_below_cap: bool = False
     random_draws: int | None = None
+
+    def __post_init__(self) -> None:
+        check_mode_options(self)
 
     @classmethod
     def parse(

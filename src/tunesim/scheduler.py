@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .core import (
     ConfigId,
@@ -31,6 +31,21 @@ from .ranking import RankingCriterion, is_stable
 MODES = ("pasha", "asha", "one-epoch", "no-increase", "random")
 
 DEFAULT_CRITERION = RankingCriterion("soft", epsilon=0.025)
+
+# per-mode option -> (the one mode that takes it, the default every other mode keeps)
+MODE_OPTIONS = {"pair_below_cap": ("pasha", False), "random_draws": ("random", None)}
+
+
+def check_mode_options(spec) -> None:
+    """Refuse a per-mode option set away from its default outside its mode.
+
+    spec is anything with a mode and the MODE_OPTIONS fields, such as a
+    SchedulerConfig or an experiment MethodSpec. The scheduler reads each
+    option only in its own mode, so elsewhere it would be silently ignored.
+    """
+    for name, (mode, default) in MODE_OPTIONS.items():
+        if spec.mode != mode and getattr(spec, name) != default:
+            raise UsageError(f"{name} applies only to mode {mode!r}, not {spec.mode!r}")
 
 
 @dataclass(frozen=True)
@@ -54,10 +69,10 @@ class SchedulerConfig:
             raise UsageError(f"num_configs must be >= 1, got {self.num_configs}")
         if self.random_draws is not None and self.random_draws < 1:
             raise UsageError(f"random_draws must be >= 1, got {self.random_draws}")
+        check_mode_options(self)
 
 
-@dataclass(frozen=True)
-class Job:
+class Job(NamedTuple):
     """One unit of work: train config up to target_resource, report the metric."""
 
     config: ConfigId
@@ -121,18 +136,12 @@ class Scheduler:
         return bisect_right(self.levels, self.pasha.resource_cap) - 1
 
     def _find_promotion(self) -> tuple[int, RungEntry] | None:
-        """Highest rung holding an unpromoted top-fraction entry, if any.
-
-        Only a rung's best unpromoted entry can qualify: it is promotable iff
-        its rank falls inside the rung's top len // eta positions.
-        """
+        """Highest rung holding an unpromoted top-fraction entry, if any."""
         eta = self.spec.reduction_factor
+        promotable = self.ladder.promotable
         for k in range(self.top_index - 1, -1, -1):
-            quota = len(self.ladder.rungs[k]) // eta
-            if quota == 0:
-                continue
-            entry = self.ladder.best_unpromoted(k)
-            if entry is not None and self.ladder.position(k, entry) < quota:
+            entry = promotable(k, eta)
+            if entry is not None:
                 return k, entry
         return None
 
@@ -146,16 +155,14 @@ class Scheduler:
         if found is not None:
             k, entry = found
             self.ladder.promote(k, entry)
-            job = Job(entry.config, k + 1, self.levels[k + 1])
-            self._in_flight.add((job.config, job.rung))
-            return job
-        if self.drawn < self.config.num_configs:
-            config = self.searcher.draw()
+            config, rung = entry.config, k + 1
+        elif self.drawn < self.config.num_configs:
+            config, rung = self.searcher.draw(), 0
             self.drawn += 1
-            job = Job(config, 0, self.levels[0])
-            self._in_flight.add((job.config, job.rung))
-            return job
-        return None
+        else:
+            return None
+        self._in_flight.add((config, rung))
+        return Job(config, rung, self.levels[rung])
 
     def report(self, job: Job, metric: float) -> None:
         """Record a completed job; in progressive mode, maybe raise the cap.

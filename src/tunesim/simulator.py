@@ -11,8 +11,9 @@ from __future__ import annotations
 import heapq
 import math
 import random
+from bisect import insort
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .core import ConfigId, DataError, InternalError, RungLadder, UsageError
 from .scheduler import Job, Scheduler, SchedulerConfig
@@ -103,8 +104,7 @@ class LearningCurveTable:
         return -value if self.flipped else value
 
 
-@dataclass(frozen=True)
-class TraceEvent:
+class TraceEvent(NamedTuple):
     """One simulation event, in a stable field order suitable for diffing."""
 
     time: float
@@ -166,56 +166,62 @@ def simulate(
     Whenever a worker is free it asks the scheduler for a job; the job's
     duration is the sum of per-unit costs between the config's previous
     checkpoint and the job's target (pause and resume are free). Simultaneous
-    completions are ordered by worker index. Every completion re-polls all
-    idle workers, so a cap growth can wake workers that found nothing to do
-    earlier.
+    completions are ordered by worker index. Every completion polls the idle
+    workers in index order until one finds nothing to do, so a cap growth can
+    wake workers that found nothing earlier.
     """
     if workers < 1:
         raise UsageError(f"workers must be >= 1, got {workers}")
     if config.mode == "random":
         return _random_result(config, table, collect_trace)
     sched = Scheduler(config, table.config_ids())
+    get_job, report = sched.get_job, sched.report
+    metric_at, incremental_cost = table.metric, table.incremental_cost
     checkpoint: dict[ConfigId, int] = {}
     heap: list[tuple[float, int]] = []
     running: dict[int, Job] = {}
+    idle = list(range(workers))  # ascending worker index
     trace: list[TraceEvent] = []
     jobs_executed = 0
     units_consumed = 0
 
-    def try_assign(worker: int, now: float) -> bool:
-        nonlocal jobs_executed, units_consumed
-        job = sched.get_job()
-        if job is None:
-            return False
-        done = checkpoint.get(job.config, 0)
-        duration = table.incremental_cost(job.config, done, job.target_resource)
-        units_consumed += job.target_resource - done
-        jobs_executed += 1
-        heapq.heappush(heap, (now + duration, worker))
-        running[worker] = job
-        if collect_trace:
-            trace.append(
-                TraceEvent(now, worker, job.config, job.rung, job.target_resource, None, "assign")
-            )
-        return True
+    def assign_idle(now: float) -> None:
+        """Poll the idle workers in index order until one finds no job.
 
-    for worker in range(workers):
-        try_assign(worker, 0.0)
+        get_job changes nothing when it returns None, so polling the workers
+        after that one would return None as well.
+        """
+        nonlocal jobs_executed, units_consumed
+        assigned = 0
+        for worker in idle:
+            job = get_job()
+            if job is None:
+                break
+            config, rung, target = job
+            done = checkpoint.get(config, 0)
+            units_consumed += target - done
+            heapq.heappush(heap, (now + incremental_cost(config, done, target), worker))
+            running[worker] = job
+            if collect_trace:
+                trace.append(TraceEvent(now, worker, config, rung, target, None, "assign"))
+            assigned += 1
+        jobs_executed += assigned
+        del idle[:assigned]
+
+    assign_idle(0.0)
     wall_clock = 0.0
     while heap:
         now, worker = heapq.heappop(heap)
         wall_clock = now
         job = running.pop(worker)
-        metric = table.metric(job.config, job.target_resource)
-        checkpoint[job.config] = job.target_resource
-        sched.report(job, metric)
+        config, rung, target = job
+        metric = metric_at(config, target)
+        checkpoint[config] = target
+        report(job, metric)
         if collect_trace:
-            trace.append(
-                TraceEvent(now, worker, job.config, job.rung, job.target_resource, metric, "complete")
-            )
-        idle = sorted(set(range(workers)) - set(running))
-        for w in idle:
-            try_assign(w, now)
+            trace.append(TraceEvent(now, worker, config, rung, target, metric, "complete"))
+        insort(idle, worker)
+        assign_idle(now)
     if not sched.should_stop():
         raise InternalError(
             "simulation drained its event queue before the scheduler was finished"
@@ -242,13 +248,17 @@ def speedup(reference: SimResult, candidate: SimResult) -> float:
 
 def write_trace(events: Iterable[TraceEvent], path: str) -> None:
     """Line-delimited trace: time, worker, config, rung, resource, metric, kind."""
+    lines = []
+    last_time, time_text = object(), ""
+    for time, worker, config, rung, resource, metric, kind in events:
+        if time is not last_time:  # an assign shares its completion's float
+            last_time, time_text = time, repr(time)
+        metric_text = "-" if metric is None else repr(metric)
+        lines.append(
+            f"{time_text}\t{worker}\t{config}\t{rung}\t{resource}\t{metric_text}\t{kind}\n"
+        )
     with open(path, "w", encoding="utf-8") as handle:
-        for ev in events:
-            metric = "-" if ev.metric is None else repr(ev.metric)
-            handle.write(
-                f"{ev.time!r}\t{ev.worker}\t{ev.config}\t{ev.rung}\t"
-                f"{ev.resource}\t{metric}\t{ev.kind}\n"
-            )
+        handle.write("".join(lines))
 
 
 def read_trace(path: str) -> list[TraceEvent]:

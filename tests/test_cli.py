@@ -188,6 +188,21 @@ class TestRunVerb:
             "error: --ranking applies only to pasha methods; no pasha method given\n"
         )
 
+    @pytest.mark.parametrize(
+        "tokens", [["pasha:direct"], ["pasha:direct", "asha"], ["pasha:rbo", "pasha:soft:0.05"]]
+    )
+    def test_ranking_flag_when_every_pasha_method_names_its_own(self, bench, capsys, tokens):
+        methods = [arg for m in tokens for arg in ("--method", m)]
+        code = main(
+            ["run", "--benchmark", bench, "--max-resource", "9", "--num-configs", "12",
+             *methods, "--ranking", "soft:0.1"]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: --ranking applies only to pasha methods without a criterion; "
+            "every pasha method names its own\n"
+        )
+
     def test_per_method_flags_with_their_modes_listed(self, bench, capsys):
         code = main(
             ["run", "--benchmark", bench, "--method", "asha", "--method", "pasha",
@@ -396,6 +411,22 @@ class TestConfigFile:
             text.replace("[experiment]\n", "[experiment]\nranking = direct\n")
         )
         assert main(["run", "--config", config, "--method", "asha"]) == 1
+        assert "config file ranking applies only to pasha" in capsys.readouterr().err
+        assert main(["run", "--config", config, "--method", "pasha"]) == 0
+
+    def test_experiment_ranking_when_every_pasha_section_names_its_own(
+        self, bench, tmp_path, capsys
+    ):
+        # write_config's only pasha section sets its own ranking
+        config = self.write_config(tmp_path, bench)
+        path = tmp_path / "experiment.ini"
+        path.write_text(path.read_text().replace("[experiment]\n", "[experiment]\nranking = rbo\n"))
+        assert main(["run", "--config", config]) == 1
+        assert capsys.readouterr().err == (
+            "error: config file ranking applies only to pasha methods without a criterion; "
+            "every pasha method names its own\n"
+        )
+        assert main(["run", "--config", config, "--method", "pasha:direct"]) == 1
         assert "config file ranking applies only to pasha" in capsys.readouterr().err
         assert main(["run", "--config", config, "--method", "pasha"]) == 0
 

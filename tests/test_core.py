@@ -204,9 +204,10 @@ class TestRungLadder:
         ladder = RungLadder((1, 3, 9))
         entry = RungEntry(0, 0.5)
         ladder.insert(0, entry)
-        assert ladder.best_unpromoted(0) is entry
+        # eta 1 puts the whole rung inside the quota: the best unpromoted entry
+        assert ladder.promotable(0, 1) is entry
         ladder.promote(0, entry)
-        assert entry.promoted and ladder.best_unpromoted(0) is None
+        assert entry.promoted and ladder.promotable(0, 1) is None
         with pytest.raises(InternalError, match="already promoted"):
             ladder.promote(0, entry)
         ladder.insert(1, RungEntry(0, 0.6))  # the mark is what insert checks
@@ -234,9 +235,50 @@ def brute_force_promotion(inserted, top_index, eta):
     return None
 
 
+def brute_force_promotable(inserted_rung, eta):
+    """The best unpromoted entry, if its rank lies inside the top len // eta."""
+    ordered = sorted(inserted_rung, key=rank_key)  # stable: insertion order on ties
+    for position, entry in enumerate(ordered):
+        if not entry.promoted:
+            return entry if position < len(ordered) // eta else None
+    return None
+
+
 # few distinct values, so exact metric and completion-index ties are common
 METRICS = st.sampled_from((0.1, 0.3, 0.5, 0.7, 0.9))
 COMPLETIONS = st.integers(0, 4)
+
+
+def random_step(data, ladder, inserted, fresh):
+    """Promote a waiting entry or insert a new one, as data chooses.
+
+    Entries are inserted directly, with drawn metrics, promotion marks and
+    completion indices, so exact rank-key ties occur. inserted keeps each
+    rung's entries in insertion order; returns the next fresh config id.
+    """
+    waiting = [(k, e) for k, rung in enumerate(inserted) for e in rung if not e.promoted]
+    if waiting and data.draw(st.booleans(), label="promote"):
+        k, entry = data.draw(st.sampled_from(waiting), label="promoted")
+        ladder.promote(k, entry)
+        return fresh
+    climbs = [
+        (k + 1, e.config)
+        for k, rung in enumerate(inserted[:-1])
+        for e in rung
+        if e.promoted and all(x.config != e.config for x in inserted[k + 1])
+    ]
+    k, config = data.draw(st.sampled_from([(0, None)] + climbs), label="slot")
+    if config is None:
+        config, fresh = fresh, fresh + 1
+    entry = RungEntry(
+        config,
+        data.draw(METRICS, label="metric"),
+        promoted=data.draw(st.booleans(), label="inserted promoted"),
+        completion_index=data.draw(COMPLETIONS, label="completion"),
+    )
+    ladder.insert(k, entry)
+    inserted[k].append(entry)
+    return fresh
 
 
 class TestIncrementalLadderProperties:
@@ -249,28 +291,7 @@ class TestIncrementalLadderProperties:
         inserted = [[] for _ in ladder.levels]  # insertion order, per rung
         fresh = 0
         for _ in range(data.draw(st.integers(0, 50), label="steps")):
-            waiting = [(k, e) for k, rung in enumerate(inserted) for e in rung if not e.promoted]
-            if waiting and data.draw(st.booleans(), label="promote"):
-                k, entry = data.draw(st.sampled_from(waiting), label="promoted")
-                ladder.promote(k, entry)
-            else:
-                climbs = [
-                    (k + 1, e.config)
-                    for k, rung in enumerate(inserted[:-1])
-                    for e in rung
-                    if e.promoted and all(x.config != e.config for x in inserted[k + 1])
-                ]
-                k, config = data.draw(st.sampled_from([(0, None)] + climbs), label="slot")
-                if config is None:
-                    config, fresh = fresh, fresh + 1
-                entry = RungEntry(
-                    config,
-                    data.draw(METRICS, label="metric"),
-                    promoted=data.draw(st.booleans(), label="inserted promoted"),
-                    completion_index=data.draw(COMPLETIONS, label="completion"),
-                )
-                ladder.insert(k, entry)
-                inserted[k].append(entry)
+            fresh = random_step(data, ladder, inserted, fresh)
             for k, rung in enumerate(inserted):
                 assert ladder.sorted_rung(k) == sorted(rung, key=rank_key)
             expected = brute_force_promotion(inserted, sched.top_index, eta)
@@ -298,3 +319,15 @@ class TestIncrementalLadderProperties:
             with pytest.raises(InternalError, match=message):
                 ladder.insert(k, entry)
         assert ladder == before
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_promotable_matches_a_brute_force_scan(self, data):
+        ladder = RungLadder((1, 2, 4, 8))
+        inserted = [[] for _ in ladder.levels]
+        fresh = 0
+        for _ in range(data.draw(st.integers(0, 60), label="steps")):
+            fresh = random_step(data, ladder, inserted, fresh)
+            for k, rung in enumerate(inserted):
+                for eta in (1, 2, 3, 4):
+                    assert ladder.promotable(k, eta) is brute_force_promotable(rung, eta)

@@ -97,6 +97,21 @@ class TestMethodSpec:
         spec = MethodSpec.parse("random", random_draws=7)
         assert spec.random_draws == 7
 
+    @pytest.mark.parametrize(
+        "token, options, name",
+        [
+            ("asha", {"pair_below_cap": True}, "pair_below_cap"),
+            ("random", {"pair_below_cap": True}, "pair_below_cap"),
+            ("pasha:direct", {"random_draws": 3}, "random_draws"),
+            ("one-epoch", {"random_draws": 3}, "random_draws"),
+        ],
+    )
+    def test_options_outside_their_mode_are_refused(self, token, options, name):
+        with pytest.raises(UsageError, match=f"{name} applies only to mode"):
+            MethodSpec.parse(token, **options)
+        with pytest.raises(UsageError, match=f"{name} applies only to mode"):
+            MethodSpec(name=token, mode=token.partition(":")[0], **options)
+
 
 class TestExperimentSpec:
     def test_requires_a_method(self):

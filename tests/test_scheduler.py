@@ -11,7 +11,7 @@ from tunesim import (
     UsageError,
     simulate,
 )
-from tunesim.scheduler import RandomSearcher, Scheduler
+from tunesim.scheduler import MODES, RandomSearcher, Scheduler
 from util import ScriptedSearcher, table_from_rows
 
 
@@ -296,3 +296,32 @@ class TestSchedulerConfigValidation:
             SchedulerConfig(
                 resources=ResourceSpec(1, 3, 81), num_configs=4, random_draws=0
             )
+
+    @pytest.mark.parametrize("mode", [m for m in MODES if m != "pasha"])
+    def test_pair_below_cap_outside_pasha_is_refused(self, mode):
+        with pytest.raises(UsageError, match="pair_below_cap applies only to mode 'pasha'"):
+            SchedulerConfig(
+                resources=ResourceSpec(1, 3, 81), num_configs=4, mode=mode, pair_below_cap=True
+            )
+
+    @pytest.mark.parametrize("mode", [m for m in MODES if m != "random"])
+    def test_random_draws_outside_random_is_refused(self, mode):
+        with pytest.raises(UsageError, match="random_draws applies only to mode 'random'"):
+            SchedulerConfig(
+                resources=ResourceSpec(1, 3, 81), num_configs=4, mode=mode, random_draws=3
+            )
+
+    def test_both_options_on_asha_are_refused(self):
+        with pytest.raises(UsageError, match="pair_below_cap"):
+            SchedulerConfig(
+                resources=ResourceSpec(1, 3, 81), num_configs=4, mode="asha",
+                pair_below_cap=True, random_draws=3,
+            )
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_default_options_suit_every_mode(self, mode):
+        config = SchedulerConfig(
+            resources=ResourceSpec(1, 3, 81), num_configs=4, mode=mode,
+            pair_below_cap=False, random_draws=None,
+        )
+        assert config.mode == mode

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import os
 import random
+import tempfile
 
 import pytest
 from hypothesis import given, settings
@@ -28,7 +30,7 @@ from tunesim import (
     write_trace,
 )
 
-from util import table_from_rows
+from util import table_from_rows, trace_text
 
 
 def run(mode, table, *, n, spec=(1, 3, 9), workers=1, seed=0, trace=True, **kw):
@@ -269,6 +271,23 @@ class TestTraceIO:
         write_trace(res.trace, path)
         assert read_trace(path) == res.trace
 
+    def test_assigns_share_their_completion_time_and_write_like_the_oracle(self, tmp_path):
+        costs = {i: [0.1 * (i % 3 + 1)] * 9 for i in range(12)}
+        table = table_from_rows({i: [0.5 + 0.03 * i] * 9 for i in range(12)}, costs=costs)
+        trace = run("asha", table, n=12, workers=3).trace
+        assert any(
+            a.kind == "assign" and a.time is c.time and c.kind == "complete"
+            for c, a in zip(trace, trace[1:])
+        )
+        path = tmp_path / "run.trace"
+        write_trace(trace, str(path))
+        assert path.read_bytes() == trace_text(trace).encode("utf-8")
+
+    def test_event_is_a_named_tuple(self):
+        event = TraceEvent(0.5, 1, 7, 0, 1, None, "assign")
+        assert event == (0.5, 1, 7, 0, 1, None, "assign")
+        assert event[2] == event.config == 7 and event[-1] == event.kind
+
     def test_wrong_field_count_names_file_and_line(self, tmp_path):
         path = tmp_path / "bad.trace"
         path.write_text("0.0\t0\t3\t0\t1\t-\tassign\n0.5\t0\t3\n")
@@ -286,6 +305,51 @@ class TestTraceIO:
         path.write_text("0.0\t0\t3\t0\t1\t-\tlaunch\n")
         with pytest.raises(DataError, match="unknown event kind 'launch'"):
             read_trace(str(path))
+
+
+SIGNED_ZEROS = st.sampled_from((0.0, -0.0))
+FINITE = st.one_of(SIGNED_ZEROS, st.floats(allow_nan=False, allow_infinity=False))
+BIG_IDS = st.one_of(st.integers(0, 9), st.integers(0, 2**80))
+
+
+@st.composite
+def trace_events(draw):
+    """Events whose times are fresh floats, the previous event's float object,
+    an equal but distinct float, or the previous time negated (so 0.0 meets -0.0)."""
+    events = []
+    for _ in range(draw(st.integers(0, 25))):
+        how = draw(st.sampled_from(("fresh", "same", "copy", "negated"))) if events else "fresh"
+        previous = events[-1].time if events else None
+        if how == "same":
+            time = previous
+        elif how == "copy":
+            time = float.fromhex(previous.hex())
+            assert time is not previous
+        elif how == "negated":
+            time = -previous
+        else:
+            time = draw(FINITE)
+        kind = draw(st.sampled_from(("assign", "complete")))
+        metric = draw(st.one_of(st.none(), FINITE))
+        events.append(
+            TraceEvent(time, draw(BIG_IDS), draw(BIG_IDS), draw(BIG_IDS), draw(BIG_IDS),
+                       metric, kind)
+        )
+    return events
+
+
+class TestTraceWriterProperty:
+    @settings(max_examples=300, deadline=None)
+    @given(events=trace_events())
+    def test_writer_matches_the_per_event_formatter_and_round_trips(self, events):
+        with tempfile.TemporaryDirectory() as d:
+            path = os.path.join(d, "run.trace")
+            write_trace(iter(events), path)
+            with open(path, "rb") as handle:
+                assert handle.read() == trace_text(events).encode("utf-8")
+            back = read_trace(path)
+        assert back == events
+        assert list(map(repr, back)) == list(map(repr, events))  # tells -0.0 from 0.0
 
 
 class TestReplay:

@@ -1,5 +1,7 @@
 """Shared builders for hand-constructed tables and rank-ordered rung entries,
-and the brute-force soft-rank oracle the fast soft check is compared against."""
+the brute-force soft-rank oracle the fast soft check is compared against, and
+the one-f-string-per-event trace formatter the trace writer is compared
+against."""
 
 from __future__ import annotations
 
@@ -70,3 +72,19 @@ class ScriptedSearcher:
         config = self.order[self.next]
         self.next += 1
         return config
+
+
+def trace_text(events) -> str:
+    """The bytes write_trace must produce, formatted one event at a time.
+
+    The trace writer's original formatting, kept as the oracle for the
+    batched writer in tunesim.simulator.
+    """
+    lines = []
+    for ev in events:
+        metric = "-" if ev.metric is None else repr(ev.metric)
+        lines.append(
+            f"{ev.time!r}\t{ev.worker}\t{ev.config}\t{ev.rung}\t"
+            f"{ev.resource}\t{metric}\t{ev.kind}\n"
+        )
+    return "".join(lines)
