@@ -15,7 +15,6 @@ import hashlib
 import pytest
 
 from tunesim import (
-    CurveModel,
     RankingCriterion,
     ResourceSpec,
     SchedulerConfig,
@@ -24,10 +23,8 @@ from tunesim import (
     write_trace,
 )
 from tunesim.ranking import CRITERION_KINDS
+from util import NOISY_TIGHT
 
-NOISY_TIGHT = CurveModel(
-    noise_std=0.01, hard=True, head_gap=0.005, head_jitter=0.002, gap_scale=0.01
-)
 CONFIGS = 128
 UNITS = 81
 WORKERS = 4

@@ -7,11 +7,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from tunesim import Curve, LearningCurveTable
+from tunesim import Curve, CurveModel, LearningCurveTable
 from tunesim.core import ConfigId, RungEntry
 
 # readable config ids for ranking tests
 A, B, C, D, E = 0, 1, 2, 3, 4
+
+# hard noise and tight gaps: the table the criterion and mode digests pin
+NOISY_TIGHT = CurveModel(
+    noise_std=0.01, hard=True, head_gap=0.005, head_jitter=0.002, gap_scale=0.01
+)
 
 
 def ranked(*pairs: tuple[int, float]) -> list[RungEntry]:
