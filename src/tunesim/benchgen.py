@@ -143,8 +143,11 @@ def generate(n_configs: int, units: int, model: CurveModel, seed: int) -> Learni
     )
     floor = float(latent.min())
     if floor <= 0:
+        # latent curves shift 1:1 with top_metric: name the 4-decimal value just above
+        needed = math.floor((model.top_metric - floor) * 1e4 + 1) / 1e4
         raise GenerationError(
-            f"metric floor {floor:.4f} is not positive; shrink the gaps or raise top_metric"
+            f"metric floor {floor:.4f} is not positive; shrink the gaps or raise "
+            f"top_metric to at least {needed:.4f}"
         )
 
     observed = latent

@@ -1,4 +1,4 @@
-"""Shared domain types: resource geometry, rung ladders, progressive cap state."""
+"""Shared domain types: resource geometry, rung ladders, progressive cap growth."""
 
 from __future__ import annotations
 
@@ -89,34 +89,14 @@ def rung_levels(spec: ResourceSpec) -> tuple[int, ...]:
     return tuple(levels)
 
 
-@dataclass(frozen=True)
-class PashaState:
-    """Progressive growth state: step counter, current cap, current top rung."""
-
-    t: int
-    resource_cap: int
-    top_rung: int
-
-
-def initial_pasha_state(spec: ResourceSpec) -> PashaState:
-    """Starting state: cap = reduction_factor^2 * min_resource, top rung 2."""
-    return PashaState(t=0, resource_cap=spec.reduction_factor**2 * spec.min_resource, top_rung=2)
-
-
-def grow(state: PashaState, spec: ResourceSpec) -> PashaState:
+def grow(cap: int, spec: ResourceSpec) -> int:
     """One growth step: multiply the cap by the reduction factor.
 
-    A step that would overshoot max_resource clamps the cap to it and the
-    top rung to the largest exact power index. Once the cap sits at
-    max_resource further calls are no-ops; the scheduler then behaves like
-    plain asynchronous successive halving.
+    A step that would overshoot max_resource clamps the cap to it. Once the
+    cap sits at max_resource further calls return it unchanged; the
+    scheduler then behaves like plain asynchronous successive halving.
     """
-    if state.resource_cap >= spec.max_resource:
-        return state
-    next_cap = state.resource_cap * spec.reduction_factor
-    if next_cap > spec.max_resource:
-        return PashaState(state.t + 1, spec.max_resource, max_rung_index(spec))
-    return PashaState(state.t + 1, next_cap, state.top_rung + 1)
+    return min(cap * spec.reduction_factor, spec.max_resource)
 
 
 @dataclass

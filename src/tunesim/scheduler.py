@@ -17,13 +17,11 @@ from .core import (
     ConfigId,
     DataError,
     InternalError,
-    PashaState,
     ResourceSpec,
     RungEntry,
     RungLadder,
     UsageError,
     grow,
-    initial_pasha_state,
     rung_levels,
 )
 from .ranking import RankingCriterion, is_stable
@@ -46,6 +44,8 @@ def check_mode_options(spec) -> None:
     for name, (mode, default) in MODE_OPTIONS.items():
         if spec.mode != mode and getattr(spec, name) != default:
             raise UsageError(f"{name} applies only to mode {mode!r}, not {spec.mode!r}")
+    if spec.mode != "pasha" and spec.criterion is not None:
+        raise UsageError(f"criterion applies only to mode 'pasha', not {spec.mode!r}")
 
 
 @dataclass(frozen=True)
@@ -103,37 +103,37 @@ class RandomSearcher:
 
 
 class Scheduler:
-    """Decision engine behind get_job and report."""
+    """Decision engine behind get_job and report.
+
+    Every mode is a starting cap and a ceiling: jobs target levels up to the
+    cap, and only pasha starts below its ceiling, growing toward it when the
+    top rungs rank configs differently.
+    """
 
     def __init__(self, config: SchedulerConfig, universe: Sequence[ConfigId], searcher=None):
-        if config.mode == "random":
+        spec = config.resources
+        r, top = spec.min_resource, spec.max_resource
+        start = spec.reduction_factor**2 * r
+        # mode -> (starting cap, ceiling); the random baseline has no row
+        rows = {"pasha": (start, top), "asha": (top, top), "one-epoch": (r, r),
+                "no-increase": (start, start)}
+        if config.mode not in rows:
             raise UsageError(
                 "the random baseline draws once and runs no jobs; "
                 "run it with simulate instead of a Scheduler"
             )
         self.config = config
-        self.spec = config.resources
-        self.levels = rung_levels(self.spec)
+        self.spec = spec
+        self.levels = rung_levels(spec)
         self.ladder = RungLadder(self.levels)
         self.searcher = searcher if searcher is not None else RandomSearcher(universe, config.seed)
         self.criterion = config.criterion or DEFAULT_CRITERION
-        self.pasha: PashaState | None = (
-            initial_pasha_state(self.spec) if config.mode in ("pasha", "no-increase") else None
-        )
+        self.cap, self.ceiling = rows[config.mode]
+        # highest ladder index jobs may currently target: the top level not above the cap
+        self.top_index = bisect_right(self.levels, self.cap) - 1
         self.drawn = 0
         self._completions = 0
         self._in_flight: set[tuple[ConfigId, int]] = set()
-
-    @property
-    def top_index(self) -> int:
-        """Highest ladder index jobs may currently target."""
-        if self.config.mode == "asha":
-            return len(self.levels) - 1
-        if self.config.mode == "one-epoch":
-            return 0
-        assert self.pasha is not None
-        # highest level not above the current cap
-        return bisect_right(self.levels, self.pasha.resource_cap) - 1
 
     def _find_promotion(self) -> tuple[int, RungEntry] | None:
         """Highest rung holding an unpromoted top-fraction entry, if any."""
@@ -184,11 +184,8 @@ class Scheduler:
         )
         self._completions += 1
         self.ladder.insert(job.rung, entry)
-        if self.config.mode != "pasha":
-            return
-        assert self.pasha is not None
-        if self.pasha.resource_cap >= self.spec.max_resource:
-            return  # clamped: behave like plain successive halving
+        if self.cap >= self.ceiling:
+            return  # a fixed or clamped cap: plain successive halving
         top = self.top_index
         if self.config.pair_below_cap:
             pair_top, triggers = top - 1, (top - 1,)
@@ -199,7 +196,8 @@ class Scheduler:
         top_rung = self.ladder.sorted_rung(pair_top)
         below_rung = self.ladder.sorted_rung(pair_top - 1)
         if not is_stable(self.criterion, top_rung, below_rung):
-            self.pasha = grow(self.pasha, self.spec)
+            self.cap = grow(self.cap, self.spec)
+            self.top_index = bisect_right(self.levels, self.cap) - 1
 
     def should_stop(self) -> bool:
         """True once every config is drawn, nothing runs, nothing is promotable."""

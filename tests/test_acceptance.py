@@ -34,9 +34,9 @@ from tunesim import (
     simulate,
     write_trace,
 )
-from tunesim.core import grow, initial_pasha_state, max_rung_index
+from tunesim.core import grow, max_rung_index, rung_levels
 from tunesim.ranking import arrr, is_stable, rbo, rrr
-from util import ranked, soft_rank
+from util import pasha_scheduler, ranked, soft_rank
 
 SEEDS = range(20)
 NOISY_MODEL = CurveModel(
@@ -87,31 +87,32 @@ def test_rung_arithmetic():
     checked = 0
     for r in range(1, 6):
         for eta in (2, 3, 4):
-            # uncapped: after t growth steps the cap is eta^(t+2) * r and the
-            # top rung index is t + 2
+            # uncapped: after t growth steps the cap is eta^(t+2) * r, the
+            # ladder level at index t + 2
             roomy = ResourceSpec(r, eta, r * eta**12)
-            state = initial_pasha_state(roomy)
+            levels = rung_levels(roomy)
+            cap = pasha_scheduler(roomy).cap
             for t in range(0, 7):
-                assert state.t == t
-                assert state.resource_cap == eta ** (t + 2) * r
-                assert state.top_rung == t + 2
-                state = grow(state, roomy)
+                assert cap == eta ** (t + 2) * r == levels[t + 2]
+                cap = grow(cap, roomy)
                 checked += 1
-            # clamped: growth stops exactly at the safety net, whose top rung
-            # is the largest k with r * eta^k <= R
+            # clamped: growth stops exactly at the safety net R. The largest
+            # k with r * eta^k <= R indexes the top level when R is a power
+            # of eta; otherwise R is appended one level above it.
             for cap_power in (3, 4, 5):
                 for slack in (0, 1):
-                    cap = r * eta**cap_power + slack * (eta - 1)
-                    spec = ResourceSpec(r, eta, cap)
-                    state = initial_pasha_state(spec)
+                    top = r * eta**cap_power + slack * (eta - 1)
+                    spec = ResourceSpec(r, eta, top)
+                    cap = pasha_scheduler(spec).cap
                     for _ in range(20):
-                        state = grow(state, spec)
+                        cap = grow(cap, spec)
                     oracle_k = 0
-                    while r * eta ** (oracle_k + 1) <= cap:
+                    while r * eta ** (oracle_k + 1) <= top:
                         oracle_k += 1
-                    assert state.resource_cap == cap
-                    assert state.top_rung == oracle_k == max_rung_index(spec)
-                    assert grow(state, spec) is state
+                    assert cap == top
+                    assert oracle_k == max_rung_index(spec)
+                    assert rung_levels(spec).index(cap) == oracle_k + slack
+                    assert grow(cap, spec) == cap
                     checked += 1
     finish("rung arithmetic", 1.0, started, f"{checked} (r, eta, t) cells")
 

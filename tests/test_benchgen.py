@@ -84,6 +84,19 @@ class TestGenerate:
         with pytest.raises(GenerationError, match="crossing horizon"):
             generate(8, 4, DEFAULT, seed=0)
 
+    @pytest.mark.parametrize(
+        ("n", "floor", "needed"), [(1024, "-0.0466", 0.9666), (2048, "-0.0816", 1.0017)]
+    )
+    def test_metric_floor_error_names_the_smallest_top_metric(self, n, floor, needed):
+        # the default model cannot generate n configs; the named value can,
+        # and one step of the fourth decimal below it cannot
+        message = f"metric floor {floor} is not positive; .* top_metric to at least {needed:.4f}$"
+        with pytest.raises(GenerationError, match=message):
+            generate(n, 81, DEFAULT, seed=0)
+        assert len(generate(n, 81, CurveModel(top_metric=needed), seed=0).curves) == n
+        with pytest.raises(GenerationError, match="is not positive"):
+            generate(n, 81, CurveModel(top_metric=needed - 1e-4), seed=0)
+
     def test_ids_are_a_permutation(self):
         table = generate(20, 9, DEFAULT, seed=1)
         assert sorted(table.curves) == list(range(20))

@@ -9,16 +9,15 @@ from hypothesis import strategies as st
 
 from tunesim import InternalError, ResourceSpec, SchedulerConfig, UsageError
 from tunesim.core import (
-    PashaState,
     RungEntry,
     RungLadder,
     grow,
-    initial_pasha_state,
     max_rung_index,
     rung_levels,
     rung_resource,
 )
 from tunesim.scheduler import Scheduler
+from util import pasha_scheduler
 
 
 def spec(r=1, eta=3, cap=81):
@@ -103,44 +102,50 @@ class TestRungLevels:
 
 class TestInitialState:
     def test_values(self):
-        assert initial_pasha_state(spec(cap=200)) == PashaState(0, 9, 2)
-        assert initial_pasha_state(spec(eta=2, cap=64)) == PashaState(0, 4, 2)
-        assert initial_pasha_state(spec(r=5, cap=405)) == PashaState(0, 45, 2)
+        # the starting cap is eta^2 * r, ladder level 2
+        for s, cap in ((spec(cap=200), 9), (spec(eta=2, cap=64), 4), (spec(r=5, cap=405), 45)):
+            sched = pasha_scheduler(s)
+            assert (sched.cap, sched.top_index) == (cap, 2)
 
 
 class TestGrow:
     def test_multiplies_cap_by_reduction_factor(self):
-        state = grow(initial_pasha_state(spec(cap=200)), spec(cap=200))
-        assert state == PashaState(1, 27, 3)
+        cap = grow(pasha_scheduler(spec(cap=200)).cap, spec(cap=200))
+        assert cap == 27 == rung_levels(spec(cap=200))[3]
 
     def test_overshoot_clamps_to_cap(self):
-        # from cap 81 the next step would be 243 > 200: clamp, top rung stays 4
-        state = grow(PashaState(2, 81, 4), spec(cap=200))
-        assert state == PashaState(3, 200, 4)
+        # from cap 81 the next step would be 243 > 200: clamp to 200, which is
+        # the top ladder level (index 5) although 3^4 = 81 is the largest power
+        assert grow(81, spec(cap=200)) == 200
+        assert rung_levels(spec(cap=200)).index(200) == 5
 
     def test_growth_at_cap_is_noop(self):
-        clamped = PashaState(3, 200, 4)
-        assert grow(clamped, spec(cap=200)) is clamped
+        assert grow(200, spec(cap=200)) == 200
 
     def test_cap_never_decreases(self):
         s = spec(cap=200)
-        state = initial_pasha_state(s)
+        cap = pasha_scheduler(s).cap
         for _ in range(10):
-            nxt = grow(state, s)
-            assert nxt.resource_cap >= state.resource_cap
-            state = nxt
-        assert state.resource_cap == 200
+            nxt = grow(cap, s)
+            assert nxt >= cap
+            cap = nxt
+        assert cap == 200
 
     def test_top_rung_tracks_min_of_linear_and_log(self):
+        # after t growth steps the cap is exactly the ladder level at index
+        # min(t + 2, top), where top counts the powers of eta under the cap
+        # plus the appended max_resource level when that is not a power
         for r in range(1, 6):
             for eta in (2, 3, 4):
                 for extra in (0, 1, 5, 37):
                     s = spec(r, eta, eta * eta * r * eta**2 + extra)
-                    state = initial_pasha_state(s)
+                    levels = rung_levels(s)
+                    top = floor_log(s.max_resource // r, eta)
+                    top += r * eta**top != s.max_resource  # appended top level
+                    cap = pasha_scheduler(s).cap
                     for t in range(7):
-                        expected = min(t + 2, floor_log(s.max_resource // r, eta))
-                        assert state.top_rung == expected
-                        state = grow(state, s)
+                        assert cap == levels[min(t + 2, top)]
+                        cap = grow(cap, s)
 
 
 class TestRungLadder:

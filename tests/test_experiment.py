@@ -18,6 +18,7 @@ from tunesim import (
     ExperimentSpec,
     LearningCurveTable,
     MethodSpec,
+    RankingCriterion,
     ResourceSpec,
     UsageError,
     aggregate,
@@ -111,6 +112,11 @@ class TestMethodSpec:
             MethodSpec.parse(token, **options)
         with pytest.raises(UsageError, match=f"{name} applies only to mode"):
             MethodSpec(name=token, mode=token.partition(":")[0], **options)
+
+    @pytest.mark.parametrize("mode", ["asha", "one-epoch", "no-increase", "random"])
+    def test_criterion_outside_pasha_is_refused(self, mode):
+        with pytest.raises(UsageError, match=f"criterion applies only to mode 'pasha', not '{mode}'"):
+            MethodSpec(name=mode, mode=mode, criterion=RankingCriterion("rbo"))
 
 
 class TestExperimentSpec:

@@ -80,8 +80,8 @@ class TestReport:
                                criterion=RankingCriterion("direct"))
         # order never changes across levels: config i scores 0.9 - i/10
         drain_serial(sched, lambda c, u: 0.9 - c / 10)
-        assert sched.pasha.resource_cap == 4  # never grew past eta^2 * r
-        assert sched.pasha.t == 0
+        assert sched.cap == 4  # never grew past eta^2 * r: zero growth steps
+        assert sched.top_index == 2
 
     def test_unstable_pair_grows_once_per_report(self):
         # configs 0 and 1 swap order between levels 2 and 4
@@ -94,15 +94,15 @@ class TestReport:
                                order=list(range(8)),
                                criterion=RankingCriterion("direct"))
         drain_serial(sched, metric)
-        assert sched.pasha.resource_cap > 4
+        assert sched.cap > 4
 
     def test_growth_stops_at_the_safety_net(self):
         sched = make_scheduler(mode="pasha", eta=3, cap=9, n=9,
                                order=list(range(9)),
                                criterion=RankingCriterion("always-unstable"))
         drain_serial(sched, lambda c, u: 0.9 - c / 100)
-        assert sched.pasha.resource_cap == 9
-        assert sched.pasha.t == 0  # cap started at the safety net: no growth
+        # the cap started at the safety net (eta^2 * r = 9): no growth
+        assert sched.cap == sched.ceiling == 9
         assert sched.top_index == len(sched.levels) - 1
 
     def test_forced_growth_reaches_the_cap_when_rungs_stay_populated(self):
@@ -112,7 +112,7 @@ class TestReport:
                                order=list(range(64)),
                                criterion=RankingCriterion("always-unstable"))
         drain_serial(sched, lambda c, u: 0.9 - c / 100)
-        assert sched.pasha.resource_cap == 16
+        assert sched.cap == sched.ceiling == 16
         assert sched.top_index == len(sched.levels) - 1
 
     def test_growth_stalls_when_the_top_rung_cannot_hold_two(self):
@@ -122,8 +122,9 @@ class TestReport:
                                order=list(range(16)),
                                criterion=RankingCriterion("always-unstable"))
         drain_serial(sched, lambda c, u: 0.9 - c / 100)
-        assert sched.pasha.resource_cap == 16
-        assert sched.pasha.t == 2
+        assert sched.cap == 2 ** (2 + 2)  # two growth steps from eta^2 * r = 4
+        assert sched.ceiling == 64
+        assert sched.levels[sched.top_index] == 16
 
 
 class TestBestConfig:
@@ -174,6 +175,19 @@ class TestRandomSearcher:
 
 
 class TestBaselines:
+    @pytest.mark.parametrize(
+        ("mode", "cap", "ceiling", "top_index"),
+        [
+            ("pasha", 9, 100, 2),
+            ("asha", 100, 100, 5),  # levels 1, 3, 9, 27, 81, 100
+            ("one-epoch", 1, 1, 0),
+            ("no-increase", 9, 9, 2),
+        ],
+    )
+    def test_each_mode_starts_at_its_cap_row(self, mode, cap, ceiling, top_index):
+        sched = make_scheduler(mode=mode, cap=100)
+        assert (sched.cap, sched.ceiling, sched.top_index) == (cap, ceiling, top_index)
+
     def test_one_epoch_picks_the_best_first_unit_config(self):
         table = table_from_rows(
             {0: [0.3, 0.9], 1: [0.8, 0.4], 2: [0.1, 0.2]},
@@ -316,6 +330,15 @@ class TestSchedulerConfigValidation:
             SchedulerConfig(
                 resources=ResourceSpec(1, 3, 81), num_configs=4, mode="asha",
                 pair_below_cap=True, random_draws=3,
+            )
+
+    @pytest.mark.parametrize("mode", [m for m in MODES if m != "pasha"])
+    @pytest.mark.parametrize("spelling", ["always-unstable", "soft:0.025"])
+    def test_criterion_outside_pasha_is_refused(self, mode, spelling):
+        with pytest.raises(UsageError, match="criterion applies only to mode 'pasha', not"):
+            SchedulerConfig(
+                resources=ResourceSpec(1, 3, 81), num_configs=4, mode=mode,
+                criterion=RankingCriterion.parse(spelling),
             )
 
     @pytest.mark.parametrize("mode", MODES)

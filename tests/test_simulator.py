@@ -429,7 +429,11 @@ class TestReplayProperty:
     def test_replay_rebuilds_an_equal_ladder(self, setup):
         config, table, workers = setup
         res = simulate(config, table, workers=workers, collect_trace=True)
-        assert replay_trace(res.trace, config, table).ladder == res.ladder
+        sched = replay_trace(res.trace, config, table)
+        assert sched.ladder == res.ladder
+        # the cap is always a ladder level, and no job went above it
+        assert sched.levels[sched.top_index] == sched.cap
+        assert res.max_resources <= sched.cap
         for rung in res.ladder.rungs:
             assert rung == sorted(rung, key=lambda e: (-e.metric, e.completion_index))
 

@@ -7,8 +7,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from tunesim import Curve, CurveModel, LearningCurveTable
+from tunesim import Curve, CurveModel, LearningCurveTable, ResourceSpec, SchedulerConfig
 from tunesim.core import ConfigId, RungEntry
+from tunesim.scheduler import Scheduler
 
 # readable config ids for ranking tests
 A, B, C, D, E = 0, 1, 2, 3, 4
@@ -47,6 +48,11 @@ def soft_rank(ranked: list[RungEntry], epsilon: float) -> SoftRank:
         for anchor in ranked
     )
     return SoftRank(positions)
+
+
+def pasha_scheduler(resources: ResourceSpec) -> Scheduler:
+    """A one-config pasha scheduler on the given geometry, at its starting cap."""
+    return Scheduler(SchedulerConfig(resources=resources, num_configs=1, mode="pasha"), range(1))
 
 
 def table_from_rows(
