@@ -32,7 +32,6 @@ from .experiment import (
 from .ranking import RankingCriterion
 from .scheduler import SchedulerConfig
 from .simulator import (
-    Curve,
     LearningCurveTable,
     SimResult,
     TraceEvent,
@@ -60,7 +59,6 @@ __all__ = [
     "save",
     "crossing_report",
     "LearningCurveTable",
-    "Curve",
     # scheduling
     "ResourceSpec",
     "RankingCriterion",

@@ -14,12 +14,14 @@ import csv
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Sequence
 
 import numpy as np
 
 from .core import ConfigId, DataError
-from .simulator import Curve, LearningCurveTable
+from .simulator import LearningCurveTable
+
+Rows = tuple[Sequence[ConfigId], tuple[str, ...], np.ndarray]  # ids, payloads, value rows
 
 FORMAT_MAGIC = "tunesim-benchmark-v1"
 
@@ -141,42 +143,33 @@ def generate(n_configs: int, units: int, model: CurveModel, seed: int) -> Learni
         - model.tail_theta * gaps[:, None] * phi[None, :]
         - amplitude[:, None] * psi[None, :]
     )
-    floor = float(latent.min())
+    observed, final = latent, latent[:, -1]
+    if model.noise_std > 0:
+        observed = latent + rng.normal(0.0, model.noise_std, latent.shape)
+        final = final + rng.normal(0.0, model.noise_std, n)
+    floor = float(min(latent.min(), observed.min(), final.min()))
     if floor <= 0:
-        # latent curves shift 1:1 with top_metric: name the 4-decimal value just above
+        # latent and stored values shift 1:1 with top_metric: name the 4-decimal value just above
         needed = math.floor((model.top_metric - floor) * 1e4 + 1) / 1e4
         raise GenerationError(
             f"metric floor {floor:.4f} is not positive; shrink the gaps or raise "
             f"top_metric to at least {needed:.4f}"
         )
-
-    observed = latent
-    final = latent[:, -1].copy()
-    if model.noise_std > 0:
-        if not model.hard and n > 1:
-            tail = latent[:, horizon - 1 :]
-            separation = float(np.min(tail[:-1, :] - tail[1:, :]))
-            if separation < 8.0 * model.noise_std:
-                raise GenerationError(
-                    f"observation noise std {model.noise_std:g} would reorder curves "
-                    f"beyond resource {horizon} (min separation {separation:g}); "
-                    "set hard=True to generate such a table anyway"
-                )
-        observed = latent + rng.normal(0.0, model.noise_std, latent.shape)
-        final = final + rng.normal(0.0, model.noise_std, n)
+    if model.noise_std > 0 and not model.hard and n > 1:
+        tail = latent[:, horizon - 1 :]
+        separation = float(np.min(tail[:-1, :] - tail[1:, :]))
+        if separation < 8.0 * model.noise_std:
+            raise GenerationError(
+                f"observation noise std {model.noise_std:g} would reorder curves "
+                f"beyond resource {horizon} (min separation {separation:g}); "
+                "set hard=True to generate such a table anyway"
+            )
 
     rate = model.cost_mean * np.exp(rng.normal(0.0, model.cost_spread, n))
     ids = rng.permutation(n)  # detach config ids from rank order
-    curves = {
-        int(ids[i]): Curve(
-            metrics=tuple(float(x) for x in observed[i]),
-            costs=(float(rate[i]),) * units,
-            final_metric=float(final[i]),
-        )
-        for i in range(n)
-    }
+    costs = np.broadcast_to(rate[:, None], (n, units))
     return LearningCurveTable(
-        resource_units=units, curves=curves, metric_name="accuracy", unit_label="epoch"
+        ids, observed, costs, final, metric_name="accuracy", unit_label="epoch"
     )
 
 
@@ -194,17 +187,13 @@ def save(table: LearningCurveTable, path: str) -> None:
         handle.write(f"metric={table.metric_name}\n")
         handle.write(f"unit_label={table.unit_label}\n")
         handle.write(f"direction={direction}\n")
-        handle.write(f"configs={len(table.curves)}\n")
+        handle.write(f"configs={len(table.ids)}\n")
         handle.write("\n")
         writer = csv.writer(handle)
-        for config in table.config_ids():
-            curve = table.curves[config]
-            writer.writerow(
-                [config, curve.payload]
-                + [repr(sign * m) for m in curve.metrics]
-                + [repr(c) for c in curve.costs]
-                + [repr(sign * curve.final_metric)]
-            )
+        values = np.column_stack((sign * table.metrics, table.costs, sign * table.finals))
+        # one row of Python floats at a time: a whole-table tolist() raises peak memory
+        for config, payload, row in zip(table.config_ids(), table.payloads, values):
+            writer.writerow([config, payload, *map(repr, row.tolist())])
 
 
 def _parse_header(lines: list[str]) -> tuple[dict[str, str], int]:
@@ -251,23 +240,19 @@ def load(path: str) -> LearningCurveTable:
         )
     sign = -1.0 if direction == "minimize" else 1.0
     rows = lines[data_start:]
-    curves = _rows_by_array(rows, units, sign)
-    if curves is None:
-        curves = _rows_by_line(rows, data_start + 1, units, sign)
-    if len(curves) != declared:
-        raise FormatError(
-            f"header declares {declared} configs but the file holds {len(curves)}"
-        )
+    parsed = _rows_by_array(rows, units)
+    ids, payloads, values = parsed or _rows_by_line(rows, data_start + 1, units)
+    if len(ids) != declared:
+        raise FormatError(f"header declares {declared} configs but the file holds {len(ids)}")
     return LearningCurveTable(
-        resource_units=units,
-        curves=curves,
+        ids, sign * values[:, :units], values[:, units:-1], sign * values[:, -1], payloads,
         metric_name=header.get("metric", "metric"),
         unit_label=header.get("unit_label", "unit"),
         flipped=(direction == "minimize"),
     )
 
 
-def _rows_by_array(rows: list[str], units: int, sign: float) -> dict[ConfigId, Curve] | None:
+def _rows_by_array(rows: list[str], units: int) -> Rows | None:
     """The data rows parsed in one numpy pass, or None if they need _rows_by_line.
 
     numpy splits fields as csv.reader does and converts each value with the
@@ -286,34 +271,22 @@ def _rows_by_array(rows: list[str], units: int, sign: float) -> dict[ConfigId, C
             )
     except (ValueError, Warning):
         return None
-    values = data["values"]
+    ids, values = data["id"], data["values"]
     if not (
         np.isfinite(values).all()
         and (values[:, units:-1] > 0).all()
-        and (data["id"] >= 0).all()
+        and (ids >= 0).all()
+        and np.unique(ids).size == ids.size
     ):
         return None
-    ids = data["id"].tolist()
-    curves = {
-        config: Curve(tuple(metrics), tuple(costs), final, payload)
-        for config, payload, metrics, costs, final in zip(
-            ids,
-            data["payload"].tolist(),
-            (sign * values[:, :units]).tolist(),
-            values[:, units:-1].tolist(),
-            (sign * values[:, -1]).tolist(),
-        )
-    }
-    return curves if len(curves) == len(ids) else None
+    return ids, tuple(data["payload"].tolist()), values
 
 
-def _rows_by_line(
-    rows: list[str], first_line: int, units: int, sign: float
-) -> dict[ConfigId, Curve]:
+def _rows_by_line(rows: list[str], first_line: int, units: int) -> Rows:
     """The data rows parsed one at a time with csv and float(); errors name the
     line (first_line is the file line of rows[0])."""
     expected_fields = 2 + 2 * units + 1
-    curves: dict[ConfigId, Curve] = {}
+    parsed: dict[ConfigId, tuple[str, list[float]]] = {}  # config -> payload, values
     for offset, row in enumerate(csv.reader(rows)):
         number = first_line + offset
         if not row:
@@ -329,21 +302,15 @@ def _rows_by_line(
             raise FormatError(f"line {number}: {exc}") from exc
         if config < 0:
             raise FormatError(f"line {number}: config ids must be >= 0, got {config}")
-        if config in curves:
+        if config in parsed:
             raise FormatError(f"line {number}: duplicate config id {config}")
         if not all(math.isfinite(v) for v in values):
             raise FormatError(f"line {number}: non-finite value")
-        metrics = tuple(sign * v for v in values[:units])
-        costs = tuple(values[units : 2 * units])
-        if any(c <= 0 for c in costs):
+        if any(c <= 0 for c in values[units : 2 * units]):
             raise FormatError(f"line {number}: costs must be > 0")
-        curves[config] = Curve(
-            metrics=metrics,
-            costs=costs,
-            final_metric=sign * values[-1],
-            payload=row[1],
-        )
-    return curves
+        parsed[config] = row[1], values
+    array = np.array([v for _, v in parsed.values()]).reshape(len(parsed), 2 * units + 1)
+    return list(parsed), tuple(p for p, _ in parsed.values()), array
 
 
 def crossing_report(table: LearningCurveTable) -> list[tuple[tuple[ConfigId, ConfigId], int]]:
@@ -354,8 +321,7 @@ def crossing_report(table: LearningCurveTable) -> list[tuple[tuple[ConfigId, Con
     Each row is compared with the rows after it in one step, so memory stays
     O(n x units).
     """
-    ids = table.config_ids()
-    matrix = np.array([table.curves[c].metrics for c in ids])
+    ids, matrix = table.config_ids(), table.metrics
     report = []
     for i in range(len(ids) - 1):
         sign = np.sign(matrix[i] - matrix[i + 1 :])

@@ -15,13 +15,15 @@ import io
 import math
 import os
 import statistics
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+
+import numpy as np
 
 from .benchgen import load
 from .core import DataError, ResourceSpec, TunesimError, UsageError
 from .ranking import RankingCriterion
 from .scheduler import MODES, SchedulerConfig, check_mode_options
-from .simulator import Curve, LearningCurveTable, simulate, write_trace
+from .simulator import LearningCurveTable, simulate, write_trace
 
 SEED_PLACEHOLDER = "{seed}"
 
@@ -156,33 +158,24 @@ class ExperimentReport:
 
 def _average_tables(tables: list[LearningCurveTable]) -> LearningCurveTable:
     first = tables[0]
-    ids = first.config_ids()
     for other in tables[1:]:
         if (
             other.resource_units != first.resource_units
-            or other.config_ids() != ids
+            or not np.array_equal(other.ids, first.ids)
             or other.flipped != first.flipped
         ):
             raise DataError(
                 "benchmark seeds disagree on units, direction, or config ids; "
                 "cannot impute the missing seeds"
             )
-    curves = {}
-    for config in ids:
-        variants = [t.curves[config] for t in tables]
-        curves[config] = Curve(
-            metrics=tuple(statistics.fmean(v) for v in zip(*(c.metrics for c in variants))),
-            costs=tuple(statistics.fmean(v) for v in zip(*(c.costs for c in variants))),
-            final_metric=statistics.fmean(c.final_metric for c in variants),
-            payload=variants[0].payload,
-        )
-    return LearningCurveTable(
-        resource_units=first.resource_units,
-        curves=curves,
-        metric_name=first.metric_name,
-        unit_label=first.unit_label,
-        flipped=first.flipped,
-    )
+    # statistics.fmean per value (np.mean rounds differently), one config at a time:
+    # a table-sized list of Python floats would raise peak memory
+    units = first.resource_units
+    mean = np.empty((len(first.ids), 2 * units + 1))
+    for i, out in enumerate(mean):
+        rows = [[*t.metrics[i].tolist(), *t.costs[i].tolist(), t.finals.item(i)] for t in tables]
+        out[:] = [statistics.fmean(v) for v in zip(*rows)]
+    return replace(first, metrics=mean[:, :units], costs=mean[:, units:-1], finals=mean[:, -1])
 
 
 def resolve_tables(spec: ExperimentSpec) -> dict[int, LearningCurveTable]:

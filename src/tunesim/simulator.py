@@ -12,68 +12,103 @@ import heapq
 import math
 import random
 from bisect import insort
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Sequence
+
+import numpy as np
 
 from .core import ConfigId, DataError, InternalError, RungLadder, UsageError
 from .scheduler import Job, Scheduler, SchedulerConfig
-
-
-@dataclass(frozen=True)
-class Curve:
-    """One config's tabulated run: metric and cost after each resource unit."""
-
-    metrics: tuple[float, ...]  # metrics[u - 1] is the value after u units
-    costs: tuple[float, ...]  # costs[u - 1] is the wall-clock seconds of unit u
-    final_metric: float  # full-fidelity metric used for reporting
-    payload: str = ""  # optional opaque hyperparameter description
 
 
 @dataclass
 class LearningCurveTable:
     """Tabulated benchmark: per config, a metric and a cost per resource unit.
 
+    Row i of each read-only array belongs to config ids[i], in ascending id
+    order: metrics[i, u - 1] is the value after u units, costs[i, u - 1] the
+    wall-clock seconds of unit u, finals[i] the full-fidelity metric used for
+    reporting and payloads[i] an optional opaque hyperparameter description.
+    The arguments may list the configs in any order; the table keeps sorted
+    copies.
+
     Metrics are stored larger-is-better; tables loaded from a minimize-direction
     file are negated on ingestion and marked flipped so reports can restore the
     original sign.
     """
 
-    resource_units: int
-    curves: dict[ConfigId, Curve]
+    ids: np.ndarray
+    metrics: np.ndarray
+    costs: np.ndarray
+    finals: np.ndarray
+    payloads: Sequence[str] | None = None  # None: an empty payload per config
     metric_name: str = "metric"
     unit_label: str = "unit"
     flipped: bool = False
+    resource_units: int = field(init=False)
+    _rows: dict[ConfigId, int] = field(init=False, repr=False)  # config id -> row
 
     def __post_init__(self) -> None:
-        if self.resource_units < 1:
-            raise DataError(f"resource_units must be >= 1, got {self.resource_units}")
-        if not self.curves:
+        ids = np.asarray(self.ids)
+        if ids.dtype.kind not in "iu":  # ids beyond int64 stay Python ints
+            ids = np.array(self.ids, dtype=object)
+        metrics, costs, finals = (
+            np.asarray(a, dtype=np.float64) for a in (self.metrics, self.costs, self.finals)
+        )
+        n = ids.size
+        payloads = ("",) * n if self.payloads is None else tuple(self.payloads)
+        if n == 0:
             raise DataError("a benchmark needs at least one config")
-        for config, curve in self.curves.items():
-            if config < 0:
-                raise DataError(f"config ids must be >= 0, got {config}")
-            if len(curve.metrics) != self.resource_units or len(curve.costs) != self.resource_units:
-                raise DataError(
-                    f"curve for config {config} has {len(curve.metrics)} metric and "
-                    f"{len(curve.costs)} cost entries; expected {self.resource_units}"
-                )
-            if not all(map(math.isfinite, curve.metrics)) or not math.isfinite(
-                curve.final_metric
-            ):
-                raise DataError(f"non-finite metric in curve for config {config}")
-            if not all(map(math.isfinite, curve.costs)) or min(curve.costs) <= 0:
-                raise DataError(f"costs for config {config} must be finite and > 0")
+        shapes = ids.shape, metrics.shape[:-1], costs.shape[:-1], finals.shape, (len(payloads),)
+        if set(shapes) != {(n,)}:  # metrics and costs hold one row per config
+            raise DataError(f"one id, metric row, cost row, final and payload per config: {shapes}")
+        units = metrics.shape[1]
+        if units < 1:
+            raise DataError(f"resource_units must be >= 1, got {units}")
+        order = np.argsort(ids, kind="stable")
+        ids, metrics, costs, finals = ids[order], metrics[order], costs[order], finals[order]
+        repeated = np.flatnonzero(ids[1:] == ids[:-1])
+        if ids[0] < 0:
+            raise DataError(f"config ids must be >= 0, got {ids[0]}")
+        if repeated.size:
+            raise DataError(f"duplicate config id {ids[repeated[0]]}")
+        if costs.shape[1] != units:
+            raise DataError(
+                f"curve for config {ids[0]} has {units} metric and "
+                f"{costs.shape[1]} cost entries; expected {units}"
+            )
+        bad = ~(np.isfinite(metrics).all(axis=1) & np.isfinite(finals))
+        if bad.any():
+            raise DataError(f"non-finite metric in curve for config {ids[bad.argmax()]}")
+        bad = ~(np.isfinite(costs) & (costs > 0)).all(axis=1)
+        if bad.any():
+            raise DataError(f"costs for config {ids[bad.argmax()]} must be finite and > 0")
+        for array in (ids, metrics, costs, finals):
+            array.flags.writeable = False
+        self.ids, self.metrics, self.costs, self.finals = ids, metrics, costs, finals
+        self.payloads = tuple([payloads[i] for i in order.tolist()])
+        self.resource_units = units
+        self._rows = dict(zip(ids.tolist(), range(n)))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, LearningCurveTable):
+            return NotImplemented
+        arrays = ("ids", "metrics", "costs", "finals")
+        return all(np.array_equal(getattr(self, a), getattr(other, a)) for a in arrays) and (
+            (self.payloads, self.metric_name, self.unit_label, self.flipped)
+            == (other.payloads, other.metric_name, other.unit_label, other.flipped)
+        )
 
     def config_ids(self) -> list[ConfigId]:
-        return sorted(self.curves)
+        return self.ids.tolist()
 
-    def _curve(self, config: ConfigId) -> Curve:
-        try:
-            return self.curves[config]
-        except KeyError:
-            raise DataError(f"no curve for config {config}") from None
-
-    def _check_units(self, config: ConfigId, resource: int) -> None:
+    def _checked_row(self, config: ConfigId, resource: int, start: int | None = None) -> int:
+        """config's row after every check: the refusal path of the table lookups."""
+        row = self._rows.get(config)
+        if row is None:
+            raise DataError(f"no curve for config {config}")
+        if start is not None and not 0 <= start < resource:
+            raise InternalError(f"bad resume range ({start}, {resource}] for config {config}")
         if not isinstance(resource, int) or isinstance(resource, bool):
             raise DataError(f"resource must be an integer unit, got {resource!r}")
         if not 1 <= resource <= self.resource_units:
@@ -81,23 +116,26 @@ class LearningCurveTable:
                 f"curve for config {config} covers {self.resource_units} units; "
                 f"requested {resource}"
             )
+        return row
 
     def metric(self, config: ConfigId, resource: int) -> float:
         """Metric after training config for resource units (1-indexed)."""
-        curve = self._curve(config)
-        self._check_units(config, resource)
-        return curve.metrics[resource - 1]
+        row = self._rows.get(config)
+        if row is None or resource.__class__ is not int or not 0 < resource <= self.resource_units:
+            row = self._checked_row(config, resource)
+        return self.metrics.item(row, resource - 1)
 
     def incremental_cost(self, config: ConfigId, start: int, target: int) -> float:
         """Seconds to continue config from start units (already paid) to target."""
-        curve = self._curve(config)
-        if not 0 <= start < target:
-            raise InternalError(f"bad resume range ({start}, {target}] for config {config}")
-        self._check_units(config, target)
-        return sum(curve.costs[start:target])
+        row = self._rows.get(config)
+        if row is None or target.__class__ is not int or not (
+            0 <= start < target <= self.resource_units
+        ):
+            row = self._checked_row(config, target, start)
+        return sum(self.costs[row, start:target].tolist())  # np.sum would round differently
 
     def final_metric(self, config: ConfigId) -> float:
-        return self._curve(config).final_metric
+        return self.finals.item(self._checked_row(config, 1))  # every table covers unit 1
 
     def display_metric(self, value: float) -> float:
         """Undo the ingestion negation for minimize-direction benchmarks."""
@@ -175,6 +213,10 @@ def simulate(
     if config.mode == "random":
         return _random_result(config, table, collect_trace)
     sched = Scheduler(config, table.config_ids())
+    if sched.ceiling > table.resource_units:  # refused before the first job, in every mode
+        raise DataError(
+            f"the benchmark covers {table.resource_units} units; requested {sched.ceiling}"
+        )
     get_job, report = sched.get_job, sched.report
     metric_at, incremental_cost = table.metric, table.incremental_cost
     checkpoint: dict[ConfigId, int] = {}

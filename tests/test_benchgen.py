@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import os
 import tempfile
@@ -14,7 +15,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tunesim import (
-    Curve,
     CurveModel,
     DataError,
     FormatError,
@@ -93,19 +93,30 @@ class TestGenerate:
         message = f"metric floor {floor} is not positive; .* top_metric to at least {needed:.4f}$"
         with pytest.raises(GenerationError, match=message):
             generate(n, 81, DEFAULT, seed=0)
-        assert len(generate(n, 81, CurveModel(top_metric=needed), seed=0).curves) == n
+        assert len(generate(n, 81, CurveModel(top_metric=needed), seed=0).config_ids()) == n
         with pytest.raises(GenerationError, match="is not positive"):
             generate(n, 81, CurveModel(top_metric=needed - 1e-4), seed=0)
 
+    def test_noise_that_reaches_zero_is_refused_naming_a_top_metric_that_generates(self):
+        # the latent floor is positive; observation noise carries stored metrics below 0
+        model = CurveModel(top_metric=0.9666, noise_std=0.01, hard=True)
+        message = "metric floor -0.0216 is not positive; .* top_metric to at least 0.9882$"
+        with pytest.raises(GenerationError, match=message):
+            generate(1024, 81, model, seed=0)
+        table = generate(1024, 81, dataclasses.replace(model, top_metric=0.9882), seed=0)
+        assert table.metrics.min() > 0 and table.finals.min() > 0
+        with pytest.raises(GenerationError, match="is not positive"):
+            generate(1024, 81, dataclasses.replace(model, top_metric=0.9881), seed=0)
+
     def test_ids_are_a_permutation(self):
         table = generate(20, 9, DEFAULT, seed=1)
-        assert sorted(table.curves) == list(range(20))
+        assert sorted(table.config_ids()) == list(range(20))
 
     def test_noiseless_curves_rise_strictly(self):
         table = generate(24, 27, DEFAULT, seed=0)
-        for curve in table.curves.values():
-            assert all(b > a for a, b in zip(curve.metrics, curve.metrics[1:]))
-            assert curve.final_metric == curve.metrics[-1]
+        for metrics, final in zip(table.metrics.tolist(), table.finals.tolist()):
+            assert all(b > a for a, b in zip(metrics, metrics[1:]))
+            assert final == metrics[-1]
 
     def test_noiseless_order_is_settled_at_the_horizon(self):
         # early perturbations cross curves, but never at or past the horizon
@@ -118,8 +129,8 @@ class TestGenerate:
     def test_disagreement_with_the_final_order_only_shrinks(self):
         for seed in range(5):
             table = generate(24, 27, DEFAULT, seed=seed)
-            ids = sorted(table.curves)
-            matrix = np.array([table.curves[c].metrics for c in ids])
+            ids = table.config_ids()
+            matrix = table.metrics
             final = matrix[:, -1]
             discordant = []
             for u in range(matrix.shape[1]):
@@ -134,14 +145,14 @@ class TestGenerate:
 
     def test_costs_are_one_constant_rate_per_config(self):
         table = generate(10, 9, DEFAULT, seed=2)
-        for curve in table.curves.values():
-            assert len(set(curve.costs)) == 1
-            assert curve.costs[0] > 0
+        for costs in table.costs.tolist():
+            assert len(set(costs)) == 1
+            assert costs[0] > 0
 
     def test_zero_cost_spread_pins_every_rate_to_the_mean(self):
         model = CurveModel(cost_mean=2.5, cost_spread=0.0)
         table = generate(6, 9, model, seed=0)
-        assert all(c.costs[0] == 2.5 for c in table.curves.values())
+        assert all(c == 2.5 for c in table.costs[:, 0])
 
     def test_noise_too_large_for_the_separation_is_refused(self):
         with pytest.raises(GenerationError, match="reorder curves beyond resource 5"):
@@ -149,14 +160,13 @@ class TestGenerate:
 
     def test_hard_flag_permits_reordering_noise(self):
         table = generate(16, 27, CurveModel(noise_std=0.01, hard=True), seed=0)
-        assert len(table.curves) == 16
+        assert len(table.config_ids()) == 16
 
     def test_noise_perturbs_observations_and_finals(self):
         clean = generate(8, 27, CurveModel(noise_std=0.2, hard=True), seed=5)
         base = generate(8, 27, DEFAULT, seed=5)
         assert clean != base
-        some = next(iter(clean.curves.values()))
-        assert some.final_metric != some.metrics[-1]
+        assert clean.finals[0] != clean.metrics[0, -1]
 
 
 class TestSaveLoad:
@@ -186,9 +196,9 @@ class TestSaveLoad:
             "0,,0.5,0.25,1.0,1.0,0.2\n"
         )
         table = load(str(path))
-        assert table.curves[0].metrics == (-0.5, -0.25)
-        assert table.curves[0].final_metric == -0.2
-        assert table.display_metric(table.curves[0].metrics[1]) == 0.25
+        assert table.metrics[0].tolist() == [-0.5, -0.25]
+        assert table.final_metric(0) == -0.2
+        assert table.display_metric(table.metric(0, 2)) == 0.25
 
     def test_saved_bytes_are_deterministic(self, tmp_path):
         table = generate(10, 9, DEFAULT, seed=7)
@@ -198,11 +208,13 @@ class TestSaveLoad:
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
     def test_payload_with_commas_survives_the_round_trip(self, tmp_path):
-        curve = Curve((0.5, 0.6), (1.0, 1.0), 0.6, payload="lr=0.1,depth=4")
-        table = LearningCurveTable(resource_units=2, curves={3: curve})
+        table = LearningCurveTable(
+            ids=[3], metrics=[[0.5, 0.6]], costs=[[1.0, 1.0]], finals=[0.6],
+            payloads=["lr=0.1,depth=4"],
+        )
         path = str(tmp_path / "bench.csv")
         save(table, path)
-        assert load(path).curves[3].payload == "lr=0.1,depth=4"
+        assert load(path).payloads == ("lr=0.1,depth=4",)
 
     def write(self, tmp_path, body, header=None):
         head = header if header is not None else (
@@ -306,19 +318,13 @@ def small_tables(draw):
     cost = st.floats(1e-6, 1e6)
     payload = st.text(st.sampled_from("ab, \"'=;:.-_0"), max_size=6)
     ids = draw(st.lists(st.integers(0, 10**6), min_size=1, max_size=6, unique=True))
-    curves = {
-        config: Curve(
-            metrics=tuple(draw(st.lists(metric, min_size=units, max_size=units))),
-            costs=tuple(draw(st.lists(cost, min_size=units, max_size=units))),
-            final_metric=draw(metric),
-            payload=draw(payload),
-        )
-        for config in ids
-    }
     name = st.text(st.sampled_from("abXY09_-"), min_size=1, max_size=8)
     return LearningCurveTable(
-        resource_units=units,
-        curves=curves,
+        ids=ids,
+        metrics=[draw(st.lists(metric, min_size=units, max_size=units)) for _ in ids],
+        costs=[draw(st.lists(cost, min_size=units, max_size=units)) for _ in ids],
+        finals=[draw(metric) for _ in ids],
+        payloads=[draw(payload) for _ in ids],
         metric_name=draw(name),
         unit_label=draw(name),
         flipped=draw(st.booleans()),
@@ -382,7 +388,7 @@ def _oracle_crossings(table):
 
     report = []
     for a, b in itertools.combinations(table.config_ids(), 2):
-        ma, mb = table.curves[a].metrics, table.curves[b].metrics
+        ma, mb = (table.metrics[table.config_ids().index(c)].tolist() for c in (a, b))
         final = sign(ma[-1] - mb[-1])
         deviating = [u + 1 for u in range(len(ma)) if sign(ma[u] - mb[u]) != final]
         if deviating:
@@ -457,12 +463,14 @@ def _outcome(path):
         table = load(path)
     except Exception as exc:
         return type(exc).__name__, str(exc)
-    curves = [
-        (config, curve.payload, [x.hex() for x in curve.metrics],
-         [x.hex() for x in curve.costs], curve.final_metric.hex())
-        for config, curve in table.curves.items()
+    rows = [
+        (config, payload, [x.hex() for x in metrics], [x.hex() for x in costs], final.hex())
+        for config, payload, metrics, costs, final in zip(
+            table.config_ids(), table.payloads, table.metrics.tolist(),
+            table.costs.tolist(), table.finals.tolist(),
+        )
     ]
-    return table.resource_units, table.metric_name, table.unit_label, table.flipped, curves
+    return table.resource_units, table.metric_name, table.unit_label, table.flipped, rows
 
 
 def _outcome_by_line(path):
@@ -534,4 +542,4 @@ class TestOnePassLoad:
         )
         table = load(str(path))
         assert table.config_ids() == [10, big]
-        assert table.curves[10].costs == (10.5,)
+        assert table.costs[0].tolist() == [10.5]

@@ -57,7 +57,7 @@ class TestGenerateVerb:
         )
         assert code == 0
         table = load(out)
-        assert all(c.costs[0] == 2.0 for c in table.curves.values())
+        assert all(c == 2.0 for c in table.costs[:, 0])
 
     def test_infeasible_noise_is_a_data_error(self, tmp_path, capsys):
         args = ["generate", "--out", str(tmp_path / "b.csv"), "--num-configs",

@@ -8,11 +8,11 @@ import math
 import os
 import statistics
 
+import numpy as np
 import pytest
 
 from tunesim import (
     CellResult,
-    Curve,
     CurveModel,
     DataError,
     ExperimentSpec,
@@ -169,15 +169,35 @@ class TestResolveTables:
         tables = resolve_tables(spec)
         assert tables[0] == t0
         assert tables[2] == t2
-        for config in t0.config_ids():
+        for row, config in enumerate(t0.config_ids()):
             expect = [
                 statistics.fmean(pair)
-                for pair in zip(t0.curves[config].metrics, t2.curves[config].metrics)
+                for pair in zip(t0.metrics[row].tolist(), t2.metrics[row].tolist())
             ]
-            assert list(tables[1].curves[config].metrics) == expect
-            assert tables[1].curves[config].final_metric == statistics.fmean(
-                (t0.curves[config].final_metric, t2.curves[config].final_metric)
+            assert tables[1].metrics[row].tolist() == expect
+            assert tables[1].final_metric(config) == statistics.fmean(
+                (t0.final_metric(config), t2.final_metric(config))
             )
+            assert tables[1].costs[row].tolist() == [
+                statistics.fmean(pair)
+                for pair in zip(t0.costs[row].tolist(), t2.costs[row].tolist())
+            ]
+
+    def test_imputation_is_fmean_per_value_not_np_mean(self, tmp_path):
+        # over three seeds, np.mean's rounding differs from fmean in some cells
+        available = [generate(64, 9, CurveModel(noise_std=0.01, hard=True), s) for s in (0, 1, 2)]
+        for seed, table in enumerate(available):
+            save(table, str(tmp_path / f"bench-{seed}.csv"))
+        spec = small_spec(
+            benchmark=str(tmp_path / "bench-{seed}.csv"), benchmark_seeds=(0, 1, 2, 3)
+        )
+        imputed = resolve_tables(spec)[3]
+        for name in ("metrics", "costs", "finals"):
+            columns = zip(*(getattr(t, name).ravel().tolist() for t in available))
+            expect = [statistics.fmean(v) for v in columns]
+            assert getattr(imputed, name).ravel().tolist() == expect
+        stacked = np.mean([t.metrics for t in available], axis=0)
+        assert (stacked != imputed.metrics).any()
 
     def test_no_seed_file_at_all_is_an_error(self, tmp_path):
         spec = small_spec(
@@ -210,11 +230,10 @@ class TestRunCells:
 
     def test_metric_is_reported_in_display_direction(self):
         # a minimize benchmark is stored negated; reports restore the sign
-        curves = {
-            0: Curve((-0.5,), (1.0,), -0.4),
-            1: Curve((-0.6,), (1.0,), -0.3),
-        }
-        table = LearningCurveTable(resource_units=1, curves=curves, flipped=True)
+        table = LearningCurveTable(
+            ids=[0, 1], metrics=[[-0.5], [-0.6]], costs=[[1.0], [1.0]], finals=[-0.4, -0.3],
+            flipped=True,
+        )
         spec = small_spec(
             methods=(MethodSpec.parse("one-epoch"),),
             num_configs=2,

@@ -8,12 +8,12 @@ import os
 import random
 import tempfile
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tunesim import (
-    Curve,
     DataError,
     InternalError,
     LearningCurveTable,
@@ -50,37 +50,58 @@ def rising_table(n, units, slope=0.01):
 class TestTableValidation:
     def test_rejects_zero_units(self):
         with pytest.raises(DataError, match="resource_units"):
-            LearningCurveTable(resource_units=0, curves={0: Curve((0.5,), (1.0,), 0.5)})
+            LearningCurveTable(ids=[0], metrics=[[]], costs=[[]], finals=[0.5])
 
     def test_rejects_empty_table(self):
         with pytest.raises(DataError, match="at least one config"):
-            LearningCurveTable(resource_units=1, curves={})
+            LearningCurveTable(ids=[], metrics=[], costs=[], finals=[])
 
     def test_rejects_negative_config_id(self):
         with pytest.raises(DataError, match="-3"):
-            LearningCurveTable(
-                resource_units=1, curves={-3: Curve((0.5,), (1.0,), 0.5)}
-            )
+            LearningCurveTable(ids=[-3], metrics=[[0.5]], costs=[[1.0]], finals=[0.5])
 
     def test_rejects_ragged_curve_naming_the_config(self):
-        curves = {
-            0: Curve((0.5, 0.6), (1.0, 1.0), 0.6),
-            7: Curve((0.5,), (1.0, 1.0), 0.5),
-        }
+        # every row of a cost array one entry short of its metric row
         with pytest.raises(DataError, match="config 7"):
-            LearningCurveTable(resource_units=2, curves=curves)
+            LearningCurveTable(
+                ids=[9, 7], metrics=[[0.5, 0.6], [0.5, 0.6]], costs=[[1.0], [1.0]],
+                finals=[0.6, 0.6],
+            )
 
     def test_rejects_non_finite_metric(self):
         with pytest.raises(DataError, match="non-finite"):
-            LearningCurveTable(
-                resource_units=1, curves={0: Curve((math.nan,), (1.0,), 0.5)}
-            )
+            LearningCurveTable(ids=[0], metrics=[[math.nan]], costs=[[1.0]], finals=[0.5])
 
     def test_rejects_non_positive_cost(self):
         with pytest.raises(DataError, match="costs"):
+            LearningCurveTable(ids=[0], metrics=[[0.5]], costs=[[0.0]], finals=[0.5])
+
+    def test_rejects_a_duplicate_config_id(self):
+        with pytest.raises(DataError, match="duplicate config id 4"):
             LearningCurveTable(
-                resource_units=1, curves={0: Curve((0.5,), (0.0,), 0.5)}
+                ids=[4, 1, 4], metrics=[[0.5]] * 3, costs=[[1.0]] * 3, finals=[0.5] * 3
             )
+
+    @pytest.mark.parametrize(
+        "change, shapes",
+        [
+            ({"metrics": [[0.5]]}, r"\(2,\), \(1,\), \(2,\), \(2,\), \(2,\)"),
+            ({"metrics": [0.5, 0.5]}, r"\(2,\), \(\), \(2,\), \(2,\), \(2,\)"),
+            ({"costs": [[[1.0]]] * 2}, r"\(2,\), \(2,\), \(2, 1\), \(2,\), \(2,\)"),
+            ({"finals": [[0.5]] * 2}, r"\(2,\), \(2,\), \(2,\), \(2, 1\), \(2,\)"),
+            ({"ids": [[0, 1]]}, r"\(1, 2\), \(2,\), \(2,\), \(2,\), \(2,\)"),
+            ({"payloads": ["a"]}, r"\(2,\), \(2,\), \(2,\), \(2,\), \(1,\)"),
+        ],
+    )
+    def test_rejects_arrays_of_different_lengths(self, change, shapes):
+        fields = dict(ids=[0, 1], metrics=[[0.5]] * 2, costs=[[1.0]] * 2, finals=[0.5] * 2)
+        with pytest.raises(DataError, match=f"per config: \\({shapes}\\)$"):
+            LearningCurveTable(**{**fields, **change})
+
+    def test_bad_rows_are_named_in_ascending_id_order(self):
+        metrics = [[0.5], [math.inf], [math.nan]]
+        with pytest.raises(DataError, match="config 3$"):
+            LearningCurveTable(ids=[8, 5, 3], metrics=metrics, costs=[[1.0]] * 3, finals=[0.5] * 3)
 
     def test_metric_lookup_is_one_indexed(self):
         table = table_from_rows({0: [0.1, 0.2, 0.3]})
@@ -119,6 +140,93 @@ class TestTableValidation:
         assert table.display_metric(-0.25) == -0.25
         table.flipped = True
         assert table.display_metric(-0.25) == 0.25
+
+
+
+def _two_config_table(**changes):
+    fields = dict(
+        ids=[5, 2],
+        metrics=[[0.4, 0.7], [0.5, 0.6]],
+        costs=[[1.5, 1.0], [1.0, 2.0]],
+        finals=[0.7, 0.6],
+        payloads=["b", "a"],
+    )
+    return LearningCurveTable(**{**fields, **changes})
+
+
+class TestTableArrays:
+    def test_rows_are_held_in_ascending_id_order(self):
+        table = _two_config_table()
+        assert table.config_ids() == [2, 5]
+        assert table.metrics.tolist() == [[0.5, 0.6], [0.4, 0.7]]
+        assert table.costs.tolist() == [[1.0, 2.0], [1.5, 1.0]]
+        assert table.finals.tolist() == [0.6, 0.7]
+        assert table.payloads == ("a", "b")
+        assert table.resource_units == 2
+        assert table.metric(5, 2) == 0.7 and table.final_metric(2) == 0.6
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"ids": [5, 3]},
+            {"metrics": [[0.4, 0.7], [0.5, 0.65]]},
+            {"costs": [[1.5, 1.0], [1.0, 2.5]]},
+            {"finals": [0.7, 0.61]},
+            {"payloads": ["b", "c"]},
+            {"payloads": ["b", "a\x00"]},
+            {"flipped": True},
+            {"metric_name": "loss"},
+            {"unit_label": "step"},
+        ],
+        ids=lambda change: next(iter(change)),
+    )
+    def test_a_copy_changed_in_one_place_compares_unequal(self, change):
+        table = _two_config_table()
+        assert table == _two_config_table()
+        assert table == dataclasses.replace(table)
+        assert table != _two_config_table(**change)
+        assert _two_config_table(**change) != table
+
+    def test_arrays_are_read_only(self):
+        table = _two_config_table()
+        for array in (table.ids, table.metrics, table.costs, table.finals):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1
+        with pytest.raises(ValueError, match="read-only"):
+            table.metrics[0, 0] = 0.9
+
+    def test_the_arguments_are_copied(self):
+        metrics = np.array([[0.5, 0.6], [0.4, 0.7]])
+        table = LearningCurveTable(ids=[2, 5], metrics=metrics, costs=np.ones((2, 2)),
+                                   finals=[0.6, 0.7])
+        metrics[0, 0] = 0.9
+        assert table.metric(2, 1) == 0.5
+
+    def test_lookups_return_python_floats(self):
+        table = _two_config_table()
+        for value in (table.metric(2, 1), table.incremental_cost(2, 0, 2), table.final_metric(5)):
+            assert type(value) is float
+
+    @pytest.mark.parametrize("resource", [True, 1.0, np.int64(1)])
+    def test_a_resource_that_is_not_a_plain_int_is_refused(self, resource):
+        table = _two_config_table()
+        with pytest.raises(DataError, match="integer"):
+            table.metric(2, resource)
+        with pytest.raises(DataError, match="integer"):
+            table.incremental_cost(2, 0, resource)
+
+    def test_each_lookup_refuses_what_its_inline_test_lets_through(self):
+        table = _two_config_table()
+        with pytest.raises(DataError, match="no curve for config 3"):
+            table.incremental_cost(3, 0, 1)
+        with pytest.raises(DataError, match="no curve for config 3"):
+            table.final_metric(3)
+        with pytest.raises(DataError, match="config 2 covers 2 units; requested 3"):
+            table.incremental_cost(2, 1, 3)
+        with pytest.raises(DataError, match="config 2 covers 2 units; requested 0"):
+            table.metric(2, 0)
+        with pytest.raises(InternalError, match=r"resume range \(-1, 1\]"):
+            table.incremental_cost(2, -1, 1)
 
 
 class TestAccounting:
@@ -194,10 +302,25 @@ class TestAccounting:
             run("asha", table, n=4, spec=(1, 3, 9), workers=0)
 
     def test_table_shorter_than_the_ladder_fails_at_first_use(self):
-        # a 27-unit table accepts the run until a job actually targets 81
+        # a 27-unit table is refused before asha issues a job that targets 81
         table = rising_table(81, 27)
         with pytest.raises(DataError, match="covers 27 units; requested 81"):
             run("asha", table, n=81, spec=(1, 3, 81))
+
+    def test_pasha_is_refused_a_table_shorter_than_its_ceiling(self):
+        # on these stable curves pasha would stop growing at 9 units
+        table = rising_table(81, 27)
+        with pytest.raises(DataError, match="covers 27 units; requested 81"):
+            run("pasha", table, n=81, spec=(1, 3, 81))
+
+    @pytest.mark.parametrize(
+        "mode, ceiling", [("asha", 18), ("pasha", 18), ("no-increase", 18), ("one-epoch", 2)]
+    )
+    def test_every_training_mode_checks_its_ceiling_before_the_first_job(self, mode, ceiling):
+        table = rising_table(9, 1)
+        with pytest.raises(DataError, match=f"covers 1 units; requested {ceiling}$"):
+            run(mode, table, n=9, spec=(2, 3, 18))
+        assert run(mode, rising_table(9, ceiling), n=9, spec=(2, 3, 18)).jobs_executed > 0
 
 
 class TestRandomBaseline:

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from tunesim import Curve, CurveModel, LearningCurveTable, ResourceSpec, SchedulerConfig
+from tunesim import CurveModel, LearningCurveTable, ResourceSpec, SchedulerConfig
 from tunesim.core import ConfigId, RungEntry
 from tunesim.scheduler import Scheduler
 
@@ -62,14 +62,12 @@ def table_from_rows(
 ) -> LearningCurveTable:
     """Table with explicit metric rows; costs default to 1 second per unit."""
     units = len(next(iter(rows.values())))
-    curves = {}
-    for config, metrics in rows.items():
-        curve_costs = costs[config] if costs else [1.0] * units
-        final = finals[config] if finals else metrics[-1]
-        curves[config] = Curve(
-            metrics=tuple(metrics), costs=tuple(curve_costs), final_metric=final
-        )
-    return LearningCurveTable(resource_units=units, curves=curves)
+    return LearningCurveTable(
+        ids=list(rows),
+        metrics=[rows[c] for c in rows],
+        costs=[costs[c] if costs else [1.0] * units for c in rows],
+        finals=[finals[c] if finals else rows[c][-1] for c in rows],
+    )
 
 
 class ScriptedSearcher:
