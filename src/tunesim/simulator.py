@@ -11,6 +11,7 @@ from __future__ import annotations
 import heapq
 import math
 import random
+import statistics
 from bisect import insort
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Sequence
@@ -52,9 +53,11 @@ class LearningCurveTable:
         ids = np.asarray(self.ids)
         if ids.dtype.kind not in "iu":  # ids beyond int64 stay Python ints
             ids = np.array(self.ids, dtype=object)
-        metrics, costs, finals = (
-            np.asarray(a, dtype=np.float64) for a in (self.metrics, self.costs, self.finals)
-        )
+        try:
+            metrics, costs = (np.asarray(a, dtype=np.float64) for a in (self.metrics, self.costs))
+        except ValueError as error:  # rows of different lengths, or values that are no numbers
+            raise _ragged_rows(ids, self.metrics, self.costs) or error
+        finals = np.asarray(self.finals, dtype=np.float64)
         n = ids.size
         payloads = ("",) * n if self.payloads is None else tuple(self.payloads)
         if n == 0:
@@ -74,8 +77,7 @@ class LearningCurveTable:
             raise DataError(f"duplicate config id {ids[repeated[0]]}")
         if costs.shape[1] != units:
             raise DataError(
-                f"curve for config {ids[0]} has {units} metric and "
-                f"{costs.shape[1]} cost entries; expected {units}"
+                f"every metric row has {units} entries but every cost row has {costs.shape[1]}"
             )
         bad = ~(np.isfinite(metrics).all(axis=1) & np.isfinite(finals))
         if bad.any():
@@ -102,13 +104,13 @@ class LearningCurveTable:
     def config_ids(self) -> list[ConfigId]:
         return self.ids.tolist()
 
-    def _checked_row(self, config: ConfigId, resource: int, start: int | None = None) -> int:
-        """config's row after every check: the refusal path of the table lookups."""
+    def _row(self, config: ConfigId) -> int:
         row = self._rows.get(config)
         if row is None:
             raise DataError(f"no curve for config {config}")
-        if start is not None and not 0 <= start < resource:
-            raise InternalError(f"bad resume range ({start}, {resource}] for config {config}")
+        return row
+
+    def _check_units(self, config: ConfigId, resource: int) -> None:
         if not isinstance(resource, int) or isinstance(resource, bool):
             raise DataError(f"resource must be an integer unit, got {resource!r}")
         if not 1 <= resource <= self.resource_units:
@@ -116,13 +118,13 @@ class LearningCurveTable:
                 f"curve for config {config} covers {self.resource_units} units; "
                 f"requested {resource}"
             )
-        return row
 
     def metric(self, config: ConfigId, resource: int) -> float:
         """Metric after training config for resource units (1-indexed)."""
         row = self._rows.get(config)
         if row is None or resource.__class__ is not int or not 0 < resource <= self.resource_units:
-            row = self._checked_row(config, resource)
+            row = self._row(config)
+            self._check_units(config, resource)
         return self.metrics.item(row, resource - 1)
 
     def incremental_cost(self, config: ConfigId, start: int, target: int) -> float:
@@ -131,15 +133,31 @@ class LearningCurveTable:
         if row is None or target.__class__ is not int or not (
             0 <= start < target <= self.resource_units
         ):
-            row = self._checked_row(config, target, start)
+            row = self._row(config)
+            if not 0 <= start < target:
+                raise InternalError(f"bad resume range ({start}, {target}] for config {config}")
+            self._check_units(config, target)
         return sum(self.costs[row, start:target].tolist())  # np.sum would round differently
 
     def final_metric(self, config: ConfigId) -> float:
-        return self.finals.item(self._checked_row(config, 1))  # every table covers unit 1
+        return self.finals.item(self._row(config))
 
     def display_metric(self, value: float) -> float:
         """Undo the ingestion negation for minimize-direction benchmarks."""
         return -value if self.flipped else value
+
+
+def _ragged_rows(ids: np.ndarray, metrics, costs) -> DataError | None:
+    """The refusal naming the first config, in id order, whose metric or cost row
+    length differs from the commonest metric row length; None if no row does."""
+    rows = sorted(zip(ids.tolist(), map(len, metrics), map(len, costs)))
+    width = statistics.mode(m for _, m, _ in rows) if rows else None
+    for config, m, c in rows:
+        if m != width or c != width:
+            return DataError(
+                f"curve for config {config} has {m} metric and {c} cost entries; expected {width}"
+            )
+    return None
 
 
 class TraceEvent(NamedTuple):

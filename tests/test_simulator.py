@@ -61,8 +61,32 @@ class TestTableValidation:
             LearningCurveTable(ids=[-3], metrics=[[0.5]], costs=[[1.0]], finals=[0.5])
 
     def test_rejects_ragged_curve_naming_the_config(self):
-        # every row of a cost array one entry short of its metric row
         with pytest.raises(DataError, match="config 7"):
+            LearningCurveTable(
+                ids=[0, 7], metrics=[[0.5, 0.6], [0.5]], costs=[[1.0, 1.0], [1.0, 1.0]],
+                finals=[0.6, 0.5],
+            )
+
+    @pytest.mark.parametrize(
+        "metrics, costs, message",
+        [
+            # the short row belongs to the smallest id: the others set the width
+            ([[0.5], [0.5, 0.6], [0.5, 0.6]], [[1.0, 1.0]] * 3, "config 2 has 1 metric and 2"),
+            ([[0.5, 0.6]] * 3, [[1.0, 1.0], [1.0, 1.0], [1.0]], "config 9 has 2 metric and 1"),
+        ],
+    )
+    def test_a_ragged_row_is_named_in_id_order(self, metrics, costs, message):
+        with pytest.raises(DataError, match=f"{message} cost entries; expected 2$"):
+            LearningCurveTable(ids=[2, 5, 9], metrics=metrics, costs=costs, finals=[0.6] * 3)
+
+    def test_values_that_are_no_numbers_keep_numpys_error(self):
+        with pytest.raises(ValueError, match="could not convert") as caught:
+            LearningCurveTable(ids=[0], metrics=[["high"]], costs=[[1.0]], finals=[0.5])
+        assert not isinstance(caught.value, DataError)
+
+    def test_rejects_cost_rows_of_another_width_than_the_metric_rows(self):
+        message = "every metric row has 2 entries but every cost row has 1$"
+        with pytest.raises(DataError, match=message):
             LearningCurveTable(
                 ids=[9, 7], metrics=[[0.5, 0.6], [0.5, 0.6]], costs=[[1.0], [1.0]],
                 finals=[0.6, 0.6],
