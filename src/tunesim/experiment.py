@@ -2,8 +2,8 @@
 into mean-and-std tables, and report emission.
 
 A run is a grid of (method, scheduler seed, benchmark seed) cells. Each cell
-is one simulation; aggregation is a deterministic fold over cells sorted by
-seed, so results never depend on execution order. Speedup factors are ratios
+is one simulation; aggregation sums each method's cells exactly, so results
+never depend on execution order. Speedup factors are ratios
 of mean runtimes against the reference method (asha when present, else the
 first method listed).
 """
@@ -14,14 +14,14 @@ import csv
 import io
 import math
 import os
-import statistics
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
 from .benchgen import load
 from .core import DataError, ResourceSpec, TunesimError, UsageError
-from .ranking import RankingCriterion
+from .ranking import RankingCriterion, _sqrt_of_frac
 from .scheduler import MODES, SchedulerConfig, check_mode_options
 from .simulator import LearningCurveTable, simulate, write_trace
 
@@ -120,8 +120,7 @@ class ExperimentSpec:
             )
 
 
-@dataclass(frozen=True)
-class CellResult:
+class CellResult(NamedTuple):
     """Outcome of one simulation in the repetition grid."""
 
     method: str
@@ -168,13 +167,13 @@ def _average_tables(tables: list[LearningCurveTable]) -> LearningCurveTable:
                 "benchmark seeds disagree on units, direction, or config ids; "
                 "cannot impute the missing seeds"
             )
-    # statistics.fmean per value (np.mean rounds differently), one config at a time:
-    # a table-sized list of Python floats would raise peak memory
+    # statistics.fmean per value, which is fsum / n (np.mean rounds differently), one
+    # config at a time: a table-sized list of Python floats would raise peak memory
     units = first.resource_units
     mean = np.empty((len(first.ids), 2 * units + 1))
     for i, out in enumerate(mean):
         rows = [[*t.metrics[i].tolist(), *t.costs[i].tolist(), t.finals.item(i)] for t in tables]
-        out[:] = [statistics.fmean(v) for v in zip(*rows)]
+        out[:] = [math.fsum(v) / len(v) for v in zip(*rows)]
     return replace(first, metrics=mean[:, :units], costs=mean[:, units:-1], finals=mean[:, -1])
 
 
@@ -269,10 +268,31 @@ def run_cells(
     return cells
 
 
-def _mean_std(values: list[float]) -> tuple[float, float]:
-    mean = statistics.fmean(values)
-    std = statistics.stdev(values) if len(values) > 1 else 0.0
-    return mean, std
+def _spread(values: np.ndarray) -> float:
+    """Sample standard deviation of finite values, 0 under two values.
+
+    Correctly rounded from exact sums, so it equals statistics.stdev bit for
+    bit on Python 3.11+ and does not depend on the order of the values.
+    """
+    n = len(values)
+    if n < 2:
+        return 0.0
+    # each float is an integer mantissa times 2**exp, so all of them are Python
+    # ints times 2**low
+    mantissas, exps = np.frexp(values)
+    exps -= 53
+    low = int(exps.min())
+    xs = np.ldexp(mantissas, 53).astype(np.int64).astype(object) << (exps - low).astype(object)
+    total = xs.sum()
+    num, den = n * (xs * xs).sum() - total * total, n * (n - 1)
+    return _sqrt_of_frac(num << 2 * low, den) if low >= 0 else _sqrt_of_frac(num, den << -2 * low)
+
+
+def _mean_std(values: tuple[float, ...], method: str, field: str) -> tuple[float, float]:
+    array = np.array(values, dtype=np.float64)
+    if not np.isfinite(array).all():
+        raise DataError(f"method {method!r} has a cell with a non-finite {field}")
+    return math.fsum(values) / len(values), _spread(array)
 
 
 def reference_method(names: list[str]) -> str:
@@ -290,33 +310,34 @@ def aggregate(
     """Fold per-run cells into one row per method.
 
     Methods appear in method_order, or in first-appearance order when it is
-    omitted. Cells are sorted by seed within each method before averaging, so
-    the result is independent of the order the cells arrived in.
+    omitted. Means and stds come from exact sums rounded once, so the result
+    is independent of the order the cells arrived in. A non-finite metric,
+    runtime or max resource is a DataError naming the method.
     """
     if not cells:
         raise DataError("no cells to aggregate")
     if method_order is None:
-        method_order = []
-        for cell in cells:
-            if cell.method not in method_order:
-                method_order.append(cell.method)
+        method_order = list(dict.fromkeys(cell.method for cell in cells))
     groups: dict[str, list[CellResult]] = {name: [] for name in method_order}
     for cell in cells:
         if cell.method not in groups:
             raise DataError(f"cell names unknown method {cell.method!r}")
         groups[cell.method].append(cell)
+    stats = {}
     for name, group in groups.items():
         if not group:
             raise DataError(f"method {name!r} has no cells")
-        group.sort(key=lambda c: (c.scheduler_seed, c.benchmark_seed))
+        _, _, _, metrics, runtimes, max_resources, _, _ = zip(*group)
+        stats[name] = (
+            _mean_std(metrics, name, "metric"),
+            _mean_std(runtimes, name, "runtime"),
+            _mean_std(max_resources, name, "max resource"),
+        )
     reference = reference_method(method_order)
-    reference_runtime = statistics.fmean(c.runtime for c in groups[reference])
+    reference_runtime = stats[reference][1][0]
     rows = []
     for name in method_order:
-        group = groups[name]
-        metric_mean, metric_std = _mean_std([c.metric for c in group])
-        runtime_mean, runtime_std = _mean_std([c.runtime for c in group])
-        max_mean, max_std = _mean_std([float(c.max_resources) for c in group])
+        (metric_mean, metric_std), (runtime_mean, runtime_std), (max_mean, max_std) = stats[name]
         if name == reference:
             factor = 1.0
         elif runtime_mean == 0.0:
@@ -333,7 +354,7 @@ def aggregate(
                 speedup=factor,
                 max_resources_mean=max_mean,
                 max_resources_std=max_std,
-                repetitions=len(group),
+                repetitions=len(groups[name]),
             )
         )
     return ExperimentReport(rows=tuple(rows), metric_name=metric_name, reference=reference)
@@ -446,12 +467,15 @@ def write_cells(cells: list[CellResult], path: str) -> None:
 
 
 def read_cells(path: str) -> list[CellResult]:
-    with open(path, "r", encoding="utf-8") as handle:
+    """Read a cells file back; a bad row, or a non-finite metric or runtime, is
+    a DataError naming its line."""
+    names: dict[str, str] = {}  # one string object per method name
+    cells = []
+    with open(path, "r", encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle)
         header = next(reader, None)
         if header != list(CELL_FIELDS):
             raise DataError(f"{path}: not a per-run cells file (unexpected header)")
-        cells = []
         for number, row in enumerate(reader, start=2):
             if not row:
                 continue
@@ -459,21 +483,25 @@ def read_cells(path: str) -> list[CellResult]:
                 raise DataError(
                     f"{path}:{number}: expected {len(CELL_FIELDS)} fields, got {len(row)}"
                 )
+            method, ss, bs, metric, runtime, max_resources, units, jobs = row
             try:
-                cells.append(
-                    CellResult(
-                        method=row[0],
-                        scheduler_seed=int(row[1]),
-                        benchmark_seed=int(row[2]),
-                        metric=float(row[3]),
-                        runtime=float(row[4]),
-                        max_resources=int(row[5]),
-                        units=int(row[6]),
-                        jobs=int(row[7]),
-                    )
+                metric, runtime = float(metric), float(runtime)
+                cell = CellResult(
+                    names.setdefault(method, method),
+                    int(ss),
+                    int(bs),
+                    metric,
+                    runtime,
+                    int(max_resources),
+                    int(units),
+                    int(jobs),
                 )
             except ValueError as exc:
                 raise DataError(f"{path}:{number}: {exc}") from exc
+            if not (math.isfinite(metric) and math.isfinite(runtime)):
+                field = "runtime" if math.isfinite(metric) else "metric"
+                raise DataError(f"{path}:{number}: non-finite {field}")
+            cells.append(cell)
     if not cells:
         raise DataError(f"{path}: no data rows")
     return cells

@@ -462,6 +462,20 @@ class TestReportVerb:
         assert main(["report", "--cells", cells_path, "--format", "csv"]) == 0
         assert capsys.readouterr().out.startswith("method,")
 
+    @pytest.mark.parametrize("metric, runtime", [("nan", "1.0"), ("0.9", "inf"), ("-inf", "1.0")])
+    def test_non_finite_cell_is_a_data_error_naming_its_line(
+        self, tmp_path, capsys, metric, runtime
+    ):
+        path = tmp_path / "cells.csv"
+        path.write_text(
+            "method,scheduler_seed,benchmark_seed,metric,runtime_s,max_resources,units,jobs\n"
+            "asha,0,0,0.8,2.0,9,10,5\n"
+            f"asha,1,0,{metric},{runtime},9,10,5\n"
+        )
+        assert main(["report", "--cells", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"{path}:3: non-finite" in err and "Traceback" not in err
+
 
 class TestCrossingsVerb:
     def test_reports_pairs_to_stdout(self, bench, capsys):

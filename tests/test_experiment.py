@@ -7,9 +7,13 @@ import io
 import math
 import os
 import statistics
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from tunesim import (
     CellResult,
@@ -33,6 +37,7 @@ from tunesim import (
 from tunesim.experiment import (
     ExperimentReport,
     MethodRow,
+    _spread,
     reference_method,
     resolve_tables,
 )
@@ -345,6 +350,98 @@ class TestAggregate:
         with pytest.raises(DataError, match="has no cells"):
             aggregate([self.cell("asha", 0, 0, 0.9, 1.0)], method_order=["asha", "pasha"])
 
+    @pytest.mark.parametrize(
+        "bad, field",
+        [
+            ((math.nan, 1.0, 9), "metric"),
+            ((0.9, math.inf, 9), "runtime"),
+            ((0.9, 1.0, math.nan), "max resource"),
+        ],
+    )
+    def test_non_finite_cells_are_a_data_error_naming_the_method(self, bad, field):
+        metric, runtime, max_r = bad
+        cells = [
+            self.cell("asha", 0, 0, 0.9, 1.0),
+            self.cell("pasha", 0, 0, metric, runtime, max_r),
+        ]
+        with pytest.raises(DataError, match=f"method 'pasha' .* non-finite {field}"):
+            aggregate(cells)
+
+    def test_opposite_infinities_are_named_too(self):
+        cells = [self.cell("asha", 0, 0, 0.9, math.inf), self.cell("asha", 1, 0, 0.9, -math.inf)]
+        with pytest.raises(DataError, match="method 'asha' .* non-finite runtime"):
+            aggregate(cells)
+
+    def test_two_cells_give_the_sample_std(self):
+        row = aggregate([self.cell("asha", 0, 0, 0.5, 0.0), self.cell("asha", 1, 0, 0.5, 2.0)]).rows[0]
+        assert row.metric_std == 0.0
+        assert row.runtime_mean == 1.0 and row.runtime_std == math.sqrt(2.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        values=st.lists(
+            st.tuples(
+                st.sampled_from(("asha", "pasha", "random")),
+                st.floats(-1e300, 1e300) | st.sampled_from((0.0, -0.0, 5e-324, 0.1)),
+                st.floats(0.0, 1e300) | st.sampled_from((0.0, 5e-324, 0.3)),
+                st.sampled_from((1, 3, 9, 27, 81)),
+            ),
+            min_size=1,
+            max_size=30,
+        ),
+        data=st.data(),
+    )
+    def test_report_is_equal_under_any_permutation_of_its_cells(self, values, data):
+        cells = [
+            self.cell(method, i, 0, metric, runtime, max_r)
+            for i, (method, metric, runtime, max_r) in enumerate(values)
+        ]
+        order = sorted({c.method for c in cells})
+        shuffled = data.draw(st.permutations(cells))
+        assert aggregate(shuffled, order) == aggregate(cells, order)
+
+
+FLOATS = st.one_of(
+    st.floats(0.0, 1.0),
+    st.floats(-1e300, 1e300),
+    st.sampled_from((0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e-300, 1e300, 0.9)),
+)
+
+
+class TestSpread:
+    @pytest.mark.skipif(
+        sys.version_info < (3, 11), reason="stdev rounds twice before Python 3.11"
+    )
+    @settings(max_examples=300, deadline=None)
+    @given(values=st.lists(FLOATS, min_size=2, max_size=60))
+    def test_equals_statistics_stdev(self, values):
+        assert _spread(np.array(values)) == statistics.stdev(values)
+
+    @settings(max_examples=300, deadline=None)
+    @given(values=st.lists(FLOATS, min_size=2, max_size=60))
+    def test_is_the_correctly_rounded_root_of_the_exact_sample_variance(self, values):
+        # oracle: the exact sample variance V in rationals; the float s is
+        # correctly rounded iff sqrt(V) lies within the midpoints to its neighbors
+        exact = [Fraction(v) for v in values]
+        mean = sum(exact) / len(exact)
+        variance = sum((x - mean) ** 2 for x in exact) / (len(exact) - 1)
+        s = _spread(np.array(values))
+        below = max(Fraction(0), (Fraction(s) + Fraction(math.nextafter(s, 0.0))) / 2)
+        above = (Fraction(s) + Fraction(math.nextafter(s, math.inf))) / 2
+        assert below**2 <= variance <= above**2
+
+    @pytest.mark.parametrize("value", [0.1, -0.0, 5e-324, 1e300, -7.0])
+    def test_constant_and_single_value_columns_have_no_spread(self, value):
+        for n in (1, 2, 3, 57):
+            assert _spread(np.full(n, value)) == 0.0
+
+    @pytest.mark.parametrize(
+        "pair, expected",
+        [((0.0, 2.0), math.sqrt(2.0)), ((5e-324, 0.0), 5e-324), ((-1e300, 1e300), math.sqrt(2.0) * 1e300)],
+    )
+    def test_two_values(self, pair, expected):
+        assert _spread(np.array(pair)) == statistics.stdev(pair) == pytest.approx(expected)
+
 
 class TestReportEmission:
     def report(self):
@@ -408,6 +505,74 @@ class TestCellsIO:
         path = str(tmp_path / "cells.csv")
         write_cells(self.cells(), path)
         assert read_cells(path) == self.cells()
+
+    def test_cell_is_a_named_tuple_equal_to_its_plain_tuple(self):
+        cell = CellResult(
+            method="asha", scheduler_seed=0, benchmark_seed=0, metric=0.9,
+            runtime=1.5, max_resources=81, units=594, jobs=77,
+        )
+        assert cell == ("asha", 0, 0, 0.9, 1.5, 81, 594, 77)
+        assert cell._fields == (
+            "method", "scheduler_seed", "benchmark_seed", "metric",
+            "runtime", "max_resources", "units", "jobs",
+        )
+        assert repr(cell) == (
+            "CellResult(method='asha', scheduler_seed=0, benchmark_seed=0, metric=0.9, "
+            "runtime=1.5, max_resources=81, units=594, jobs=77)"
+        )
+
+    @settings(
+        max_examples=80, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(
+        rows=st.lists(
+            st.tuples(
+                st.text(st.sampled_from('ab:,"\r\n \t') | st.characters(
+                    blacklist_categories=("Cs",), blacklist_characters="\x00"
+                ), max_size=10),
+                st.integers(-(2**80), 2**80),
+                st.integers(-(2**80), 2**80),
+                st.floats(allow_nan=False, allow_infinity=False)
+                | st.sampled_from((-0.0, 5e-324, 2.2250738585072014e-308, 1e308)),
+                st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from((-0.0, 1e308)),
+                st.integers(0, 2**70),
+                st.integers(0, 2**70),
+                st.integers(0, 2**70),
+            ),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    def test_write_then_read_gives_the_same_cells(self, tmp_path, rows):
+        cells = [CellResult(*row) for row in rows]
+        path = str(tmp_path / "cells.csv")
+        write_cells(cells, path)
+        back = read_cells(path)
+        assert [repr(c) for c in back] == [repr(c) for c in cells]  # repr tells -0.0 from 0.0
+
+    def test_carriage_return_in_a_method_name_survives(self, tmp_path):
+        path = str(tmp_path / "cells.csv")
+        cells = [CellResult("c\rd", 0, 0, 0.5, 1.0, 9, 10, 5), CellResult("e\r\nf", 0, 0, 0.5, 1.0, 9, 10, 5)]
+        write_cells(cells, path)
+        assert read_cells(path) == cells
+
+    def test_each_method_name_is_one_object(self, tmp_path):
+        path = str(tmp_path / "cells.csv")
+        write_cells(self.cells() * 3, path)
+        back = read_cells(path)
+        assert len({id(c.method) for c in back}) == 2
+
+    @pytest.mark.parametrize(
+        "metric, runtime, field",
+        [("nan", "1.0", "metric"), ("0.9", "inf", "runtime"), ("-inf", "nan", "metric")],
+    )
+    def test_non_finite_value_names_its_line(self, tmp_path, metric, runtime, field):
+        path = str(tmp_path / "cells.csv")
+        write_cells(self.cells(), path)
+        with open(path, "a", newline="") as handle:
+            handle.write(f"asha,0,1,{metric},{runtime},9,10,5\r\n")
+        with pytest.raises(DataError, match=rf"cells\.csv:4: non-finite {field}"):
+            read_cells(path)
 
     def test_foreign_header_is_rejected(self, tmp_path):
         path = tmp_path / "cells.csv"
