@@ -3,9 +3,9 @@ into mean-and-std tables, and report emission.
 
 A run is a grid of (method, scheduler seed, benchmark seed) cells. Each cell
 is one simulation; aggregation sums each method's cells exactly, so results
-never depend on execution order. Speedup factors are ratios
-of mean runtimes against the reference method (asha when present, else the
-first method listed).
+never depend on execution order. Speedup factors are ratios of mean runtimes
+against the reference method (asha when present, else the first method
+listed).
 """
 
 from __future__ import annotations
@@ -278,7 +278,8 @@ def _spread(values: np.ndarray) -> float:
     if n < 2:
         return 0.0
     # each float is an integer mantissa times 2**exp, so all of them are Python
-    # ints times 2**low
+    # ints times 2**low (ranking.epsilon_sigma's as_integer_ratio sums win on its
+    # short lists; numpy wins on columns of thousands)
     mantissas, exps = np.frexp(values)
     exps -= 53
     low = int(exps.min())

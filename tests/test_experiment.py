@@ -373,7 +373,8 @@ class TestAggregate:
             aggregate(cells)
 
     def test_two_cells_give_the_sample_std(self):
-        row = aggregate([self.cell("asha", 0, 0, 0.5, 0.0), self.cell("asha", 1, 0, 0.5, 2.0)]).rows[0]
+        cells = [self.cell("asha", 0, 0, 0.5, 0.0), self.cell("asha", 1, 0, 0.5, 2.0)]
+        row = aggregate(cells).rows[0]
         assert row.metric_std == 0.0
         assert row.runtime_mean == 1.0 and row.runtime_std == math.sqrt(2.0)
 
@@ -437,10 +438,14 @@ class TestSpread:
 
     @pytest.mark.parametrize(
         "pair, expected",
-        [((0.0, 2.0), math.sqrt(2.0)), ((5e-324, 0.0), 5e-324), ((-1e300, 1e300), math.sqrt(2.0) * 1e300)],
+        [
+            ((0.0, 2.0), math.sqrt(2.0)),
+            ((5e-324, 0.0), 5e-324),
+            ((-(2.0**900), 2.0**900), math.sqrt(2.0) * 2.0**900),
+        ],
     )
     def test_two_values(self, pair, expected):
-        assert _spread(np.array(pair)) == statistics.stdev(pair) == pytest.approx(expected)
+        assert _spread(np.array(pair)) == expected
 
 
 class TestReportEmission:
@@ -552,7 +557,10 @@ class TestCellsIO:
 
     def test_carriage_return_in_a_method_name_survives(self, tmp_path):
         path = str(tmp_path / "cells.csv")
-        cells = [CellResult("c\rd", 0, 0, 0.5, 1.0, 9, 10, 5), CellResult("e\r\nf", 0, 0, 0.5, 1.0, 9, 10, 5)]
+        cells = [
+            CellResult("c\rd", 0, 0, 0.5, 1.0, 9, 10, 5),
+            CellResult("e\r\nf", 0, 0, 0.5, 1.0, 9, 10, 5),
+        ]
         write_cells(cells, path)
         assert read_cells(path) == cells
 
