@@ -5,9 +5,20 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from typing import Sequence
+from functools import reduce
+from operator import add
+from typing import Iterable, Sequence
 
 ConfigId = int  # dense non-negative ids, assigned in draw order starting at 0
+
+
+def _left_sum(values: Iterable[float]) -> float:
+    """The values added one at a time from the left, each addition rounded.
+
+    That is the builtin sum up to Python 3.11; from 3.12 sum compensates float
+    rounding, which would move simulated times and scores with the version.
+    """
+    return reduce(add, values, 0)
 
 
 class TunesimError(Exception):

@@ -469,7 +469,7 @@ def write_cells(cells: list[CellResult], path: str) -> None:
 
 def read_cells(path: str) -> list[CellResult]:
     """Read a cells file back; a bad row, or a non-finite metric or runtime, is
-    a DataError naming its line."""
+    a DataError naming the first physical line of its record."""
     names: dict[str, str] = {}  # one string object per method name
     cells = []
     with open(path, "r", encoding="utf-8", newline="") as handle:
@@ -477,7 +477,10 @@ def read_cells(path: str) -> list[CellResult]:
         header = next(reader, None)
         if header != list(CELL_FIELDS):
             raise DataError(f"{path}: not a per-run cells file (unexpected header)")
-        for number, row in enumerate(reader, start=2):
+        lines_read = reader.line_num
+        for row in reader:
+            # a quoted field can span lines: name the record's first physical line
+            number, lines_read = lines_read + 1, reader.line_num
             if not row:
                 continue
             if len(row) != len(CELL_FIELDS):

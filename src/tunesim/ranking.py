@@ -14,7 +14,7 @@ import statistics
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .core import ConfigId, DataError, InternalError, RungEntry, UsageError
+from .core import ConfigId, DataError, InternalError, RungEntry, UsageError, _left_sum
 
 
 def project(below: Sequence[RungEntry], top: Sequence[RungEntry]) -> list[RungEntry]:
@@ -132,13 +132,13 @@ def rbo(
         seen_below.add(b)
         agreements.append(overlap / d)
     if p == 1.0:
-        return sum(agreements) / n
+        return _left_sum(agreements) / n
     norm = 1.0 - p**n
-    return sum((1.0 - p) * p ** (d - 1) / norm * agreements[d - 1] for d in range(1, n + 1))
+    return _left_sum((1.0 - p) * p ** (d - 1) / norm * agreements[d - 1] for d in range(1, n + 1))
 
 
 def _regret_weights(n: int, p: float) -> list[float]:
-    total = sum(p**j for j in range(n))
+    total = _left_sum(p**j for j in range(n))
     return [p**i / total for i in range(n)]
 
 

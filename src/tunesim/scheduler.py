@@ -168,9 +168,11 @@ class Scheduler:
         """Record a completed job; in progressive mode, maybe raise the cap.
 
         The stability pair is the current top ladder level and the one
-        beneath it, re-evaluated whenever a report lands in either (with
-        pair_below_cap, the pair one level down, re-evaluated on reports
-        into its upper rung). At most one growth step per report.
+        beneath it (with pair_below_cap, the pair one level down). It is
+        re-evaluated only when a report lands in the pair's upper rung. A
+        report into the lower rung adds a config that the upper rung does not
+        hold, so the projection, and with it the verdict, stays what it was
+        before the report. At most one growth step per report.
         """
         key = (job.config, job.rung)
         if key not in self._in_flight:
@@ -187,11 +189,8 @@ class Scheduler:
         if self.cap >= self.ceiling:
             return  # a fixed or clamped cap: plain successive halving
         top = self.top_index
-        if self.config.pair_below_cap:
-            pair_top, triggers = top - 1, (top - 1,)
-        else:
-            pair_top, triggers = top, (top, top - 1)
-        if job.rung not in triggers:
+        pair_top = top - 1 if self.config.pair_below_cap else top
+        if job.rung != pair_top:
             return
         top_rung = self.ladder.sorted_rung(pair_top)
         below_rung = self.ladder.sorted_rung(pair_top - 1)

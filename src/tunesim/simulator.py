@@ -18,7 +18,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .core import ConfigId, DataError, InternalError, RungLadder, UsageError
+from .core import ConfigId, DataError, InternalError, RungLadder, UsageError, _left_sum
 from .scheduler import Job, Scheduler, SchedulerConfig
 
 
@@ -137,7 +137,7 @@ class LearningCurveTable:
             if not 0 <= start < target:
                 raise InternalError(f"bad resume range ({start}, {target}] for config {config}")
             self._check_units(config, target)
-        return sum(self.costs[row, start:target].tolist())  # np.sum would round differently
+        return _left_sum(self.costs[row, start:target].tolist())  # np.sum would round differently
 
     def final_metric(self, config: ConfigId) -> float:
         return self.finals.item(self._row(config))

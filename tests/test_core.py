@@ -2,6 +2,8 @@
 
 import copy
 import math
+import struct
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 from tunesim import InternalError, ResourceSpec, SchedulerConfig, UsageError
 from tunesim.core import (
     RungEntry,
+    _left_sum,
     RungLadder,
     grow,
     max_rung_index,
@@ -336,3 +339,33 @@ class TestIncrementalLadderProperties:
             for k, rung in enumerate(inserted):
                 for eta in (1, 2, 3, 4):
                     assert ladder.promotable(k, eta) is brute_force_promotable(rung, eta)
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False, width=64)
+
+
+def bits(value: float) -> bytes:
+    return struct.pack("<d", value)  # tells -0.0 from 0.0
+
+
+class TestLeftSum:
+    def test_each_addition_is_rounded(self):
+        # a compensated sum (fsum, or sum on Python 3.12+) gives 2.0
+        assert bits(_left_sum([1.0, 1e100, 1.0, -1e100])) == bits(0.0)
+
+    def test_empty_is_zero(self):
+        assert _left_sum([]) == 0
+
+    @settings(max_examples=300, deadline=None)
+    @given(values=st.lists(FINITE, max_size=12))
+    def test_equals_a_left_to_right_loop(self, values):
+        total = 0
+        for value in values:
+            total = total + value
+        assert bits(_left_sum(values)) == bits(float(total))
+
+    @pytest.mark.skipif(sys.version_info >= (3, 12), reason="sum compensates from 3.12")
+    @settings(max_examples=300, deadline=None)
+    @given(values=st.lists(FINITE, max_size=12))
+    def test_equals_the_builtin_sum_before_3_12(self, values):
+        assert bits(_left_sum(values)) == bits(float(sum(values)))

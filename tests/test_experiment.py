@@ -582,6 +582,22 @@ class TestCellsIO:
         with pytest.raises(DataError, match=rf"cells\.csv:4: non-finite {field}"):
             read_cells(path)
 
+    def test_non_finite_value_after_a_multi_line_name_names_its_physical_line(self, tmp_path):
+        path = str(tmp_path / "cells.csv")
+        write_cells([CellResult("a\nb", 0, 0, 0.5, 1.0, 9, 10, 5)], path)  # lines 2-3
+        with open(path, "a", newline="") as handle:
+            handle.write("asha,0,1,nan,1.0,9,10,5\r\n")
+        with pytest.raises(DataError, match=r"cells\.csv:4: non-finite metric"):
+            read_cells(path)
+
+    def test_malformed_multi_line_record_names_its_first_line(self, tmp_path):
+        path = str(tmp_path / "cells.csv")
+        write_cells([CellResult("a\nb", 0, 0, 0.5, 1.0, 9, 10, 5)], path)  # lines 2-3
+        with open(path, "a", newline="") as handle:
+            handle.write('"c\r\nd",0,1\r\n')  # lines 4-5
+        with pytest.raises(DataError, match=r"cells\.csv:4: expected 8 fields, got 3"):
+            read_cells(path)
+
     def test_foreign_header_is_rejected(self, tmp_path):
         path = tmp_path / "cells.csv"
         path.write_text("a,b,c\n1,2,3\n")

@@ -1,6 +1,11 @@
 """Scheduler decision logic: promotions, draws, progressive growth, baselines."""
 
+from bisect import bisect_left
+from unittest import mock
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tunesim import (
     DataError,
@@ -11,6 +16,8 @@ from tunesim import (
     UsageError,
     simulate,
 )
+from tunesim.core import rung_levels
+from tunesim.ranking import is_stable
 from tunesim.scheduler import MODES, RandomSearcher, Scheduler
 from util import ScriptedSearcher, table_from_rows
 
@@ -126,6 +133,77 @@ class TestReport:
         assert sched.ceiling == 64
         assert sched.levels[sched.top_index] == 16
 
+
+# every criterion kind; metrics stay positive so the regret kinds never refuse
+TRIGGER_CRITERIA = (
+    "direct", "soft:0.1", "soft:0.3", "soft-sigma:1", "soft-sigma:3", "soft-mean-dist",
+    "soft-median-dist", "rbo:p=0.9,t=0.5", "rbo", "rrr", "arrr", "always-unstable",
+)
+
+
+@st.composite
+def trigger_cases(draw):
+    """A pasha config and a small table with quantized metrics, so rungs tie.
+
+    R is a power of eta or not; each config's metric is constant between
+    ladder levels, the only resources a job reads.
+    """
+    eta = draw(st.integers(2, 4))
+    powers = [eta**k for k in range(3, 7) if eta**k <= 100]
+    if draw(st.booleans()):
+        max_resource = draw(st.sampled_from(powers))
+    else:
+        max_resource = draw(st.integers(eta**2 + 1, 100).filter(lambda r: r not in powers))
+    config = SchedulerConfig(
+        resources=ResourceSpec(1, eta, max_resource),
+        num_configs=draw(st.integers(2, 80)),
+        mode="pasha",
+        criterion=RankingCriterion.parse(draw(st.sampled_from(TRIGGER_CRITERIA))),
+        seed=draw(st.integers(0, 3)),
+        pair_below_cap=draw(st.booleans()),
+    )
+    levels = rung_levels(config.resources)
+    quantized = st.sampled_from((0.25, 0.5, 0.75, 1.0))
+    rows, costs = {}, {}
+    for c in range(config.num_configs):
+        at_level = draw(st.lists(quantized, min_size=len(levels), max_size=len(levels)))
+        rows[c] = [at_level[bisect_left(levels, u)] for u in range(1, max_resource + 1)]
+        costs[c] = [float(draw(st.integers(1, 3)))] * max_resource
+    return config, table_from_rows(rows, costs), draw(st.integers(1, 6))
+
+
+class TestStabilityTrigger:
+    @settings(max_examples=200, deadline=None)
+    @given(case=trigger_cases())
+    def test_a_lower_rung_report_never_changes_the_verdict(self, case):
+        """A report into the pair's lower rung adds a config the upper rung
+        lacks, so it leaves the pair's verdict as it was; without
+        pair_below_cap that verdict is stable, so a check there could never
+        grow the cap and report checks only reports into the upper rung.
+
+        With pair_below_cap the verdict can be unstable: after a growth the
+        new pair's upper rung is the old cap level, which may hold configs
+        that no check has compared yet.
+        """
+        config, table, workers = case
+        real_report = Scheduler.report
+
+        def report(sched, job, metric):
+            pair_top = sched.top_index - 1 if sched.config.pair_below_cap else sched.top_index
+            lower = sched.cap < sched.ceiling and job.rung == pair_top - 1
+
+            def verdict():
+                pair = sched.ladder.sorted_rung(pair_top), sched.ladder.sorted_rung(pair_top - 1)
+                return is_stable(sched.criterion, *pair)
+
+            before = verdict() if lower else None
+            real_report(sched, job, metric)
+            if lower:
+                assert verdict() == before
+                assert before or sched.config.pair_below_cap
+
+        with mock.patch.object(Scheduler, "report", report):
+            simulate(config, table, workers)
 
 class TestBestConfig:
     def test_single_config(self):
