@@ -205,6 +205,7 @@ class TestStabilityTrigger:
         with mock.patch.object(Scheduler, "report", report):
             simulate(config, table, workers)
 
+
 class TestBestConfig:
     def test_single_config(self):
         sched = make_scheduler(n=1, order=[5])
