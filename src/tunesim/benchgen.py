@@ -196,20 +196,22 @@ def save(table: LearningCurveTable, path: str) -> None:
             writer.writerow([config, payload, *map(repr, row.tolist())])
 
 
-def _parse_header(lines: list[str]) -> tuple[dict[str, str], int]:
-    if not lines or lines[0].strip() != FORMAT_MAGIC:
+def _parse_header(handle) -> tuple[dict[str, str], int]:
+    """The header's key=value pairs, read up to and including its blank line,
+    and the number of lines read."""
+    if handle.readline().strip() != FORMAT_MAGIC:
         raise FormatError(f"line 1: not a {FORMAT_MAGIC} file")
     header: dict[str, str] = {}
-    index = 1
-    while index < len(lines):
-        line = lines[index].strip()
+    number = 1
+    for line in iter(handle.readline, ""):
+        number += 1
+        line = line.strip()
         if line == "":
-            return header, index + 1
+            return header, number
         key, sep, value = line.partition("=")
         if not sep:
-            raise FormatError(f"line {index + 1}: expected key=value, got {line!r}")
+            raise FormatError(f"line {number}: expected key=value, got {line!r}")
         header[key.strip()] = value.strip()
-        index += 1
     raise FormatError("header never ends; expected a blank line before the data rows")
 
 
@@ -218,30 +220,33 @@ def load(path: str) -> LearningCurveTable:
 
     Values load bit for bit as Python's float() reads them. The rows are
     parsed in one numpy pass; anything that pass refuses is read again row by
-    row, so an error names its line.
+    row, so an error names its line. Lines end only where csv ends them, so
+    a quoted payload keeps its line breaks.
     """
-    with open(path, "r", encoding="utf-8") as handle:
-        lines = handle.read().splitlines()
-    header, data_start = _parse_header(lines)
-    for key in ("units", "configs", "direction"):
-        if key not in header:
-            raise FormatError(f"header is missing the {key} key")
-    try:
-        units = int(header["units"])
-        declared = int(header["configs"])
-    except ValueError as exc:
-        raise FormatError(f"header: {exc}") from exc
-    if units < 1:
-        raise FormatError(f"header: units must be >= 1, got {units}")
-    direction = header["direction"]
-    if direction not in ("maximize", "minimize"):
-        raise FormatError(
-            f"header: direction must be maximize or minimize, got {direction!r}"
-        )
-    sign = -1.0 if direction == "minimize" else 1.0
-    rows = lines[data_start:]
-    parsed = _rows_by_array(rows, units)
-    ids, payloads, values = parsed or _rows_by_line(rows, data_start + 1, units)
+    with open(path, "r", encoding="utf-8", newline="") as handle:
+        header, header_lines = _parse_header(handle)
+        for key in ("units", "configs", "direction"):
+            if key not in header:
+                raise FormatError(f"header is missing the {key} key")
+        try:
+            units = int(header["units"])
+            declared = int(header["configs"])
+        except ValueError as exc:
+            raise FormatError(f"header: {exc}") from exc
+        if units < 1:
+            raise FormatError(f"header: units must be >= 1, got {units}")
+        direction = header["direction"]
+        if direction not in ("maximize", "minimize"):
+            raise FormatError(
+                f"header: direction must be maximize or minimize, got {direction!r}"
+            )
+        sign = -1.0 if direction == "minimize" else 1.0
+        data_start = handle.tell()
+        parsed = _rows_by_array(handle, units)
+        if parsed is None:
+            handle.seek(data_start)
+            parsed = _rows_by_line(csv.reader(handle), header_lines, units)
+    ids, payloads, values = parsed
     if len(ids) != declared:
         raise FormatError(f"header declares {declared} configs but the file holds {len(ids)}")
     return LearningCurveTable(
@@ -252,13 +257,14 @@ def load(path: str) -> LearningCurveTable:
     )
 
 
-def _rows_by_array(rows: list[str], units: int) -> Rows | None:
+def _rows_by_array(handle, units: int) -> Rows | None:
     """The data rows parsed in one numpy pass, or None if they need _rows_by_line.
 
-    numpy splits fields as csv.reader does and converts each value with the
-    same correctly rounded routine as float(). It refuses a few spellings
-    Python accepts (`1_0`, ids beyond int64) and any warning, such as the one
-    for no rows, is turned into a refusal; the row-by-row reader decides those.
+    numpy splits fields and records as csv.reader does and converts each value
+    with the same correctly rounded routine as float(). It refuses a few
+    spellings Python accepts (`1_0`, ids beyond int64) and any warning, such
+    as the one for no rows, is turned into a refusal; the row-by-row reader
+    decides those.
     """
     dtype = np.dtype(
         [("id", np.int64), ("payload", object), ("values", np.float64, (2 * units + 1,))]
@@ -267,7 +273,7 @@ def _rows_by_array(rows: list[str], units: int) -> Rows | None:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             data = np.loadtxt(
-                rows, dtype=dtype, delimiter=",", quotechar='"', comments=None, ndmin=1
+                handle, dtype=dtype, delimiter=",", quotechar='"', comments=None, ndmin=1
             )
     except (ValueError, Warning):
         return None
@@ -282,13 +288,16 @@ def _rows_by_array(rows: list[str], units: int) -> Rows | None:
     return ids, tuple(data["payload"].tolist()), values
 
 
-def _rows_by_line(rows: list[str], first_line: int, units: int) -> Rows:
-    """The data rows parsed one at a time with csv and float(); errors name the
-    line (first_line is the file line of rows[0])."""
+def _rows_by_line(reader, lines_before: int, units: int) -> Rows:
+    """The data rows parsed one at a time from a csv reader, with float();
+    errors name the first file line of the bad record (lines_before is the
+    number of file lines ahead of the reader's first)."""
     expected_fields = 2 + 2 * units + 1
     parsed: dict[ConfigId, tuple[str, list[float]]] = {}  # config -> payload, values
-    for offset, row in enumerate(csv.reader(rows)):
-        number = first_line + offset
+    lines_read = lines_before
+    for row in reader:
+        # a quoted field can span lines: name the record's first physical line
+        number, lines_read = lines_read + 1, lines_before + reader.line_num
         if not row:
             continue
         if len(row) != expected_fields:

@@ -110,7 +110,7 @@ def grow(cap: int, spec: ResourceSpec) -> int:
     return min(cap * spec.reduction_factor, spec.max_resource)
 
 
-@dataclass
+@dataclass(slots=True)
 class RungEntry:
     """One completed evaluation: config, observed metric, promotion mark."""
 
@@ -128,7 +128,8 @@ class _RankOrder:
     """A list of entries kept in rank order, with their rank keys alongside.
 
     Bisecting the plain key list runs at C speed; a key= function would be
-    called at every probe. Among equal keys, entries keep insertion order.
+    called at every probe. RungLadder.insert places each entry after its
+    equal keys, so among those, entries keep insertion order.
     """
 
     __slots__ = ("entries", "keys")
@@ -136,11 +137,6 @@ class _RankOrder:
     def __init__(self) -> None:
         self.entries: list[RungEntry] = []
         self.keys: list[tuple[float, int]] = []
-
-    def add(self, entry: RungEntry, key: tuple[float, int]) -> None:
-        i = bisect_right(self.keys, key)
-        self.keys.insert(i, key)
-        self.entries.insert(i, entry)
 
     def index(self, entry: RungEntry) -> int:
         """Position of entry, found by identity."""
@@ -203,36 +199,49 @@ class RungLadder:
             raise InternalError(
                 f"config {entry.config} reached rung {k} without a promotion below"
             )
-        key = _rank_key(entry)
-        self._order[k].add(entry, key)
+        key = (-entry.metric, entry.completion_index)  # _rank_key, inline
+        order = self._order[k]
+        i = bisect_right(order.keys, key)
+        order.keys.insert(i, key)
+        order.entries.insert(i, entry)
         self._configs[k].add(entry.config)
         if entry.promoted:
             self._promoted[k].add(entry.config)
         else:
-            self._waiting[k].add(entry, key)
+            waiting = self._waiting[k]
+            i = bisect_right(waiting.keys, key)
+            waiting.keys.insert(i, key)
+            waiting.entries.insert(i, entry)
 
     def promote(self, k: int, entry: RungEntry) -> None:
         """Mark an unpromoted entry of rung k as promoted."""
         if entry.promoted:
             raise InternalError(f"config {entry.config} already promoted from rung {k}")
-        self._waiting[k].remove(entry)
+        waiting = self._waiting[k]
+        if waiting.entries and waiting.entries[0] is entry:  # always so from the scheduler
+            del waiting.keys[0]
+            del waiting.entries[0]
+        else:
+            waiting.remove(entry)
         entry.promoted = True
         self._promoted[k].add(entry.config)
 
-    def promotable(self, k: int, eta: int) -> RungEntry | None:
-        """Best unpromoted entry of rung k if it ranks inside the top len // eta.
+    def promotion(self, top: int, eta: int) -> tuple[int, RungEntry] | None:
+        """Highest rung k below top whose best unpromoted entry ranks inside
+        the rung's top len // eta, with that entry; None if no rung has one.
 
-        Only that entry can qualify. Comparing its rank key with the key at
-        the last quota position decides, except on an exact key tie (possible
-        only in a ladder filled directly), where its position is looked up.
+        Only a rung's best unpromoted entry can qualify. Comparing its rank
+        key with the key at the last quota position decides, except on an
+        exact key tie (possible only in a ladder filled directly), where its
+        position is looked up.
         """
-        order, waiting = self._order[k], self._waiting[k]
-        quota = len(order.keys) // eta
-        if not quota or not waiting.keys:
-            return None
-        key, bound = waiting.keys[0], order.keys[quota - 1]
-        if key < bound or (key == bound and order.index(waiting.entries[0]) < quota):
-            return waiting.entries[0]
+        for k in range(top - 1, -1, -1):
+            order, waiting = self._order[k], self._waiting[k]
+            quota = len(order.keys) // eta
+            if quota and waiting.keys:
+                key, bound = waiting.keys[0], order.keys[quota - 1]
+                if key < bound or (key == bound and order.index(waiting.entries[0]) < quota):
+                    return k, waiting.entries[0]
         return None
 
     def sorted_rung(self, k: int) -> list[RungEntry]:

@@ -129,21 +129,12 @@ class Scheduler:
         self.searcher = searcher if searcher is not None else RandomSearcher(universe, config.seed)
         self.criterion = config.criterion or DEFAULT_CRITERION
         self.cap, self.ceiling = rows[config.mode]
+        self._eta = spec.reduction_factor
         # highest ladder index jobs may currently target: the top level not above the cap
         self.top_index = bisect_right(self.levels, self.cap) - 1
         self.drawn = 0
         self._completions = 0
         self._in_flight: set[tuple[ConfigId, int]] = set()
-
-    def _find_promotion(self) -> tuple[int, RungEntry] | None:
-        """Highest rung holding an unpromoted top-fraction entry, if any."""
-        eta = self.spec.reduction_factor
-        promotable = self.ladder.promotable
-        for k in range(self.top_index - 1, -1, -1):
-            entry = promotable(k, eta)
-            if entry is not None:
-                return k, entry
-        return None
 
     def get_job(self) -> Job | None:
         """Next job: an eager promotion if one exists, else a fresh draw.
@@ -151,7 +142,7 @@ class Scheduler:
         Returns None when all configs are drawn and nothing is promotable
         right now; the worker should idle until the next completion.
         """
-        found = self._find_promotion()
+        found = self.ladder.promotion(self.top_index, self._eta)
         if found is not None:
             k, entry = found
             self.ladder.promote(k, entry)
@@ -162,7 +153,8 @@ class Scheduler:
         else:
             return None
         self._in_flight.add((config, rung))
-        return Job(config, rung, self.levels[rung])
+        # tuple.__new__ skips the named tuple's Python-level argument binding
+        return tuple.__new__(Job, (config, rung, self.levels[rung]))
 
     def report(self, job: Job, metric: float) -> None:
         """Record a completed job; in progressive mode, maybe raise the cap.
@@ -174,23 +166,21 @@ class Scheduler:
         hold, so the projection, and with it the verdict, stays what it was
         before the report. At most one growth step per report.
         """
-        key = (job.config, job.rung)
-        if key not in self._in_flight:
+        config, rung, _ = job
+        try:
+            self._in_flight.remove((config, rung))
+        except KeyError:
             raise InternalError(
-                f"report for a job that is not in flight: config {job.config} "
-                f"rung {job.rung}"
-            )
-        self._in_flight.discard(key)
-        entry = RungEntry(
-            job.config, metric, promoted=False, completion_index=self._completions
-        )
+                f"report for a job that is not in flight: config {config} rung {rung}"
+            ) from None
+        entry = RungEntry(config, metric, False, self._completions)
         self._completions += 1
-        self.ladder.insert(job.rung, entry)
+        self.ladder.insert(rung, entry)
         if self.cap >= self.ceiling:
             return  # a fixed or clamped cap: plain successive halving
         top = self.top_index
         pair_top = top - 1 if self.config.pair_below_cap else top
-        if job.rung != pair_top:
+        if rung != pair_top:
             return
         top_rung = self.ladder.sorted_rung(pair_top)
         below_rung = self.ladder.sorted_rung(pair_top - 1)
@@ -203,7 +193,7 @@ class Scheduler:
         return (
             self.drawn >= self.config.num_configs
             and not self._in_flight
-            and self._find_promotion() is None
+            and self.ladder.promotion(self.top_index, self._eta) is None
         )
 
     def best_config(self) -> tuple[ConfigId, float, int]:

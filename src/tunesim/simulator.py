@@ -48,6 +48,8 @@ class LearningCurveTable:
     flipped: bool = False
     resource_units: int = field(init=False)
     _rows: dict[ConfigId, int] = field(init=False, repr=False)  # config id -> row
+    # (start, target) -> every row's cost of those units; see incremental_cost
+    _segments: dict[tuple[int, int], np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         ids = np.asarray(self.ids)
@@ -91,6 +93,7 @@ class LearningCurveTable:
         self.payloads = tuple([payloads[i] for i in order.tolist()])
         self.resource_units = units
         self._rows = dict(zip(ids.tolist(), range(n)))
+        self._segments = {}
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LearningCurveTable):
@@ -128,7 +131,14 @@ class LearningCurveTable:
         return self.metrics.item(row, resource - 1)
 
     def incremental_cost(self, config: ConfigId, start: int, target: int) -> float:
-        """Seconds to continue config from start units (already paid) to target."""
+        """Seconds to continue config from start units (already paid) to target.
+
+        The first call for a (start, target) range sums that range for every
+        row at once and keeps the n sums, so the table grows by one n-vector
+        per distinct range; the simulator asks for one range per ladder level.
+        The columns are added left to right, and each elementwise IEEE
+        addition rounds as the per-row left fold does (np.sum would not).
+        """
         row = self._rows.get(config)
         if row is None or target.__class__ is not int or not (
             0 <= start < target <= self.resource_units
@@ -137,7 +147,10 @@ class LearningCurveTable:
             if not 0 <= start < target:
                 raise InternalError(f"bad resume range ({start}, {target}] for config {config}")
             self._check_units(config, target)
-        return _left_sum(self.costs[row, start:target].tolist())  # np.sum would round differently
+        sums = self._segments.get((start, target))
+        if sums is None:
+            sums = self._segments[start, target] = _left_sum(self.costs[:, start:target].T)
+        return sums.item(row)
 
     def final_metric(self, config: ConfigId) -> float:
         return self.finals.item(self._row(config))
@@ -237,21 +250,20 @@ def simulate(
         )
     get_job, report = sched.get_job, sched.report
     metric_at, incremental_cost = table.metric, table.incremental_cost
+    heappush, heappop = heapq.heappush, heapq.heappop
     checkpoint: dict[ConfigId, int] = {}
     heap: list[tuple[float, int]] = []
     running: dict[int, Job] = {}
     idle = list(range(workers))  # ascending worker index
     trace: list[TraceEvent] = []
+    record, event = trace.append, tuple.__new__
     jobs_executed = 0
     units_consumed = 0
-
-    def assign_idle(now: float) -> None:
-        """Poll the idle workers in index order until one finds no job.
-
-        get_job changes nothing when it returns None, so polling the workers
-        after that one would return None as well.
-        """
-        nonlocal jobs_executed, units_consumed
+    now = 0.0
+    while True:
+        # Poll the idle workers in index order until one finds no job. get_job
+        # changes nothing when it returns None, so polling the workers after
+        # that one would return None as well.
         assigned = 0
         for worker in idle:
             job = get_job()
@@ -260,35 +272,32 @@ def simulate(
             config, rung, target = job
             done = checkpoint.get(config, 0)
             units_consumed += target - done
-            heapq.heappush(heap, (now + incremental_cost(config, done, target), worker))
+            heappush(heap, (now + incremental_cost(config, done, target), worker))
             running[worker] = job
             if collect_trace:
-                trace.append(TraceEvent(now, worker, config, rung, target, None, "assign"))
+                # tuple.__new__ skips the named tuple's Python-level argument binding
+                record(event(TraceEvent, (now, worker, config, rung, target, None, "assign")))
             assigned += 1
         jobs_executed += assigned
         del idle[:assigned]
-
-    assign_idle(0.0)
-    wall_clock = 0.0
-    while heap:
-        now, worker = heapq.heappop(heap)
-        wall_clock = now
+        if not heap:
+            break
+        now, worker = heappop(heap)
         job = running.pop(worker)
         config, rung, target = job
         metric = metric_at(config, target)
         checkpoint[config] = target
         report(job, metric)
         if collect_trace:
-            trace.append(TraceEvent(now, worker, config, rung, target, metric, "complete"))
+            record(event(TraceEvent, (now, worker, config, rung, target, metric, "complete")))
         insort(idle, worker)
-        assign_idle(now)
     if not sched.should_stop():
         raise InternalError(
             "simulation drained its event queue before the scheduler was finished"
         )
     chosen, _, max_resources = sched.best_config()
     return SimResult(
-        wall_clock=wall_clock,
+        wall_clock=now,  # the last completion's time
         chosen=chosen,
         chosen_metric_full=table.final_metric(chosen),
         max_resources=max_resources,

@@ -216,6 +216,24 @@ class TestSaveLoad:
         save(table, path)
         assert load(path).payloads == ("lr=0.1,depth=4",)
 
+    @pytest.mark.parametrize("payload", ["a\nb", "a\rb", "a\r\nb", "a\x0cb", "a\x85b", "a\u2028b"])
+    def test_payload_with_a_line_break_survives_the_round_trip(self, tmp_path, payload):
+        table = LearningCurveTable(
+            ids=[3, 1], metrics=[[0.5, 0.6], [0.4, 0.5]], costs=[[1.0, 1.0], [1.0, 2.0]],
+            finals=[0.6, 0.5], payloads=[payload, "x"],
+        )
+        path = str(tmp_path / "bench.csv")
+        save(table, path)
+        assert load(path) == table
+
+    def test_bad_row_after_a_multi_line_payload_names_its_file_line(self, tmp_path):
+        path = self.write(
+            tmp_path, '0,"a\nb",0.1,0.2,1.0,1.0,0.2\n1,,0.1,fast,1.0,1.0,0.2\n',
+            header=FORMAT_MAGIC + "\nunits=2\nmetric=m\ndirection=maximize\nconfigs=2\n\n",
+        )
+        with pytest.raises(FormatError, match="line 9:"):  # the payload spans lines 7-8
+            load(path)
+
     def write(self, tmp_path, body, header=None):
         head = header if header is not None else (
             FORMAT_MAGIC + "\nunits=2\nmetric=m\ndirection=maximize\nconfigs=1\n\n"
@@ -312,11 +330,11 @@ class TestSaveLoad:
 @st.composite
 def small_tables(draw):
     """Tables of 1-6 configs x 1-5 units with arbitrary finite metrics, either
-    direction, and csv-hostile payloads (commas, quotes, spaces)."""
+    direction, and csv-hostile payloads (commas, quotes, spaces, line breaks)."""
     units = draw(st.integers(1, 5))
     metric = st.floats(-1e6, 1e6, allow_nan=False)
     cost = st.floats(1e-6, 1e6)
-    payload = st.text(st.sampled_from("ab, \"'=;:.-_0"), max_size=6)
+    payload = st.text(st.sampled_from("ab, \"'=;:.-_0\r\n\x0c\x85\u2028"), max_size=6)
     ids = draw(st.lists(st.integers(0, 10**6), min_size=1, max_size=6, unique=True))
     name = st.text(st.sampled_from("abXY09_-"), min_size=1, max_size=8)
     return LearningCurveTable(
@@ -415,7 +433,8 @@ class TestCrossingReportOracle:
 # Tokens the one-pass parser and the row-by-row reader must read alike: quoted
 # payloads (well formed or not), spellings float() and int() accept and numpy
 # may not, non-finite values, bad costs and ids, and whitespace.
-_PAYLOADS = ['""', '"a,b"', '"say ""hi"""', '"#1,x"', "#1", 'x"a,b"', ' "a,b"', '"a"b', '"open']
+_PAYLOADS = ['""', '"a,b"', '"say ""hi"""', '"#1,x"', "#1", 'x"a,b"', ' "a,b"', '"a"b', '"open',
+             '"a\nb"', '"a\rb"', '"a\r\nb"', "a\rb", "a\x0cb", "\x85", '"\u2028"']
 _IDS = ["-1", "-0", "+7", "007", "1_0", " 7 ", "1.0", "",
         "9223372036854775807", "9223372036854775808", "-9223372036854775809", str(2**64)]
 _VALUES = ["nan", "-inf", "1e999", "1e-400", "0", "-0.0", "-1.5", "1_0", "+.5", "5.",
@@ -493,10 +512,10 @@ class TestOnePassLoad:
         with tempfile.TemporaryDirectory() as d:
             path = os.path.join(d, "bench.csv")
             save(table, path)
-            with open(path, encoding="utf-8") as handle:
-                lines = handle.read().splitlines()
-            start = lines.index("") + 1
-            header, rows = lines[:start], lines[start:]
+            with open(path, encoding="utf-8", newline="") as handle:
+                head, _, body = handle.read().partition("\n\n")
+            header = head.split("\n") + [""]
+            rows = body.split("\r\n")[:-1]  # csv ends each saved row with \r\n
             if minimize:
                 header = [
                     "direction=minimize" if h.startswith("direction=") else h for h in header

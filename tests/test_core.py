@@ -213,9 +213,9 @@ class TestRungLadder:
         entry = RungEntry(0, 0.5)
         ladder.insert(0, entry)
         # eta 1 puts the whole rung inside the quota: the best unpromoted entry
-        assert ladder.promotable(0, 1) is entry
+        assert_same_promotion(ladder.promotion(1, 1), (0, entry))
         ladder.promote(0, entry)
-        assert entry.promoted and ladder.promotable(0, 1) is None
+        assert entry.promoted and ladder.promotion(1, 1) is None
         with pytest.raises(InternalError, match="already promoted"):
             ladder.promote(0, entry)
         ladder.insert(1, RungEntry(0, 0.6))  # the mark is what insert checks
@@ -243,13 +243,12 @@ def brute_force_promotion(inserted, top_index, eta):
     return None
 
 
-def brute_force_promotable(inserted_rung, eta):
-    """The best unpromoted entry, if its rank lies inside the top len // eta."""
-    ordered = sorted(inserted_rung, key=rank_key)  # stable: insertion order on ties
-    for position, entry in enumerate(ordered):
-        if not entry.promoted:
-            return entry if position < len(ordered) // eta else None
-    return None
+def assert_same_promotion(found, expected):
+    """The same rung and the same entry object, or both None."""
+    if expected is None:
+        assert found is None
+    else:
+        assert found is not None and found[0] == expected[0] and found[1] is expected[1]
 
 
 # few distinct values, so exact metric and completion-index ties are common
@@ -303,11 +302,7 @@ class TestIncrementalLadderProperties:
             for k, rung in enumerate(inserted):
                 assert ladder.sorted_rung(k) == sorted(rung, key=rank_key)
             expected = brute_force_promotion(inserted, sched.top_index, eta)
-            found = sched._find_promotion()
-            if expected is None:
-                assert found is None
-            else:
-                assert found[0] == expected[0] and found[1] is expected[1]
+            assert_same_promotion(ladder.promotion(sched.top_index, eta), expected)
 
         before = copy.deepcopy(ladder)
         bad = [
@@ -336,9 +331,10 @@ class TestIncrementalLadderProperties:
         fresh = 0
         for _ in range(data.draw(st.integers(0, 60), label="steps")):
             fresh = random_step(data, ladder, inserted, fresh)
-            for k, rung in enumerate(inserted):
+            for top in range(len(ladder.levels) + 1):
                 for eta in (1, 2, 3, 4):
-                    assert ladder.promotable(k, eta) is brute_force_promotable(rung, eta)
+                    expected = brute_force_promotion(inserted, top, eta)
+                    assert_same_promotion(ladder.promotion(top, eta), expected)
 
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False, width=64)

@@ -18,7 +18,7 @@ from tunesim import (
 )
 from tunesim.core import rung_levels
 from tunesim.ranking import is_stable
-from tunesim.scheduler import MODES, RandomSearcher, Scheduler
+from tunesim.scheduler import MODES, Job, RandomSearcher, Scheduler
 from util import ScriptedSearcher, table_from_rows
 
 
@@ -71,6 +71,17 @@ class TestGetJob:
     def test_random_mode_has_no_scheduler(self):
         with pytest.raises(UsageError):
             make_scheduler(mode="random")
+
+    def test_jobs_are_named_tuples_like_constructor_built_ones(self):
+        sched = make_scheduler(order=[0, 1, 2])
+        for config, metric in ((0, 0.9), (1, 0.5), (2, 0.1), (0, 0.8)):
+            job = sched.get_job()
+            built = Job(config=job.config, rung=job.rung, target_resource=job.target_resource)
+            assert type(job) is Job
+            assert job == built and repr(job) == repr(built) and hash(job) == hash(built)
+            assert job._asdict() == built._asdict() and job[1] == job.rung
+            assert job.config == config
+            sched.report(job, metric)
 
 
 class TestReport:

@@ -30,6 +30,7 @@ from tunesim import (
     write_trace,
 )
 
+from tunesim.core import _left_sum
 from util import table_from_rows, trace_text
 
 
@@ -154,6 +155,14 @@ class TestTableValidation:
         assert table.incremental_cost(0, 1, 3) == 6.0
         assert table.incremental_cost(0, 3, 4) == 8.0
 
+    def test_incremental_cost_sums_each_row_of_a_range_kept_for_later_calls(self):
+        table = table_from_rows({7: [0.5] * 3, 2: [0.5] * 3},
+                                costs={7: [1.0, 2.0, 4.0], 2: [0.5, 0.25, 8.0]})
+        assert table.incremental_cost(7, 0, 2) == 3.0
+        assert table.incremental_cost(2, 0, 2) == 0.75
+        assert table.incremental_cost(2, 1, 3) == 8.25
+        assert table.incremental_cost(7, 0, 2) == 3.0
+
     def test_incremental_cost_rejects_a_backwards_range(self):
         table = table_from_rows({0: [0.5] * 4})
         with pytest.raises(InternalError, match="resume range"):
@@ -251,6 +260,33 @@ class TestTableArrays:
             table.metric(2, 0)
         with pytest.raises(InternalError, match=r"resume range \(-1, 1\]"):
             table.incremental_cost(2, -1, 1)
+
+
+@st.composite
+def cost_queries(draw):
+    """A table whose ids are given out of order, with widely spread costs so
+    that the summation order shows in the last bit, and resume ranges on it."""
+    units = draw(st.integers(1, 24))
+    ids = draw(st.lists(st.integers(0, 10**6), min_size=1, max_size=6, unique=True))
+    cost = st.floats(1e-6, 1e6)
+    costs = [draw(st.lists(cost, min_size=units, max_size=units)) for _ in ids]
+    table = LearningCurveTable(ids, [[0.5] * units for _ in ids], costs, [0.5 for _ in ids])
+    ranges = st.tuples(st.integers(0, units - 1), st.integers(1, units)).filter(
+        lambda r: r[0] < r[1]
+    )
+    queries = draw(st.lists(st.tuples(st.integers(0, len(ids) - 1), ranges), max_size=12))
+    return table, ids, costs, queries
+
+
+class TestSegmentSums:
+    @settings(max_examples=200, deadline=None)
+    @given(setup=cost_queries())
+    def test_each_cost_is_the_left_fold_of_its_row_slice(self, setup):
+        table, ids, costs, queries = setup
+        for _ in range(2):  # the second pass reads the kept sums
+            for i, (start, target) in queries:
+                expected = _left_sum(np.array(costs[i])[start:target].tolist())
+                assert table.incremental_cost(ids[i], start, target).hex() == expected.hex()
 
 
 class TestAccounting:
@@ -434,6 +470,15 @@ class TestTraceIO:
         event = TraceEvent(0.5, 1, 7, 0, 1, None, "assign")
         assert event == (0.5, 1, 7, 0, 1, None, "assign")
         assert event[2] == event.config == 7 and event[-1] == event.kind
+
+    def test_simulated_events_are_named_tuples_like_constructor_built_ones(self):
+        trace = run("asha", rising_table(9, 9), n=9, workers=2).trace
+        assert {event.kind for event in trace} == {"assign", "complete"}
+        for event in trace:
+            built = TraceEvent(**event._asdict())
+            assert type(event) is TraceEvent
+            assert event == built and repr(event) == repr(built) and hash(event) == hash(built)
+            assert event[0] == event.time and event[5] == event.metric
 
     def test_wrong_field_count_names_file_and_line(self, tmp_path):
         path = tmp_path / "bad.trace"
