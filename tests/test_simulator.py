@@ -155,14 +155,6 @@ class TestTableValidation:
         assert table.incremental_cost(0, 1, 3) == 6.0
         assert table.incremental_cost(0, 3, 4) == 8.0
 
-    def test_incremental_cost_sums_each_row_of_a_range_kept_for_later_calls(self):
-        table = table_from_rows({7: [0.5] * 3, 2: [0.5] * 3},
-                                costs={7: [1.0, 2.0, 4.0], 2: [0.5, 0.25, 8.0]})
-        assert table.incremental_cost(7, 0, 2) == 3.0
-        assert table.incremental_cost(2, 0, 2) == 0.75
-        assert table.incremental_cost(2, 1, 3) == 8.25
-        assert table.incremental_cost(7, 0, 2) == 3.0
-
     def test_incremental_cost_rejects_a_backwards_range(self):
         table = table_from_rows({0: [0.5] * 4})
         with pytest.raises(InternalError, match="resume range"):
