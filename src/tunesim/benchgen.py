@@ -278,11 +278,12 @@ def _rows_by_array(handle, units: int) -> Rows | None:
     except (ValueError, Warning):
         return None
     ids, values = data["id"], data["values"]
+    ordered = np.sort(ids)  # np.unique would import numpy.ma on first use
     if not (
         np.isfinite(values).all()
         and (values[:, units:-1] > 0).all()
         and (ids >= 0).all()
-        and np.unique(ids).size == ids.size
+        and not (ordered[1:] == ordered[:-1]).any()
     ):
         return None
     return ids, tuple(data["payload"].tolist()), values

@@ -182,7 +182,8 @@ class RungLadder:
         self._configs = [set() for _ in self.levels]
         self._promoted = [set() for _ in self.levels]
 
-    def insert(self, k: int, entry: RungEntry) -> None:
+    def insert(self, k: int, entry: RungEntry) -> int:
+        """Add a result to rung k; returns its position in the rung's rank order."""
         if not 0 <= k < len(self.rungs):
             raise InternalError(
                 f"rung index {k} outside ladder of {len(self.rungs)} levels"
@@ -209,9 +210,10 @@ class RungLadder:
             self._promoted[k].add(entry.config)
         else:
             waiting = self._waiting[k]
-            i = bisect_right(waiting.keys, key)
-            waiting.keys.insert(i, key)
-            waiting.entries.insert(i, entry)
+            j = bisect_right(waiting.keys, key)
+            waiting.keys.insert(j, key)
+            waiting.entries.insert(j, entry)
+        return i
 
     def promote(self, k: int, entry: RungEntry) -> None:
         """Mark an unpromoted entry of rung k as promoted."""

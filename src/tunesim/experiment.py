@@ -23,7 +23,7 @@ from .benchgen import load
 from .core import DataError, ResourceSpec, TunesimError, UsageError
 from .ranking import RankingCriterion, _sqrt_of_frac
 from .scheduler import MODES, SchedulerConfig, check_mode_options
-from .simulator import LearningCurveTable, simulate, write_trace
+from .simulator import LearningCurveTable, _speedup_factor, simulate, write_trace
 
 SEED_PLACEHOLDER = "{seed}"
 
@@ -339,12 +339,7 @@ def aggregate(
     rows = []
     for name in method_order:
         (metric_mean, metric_std), (runtime_mean, runtime_std), (max_mean, max_std) = stats[name]
-        if name == reference:
-            factor = 1.0
-        elif runtime_mean == 0.0:
-            factor = math.inf
-        else:
-            factor = reference_runtime / runtime_mean
+        factor = 1.0 if name == reference else _speedup_factor(reference_runtime, runtime_mean)
         rows.append(
             MethodRow(
                 name=name,

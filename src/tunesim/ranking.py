@@ -5,16 +5,20 @@ the rung below it, both in the ladder's rank order: best metric first,
 earlier completion first among ties. The below rung is first projected onto
 the configs present in the top rung (promotion guarantees they exist below),
 because positional comparison is only well defined over a common config set.
+
+is_stable is the full check. The scheduler keeps each pair's check with a
+_PairCheck instead, which re-checks only what a new top-rung result moved.
 """
 
 from __future__ import annotations
 
 import math
 import statistics
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .core import ConfigId, DataError, InternalError, RungEntry, UsageError, _left_sum
+from .core import ConfigId, DataError, InternalError, RungEntry, UsageError, _left_sum, _rank_key
 
 
 def project(below: Sequence[RungEntry], top: Sequence[RungEntry]) -> list[RungEntry]:
@@ -239,40 +243,155 @@ def _regret_ok(absolute: bool):
     return stable
 
 
+class _SigmaEpsilon:
+    """epsilon_sigma of the projected metrics, with its exact integer sums kept
+    as metrics arrive: a larger denominator rescales the sums to it."""
+
+    def __init__(self, c: RankingCriterion, projected: list[RungEntry]) -> None:
+        self.multiplier = c.multiplier
+        self.n = self.total = self.squares = 0
+        self.scale = 1
+        for e in projected:
+            self._count(e.metric)
+
+    def add(self, projected: list[RungEntry], q: int) -> None:
+        self._count(projected[q].metric)
+
+    def _count(self, metric: float) -> None:
+        num, den = metric.as_integer_ratio()
+        if den > self.scale:
+            factor = den // self.scale
+            self.total *= factor
+            self.squares *= factor * factor
+            self.scale = den
+        x = num * (self.scale // den)
+        self.n += 1
+        self.total += x
+        self.squares += x * x
+
+    def value(self) -> float:
+        n, scale = self.n, self.scale
+        if n < 2:
+            return 0.0
+        variance_num = n * self.squares - self.total * self.total
+        return self.multiplier * _sqrt_of_frac(variance_num, n * n * scale * scale)
+
+
+class _GapEpsilon:
+    """An epsilon over the gaps between consecutive projected metrics.
+
+    A metric placed at q splits the gap between its neighbours in two, or adds
+    one gap at either end; _gap(g, +1) counts a gap in, _gap(g, -1) out.
+    """
+
+    def __init__(self, c: RankingCriterion, projected: list[RungEntry]) -> None:
+        for a, b in zip(projected, projected[1:]):
+            self._gap(a.metric - b.metric, 1)
+
+    def add(self, projected: list[RungEntry], q: int) -> None:
+        metric = projected[q].metric
+        if q:
+            before = projected[q - 1].metric
+            self._gap(before - metric, 1)
+        if q + 1 < len(projected):
+            after = projected[q + 1].metric
+            self._gap(metric - after, 1)
+            if q:
+                self._gap(before - after, -1)
+
+
+class _MeanGapEpsilon(_GapEpsilon):
+    """epsilon_mean_distance: the gaps' exact sum, kept as an integer over their
+    largest denominator and rounded once, is fsum's, hence fmean's."""
+
+    def __init__(self, c: RankingCriterion, projected: list[RungEntry]) -> None:
+        self.count = self.total = 0
+        self.scale = 1
+        super().__init__(c, projected)
+
+    def _gap(self, gap: float, sign: int) -> None:
+        num, den = gap.as_integer_ratio()
+        if den > self.scale:  # only an added gap: a removed one was counted at <= scale
+            self.total *= den // self.scale
+            self.scale = den
+        self.count += sign
+        self.total += sign * num * (self.scale // den)
+
+    def value(self) -> float:
+        return self.total / self.scale / self.count if self.count else 0.0
+
+
+class _MedianGapEpsilon(_GapEpsilon):
+    """epsilon_median_distance over an ordered list of the gaps."""
+
+    def __init__(self, c: RankingCriterion, projected: list[RungEntry]) -> None:
+        self.gaps: list[float] = []
+        super().__init__(c, projected)
+
+    def _gap(self, gap: float, sign: int) -> None:
+        if sign > 0:
+            insort(self.gaps, gap)
+        else:
+            del self.gaps[bisect_left(self.gaps, gap)]
+
+    def value(self) -> float:
+        gaps = self.gaps
+        n = len(gaps)
+        if not n:
+            return 0.0
+        i = n // 2
+        return gaps[i] if n % 2 else (gaps[i - 1] + gaps[i]) / 2
+
+
 @dataclass(frozen=True)
 class _Kind:
     """One criterion kind: how it is spelled, its default threshold, its test.
 
     stable(criterion, top, below) sees a top rung of two or more entries and
-    the below rung already projected onto the top rung's configs.
+    the below rung already projected onto the top rung's configs. A kind of
+    the soft family also says how _PairCheck keeps its epsilon: fixed(criterion)
+    gives a constant one, adaptive(criterion, projected) an object that follows
+    the projection as it grows.
     """
 
     parse: Callable[[str, str], dict]
     spelling: str  # canonical form, formatted with c=the criterion
     stable: Callable[[RankingCriterion, Sequence[RungEntry], list[RungEntry]], bool]
     threshold: float = 0.5
+    fixed: Callable[[RankingCriterion], float] | None = None
+    adaptive: Callable[[RankingCriterion, list[RungEntry]], object] | None = None
 
 
 _BARE = "{c.kind}"
 _P_T = "{c.kind}:p={c.p:g},t={c.threshold:g}"
 
 _KINDS = {
-    "direct": _Kind(_no_parameters, _BARE, _soft(lambda c, below: 0.0)),
+    "direct": _Kind(
+        _no_parameters, _BARE, _soft(lambda c, below: 0.0), fixed=lambda c: 0.0
+    ),
     "soft": _Kind(
         _one_parameter("epsilon", float, "an epsilon, e.g. soft:0.025"),
         "{c.kind}:{c.epsilon:g}",
         _soft(lambda c, below: c.epsilon),
+        fixed=lambda c: c.epsilon,
     ),
     "soft-sigma": _Kind(
         _one_parameter("multiplier", int, "a multiplier, e.g. soft-sigma:2"),
         "{c.kind}:{c.multiplier}",
         _soft(lambda c, below: epsilon_sigma(_metrics(below), c.multiplier)),
+        adaptive=_SigmaEpsilon,
     ),
     "soft-mean-dist": _Kind(
-        _no_parameters, _BARE, _soft(lambda c, below: epsilon_mean_distance(_metrics(below)))
+        _no_parameters,
+        _BARE,
+        _soft(lambda c, below: epsilon_mean_distance(_metrics(below))),
+        adaptive=_MeanGapEpsilon,
     ),
     "soft-median-dist": _Kind(
-        _no_parameters, _BARE, _soft(lambda c, below: epsilon_median_distance(_metrics(below)))
+        _no_parameters,
+        _BARE,
+        _soft(lambda c, below: epsilon_median_distance(_metrics(below))),
+        adaptive=_MedianGapEpsilon,
     ),
     "rbo": _Kind(_p_and_t, _P_T, _rbo_ok),
     "rrr": _Kind(_p_and_t, _P_T, _regret_ok(absolute=False), threshold=0.05),
@@ -358,3 +477,78 @@ def is_stable(
     if len(top) <= 1:
         return True
     return _KINDS[criterion.kind].stable(criterion, top, below_projected)
+
+
+class _PairCheck:
+    """Pasha's stability verdict on one (top rung, below rung) pair, kept up to
+    date as results reach the top rung.
+
+    It is built from the ladder's own rank-ordered lists once is_stable has
+    found the pair stable in full; that first check must be a full one, as
+    the top rung may hold configs that no check has compared (after a growth
+    with pair_below_cap it does). The below rung is projected once; after
+    that, add() places each new top config's below entry in the projection
+    with one bisect on rank keys.
+
+    A config inserted at top position p and projection position q changes
+    only the compared pairs at positions min(p, q)..max(p, q); every other
+    position compares the same two entries as before. With a fixed epsilon
+    (soft, direct) the previous verdict was stable, or the cap would have
+    grown and the pair moved on, so the window's deviations decide. An
+    adaptive epsilon moves with every insertion, so every position's
+    deviation is kept in an ordered list and the largest is compared with the
+    new epsilon. rbo, rrr and arrr weight positions by depth, which every
+    insertion shifts, so they rescore the maintained projection in full.
+    """
+
+    def __init__(
+        self, criterion: RankingCriterion, top: list[RungEntry], below: list[RungEntry]
+    ) -> None:
+        kind = _KINDS[criterion.kind]
+        self._criterion, self._kind, self._top = criterion, kind, top
+        projected = self._projected = project(below, top)
+        self._keys = [_rank_key(e) for e in projected]
+        self._below_metric = {e.config: e.metric for e in projected}
+        if kind.adaptive is not None:
+            self._epsilon = kind.adaptive(criterion, projected)
+            self._deviations = self._window(0, len(top) - 1)
+            self._ordered = sorted(self._deviations)
+        elif kind.fixed is not None:
+            self._epsilon = kind.fixed(criterion)
+
+    def _window(self, lo: int, hi: int) -> list[float]:
+        """|deviation| at positions lo..hi: below's metric of top config i
+        against the metric of below's projected rank i."""
+        top, projected, below_metric = self._top, self._projected, self._below_metric
+        return [
+            abs(projected[i].metric - below_metric[top[i].config]) for i in range(lo, hi + 1)
+        ]
+
+    def add(self, p: int, below_entry: RungEntry) -> bool:
+        """The verdict after the ladder placed a new entry at position p of the
+        top rung; below_entry is that config's entry in the below rung."""
+        key = _rank_key(below_entry)
+        q = bisect_right(self._keys, key)
+        self._keys.insert(q, key)
+        self._projected.insert(q, below_entry)
+        self._below_metric[below_entry.config] = below_entry.metric
+        top, kind = self._top, self._kind
+        if len(self._projected) != len(top):
+            raise InternalError(
+                f"the stability pair projects {len(self._projected)} entries for "
+                f"{len(top)} in its top rung; a top-rung result went unchecked"
+            )
+        if kind.adaptive is None and kind.fixed is None:
+            return kind.stable(self._criterion, top, self._projected)
+        lo, hi = (p, q) if p < q else (q, p)
+        window = self._window(lo, hi)
+        if kind.adaptive is None:
+            return max(window) <= self._epsilon  # outside the window, all were within it
+        self._epsilon.add(self._projected, q)
+        ordered = self._ordered
+        for d in self._deviations[lo:hi]:  # the old window, one position shorter
+            del ordered[bisect_left(ordered, d)]
+        self._deviations[lo:hi] = window
+        for d in window:
+            insort(ordered, d)
+        return ordered[-1] <= self._epsilon.value()

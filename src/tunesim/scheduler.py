@@ -24,7 +24,7 @@ from .core import (
     grow,
     rung_levels,
 )
-from .ranking import RankingCriterion, is_stable
+from .ranking import RankingCriterion, _PairCheck, is_stable
 
 MODES = ("pasha", "asha", "one-epoch", "no-increase", "random")
 
@@ -134,7 +134,9 @@ class Scheduler:
         self.top_index = bisect_right(self.levels, self.cap) - 1
         self.drawn = 0
         self._completions = 0
-        self._in_flight: set[tuple[ConfigId, int]] = set()
+        # (config, rung) of each running job -> the entry it was promoted from, if any
+        self._in_flight: dict[tuple[ConfigId, int], RungEntry | None] = {}
+        self._pair: _PairCheck | None = None  # the stability pair, once found stable
 
     def get_job(self) -> Job | None:
         """Next job: an eager promotion if one exists, else a fresh draw.
@@ -148,11 +150,11 @@ class Scheduler:
             self.ladder.promote(k, entry)
             config, rung = entry.config, k + 1
         elif self.drawn < self.config.num_configs:
-            config, rung = self.searcher.draw(), 0
+            config, rung, entry = self.searcher.draw(), 0, None
             self.drawn += 1
         else:
             return None
-        self._in_flight.add((config, rung))
+        self._in_flight[(config, rung)] = entry
         # tuple.__new__ skips the named tuple's Python-level argument binding
         return tuple.__new__(Job, (config, rung, self.levels[rung]))
 
@@ -164,29 +166,39 @@ class Scheduler:
         re-evaluated only when a report lands in the pair's upper rung. A
         report into the lower rung adds a config that the upper rung does not
         hold, so the projection, and with it the verdict, stays what it was
-        before the report. At most one growth step per report.
+        before the report. The pair's first check is is_stable's full one;
+        once that finds the pair stable, a ranking._PairCheck keeps the
+        pair's projection, and each later report into the upper rung
+        re-checks only what its result moved. A growth moves the pair up a
+        level and drops that state. At most one growth step per report.
         """
         config, rung, _ = job
         try:
-            self._in_flight.remove((config, rung))
+            below = self._in_flight.pop((config, rung))
         except KeyError:
             raise InternalError(
                 f"report for a job that is not in flight: config {config} rung {rung}"
             ) from None
         entry = RungEntry(config, metric, False, self._completions)
         self._completions += 1
-        self.ladder.insert(rung, entry)
+        position = self.ladder.insert(rung, entry)
         if self.cap >= self.ceiling:
             return  # a fixed or clamped cap: plain successive halving
         top = self.top_index
         pair_top = top - 1 if self.config.pair_below_cap else top
         if rung != pair_top:
             return
-        top_rung = self.ladder.sorted_rung(pair_top)
-        below_rung = self.ladder.sorted_rung(pair_top - 1)
-        if not is_stable(self.criterion, top_rung, below_rung):
+        if self._pair is None:
+            top_rung, below_rung = self.ladder.sorted_rung(rung), self.ladder.sorted_rung(rung - 1)
+            stable = is_stable(self.criterion, top_rung, below_rung)
+            if stable:
+                self._pair = _PairCheck(self.criterion, top_rung, below_rung)
+        else:
+            stable = self._pair.add(position, below)
+        if not stable:
             self.cap = grow(self.cap, self.spec)
             self.top_index = bisect_right(self.levels, self.cap) - 1
+            self._pair = None
 
     def should_stop(self) -> bool:
         """True once every config is drawn, nothing runs, nothing is promotable."""

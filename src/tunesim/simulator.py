@@ -308,11 +308,14 @@ def simulate(
     )
 
 
+def _speedup_factor(reference: float, candidate: float) -> float:
+    """reference / candidate seconds; a candidate that took 0 s is infinitely faster."""
+    return math.inf if candidate == 0 else reference / candidate
+
+
 def speedup(reference: SimResult, candidate: SimResult) -> float:
     """Ratio of wall clocks; infinity when the candidate spent no simulated time."""
-    if candidate.wall_clock == 0:
-        return math.inf
-    return reference.wall_clock / candidate.wall_clock
+    return _speedup_factor(reference.wall_clock, candidate.wall_clock)
 
 
 def write_trace(events: Iterable[TraceEvent], path: str) -> None:

@@ -5,6 +5,8 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import os
+import subprocess
+import sys
 import tempfile
 import warnings
 from unittest import mock
@@ -562,3 +564,23 @@ class TestOnePassLoad:
         table = load(str(path))
         assert table.config_ids() == [10, big]
         assert table.costs[0].tolist() == [10.5]
+
+    def test_load_leaves_numpy_ma_unimported(self, tmp_path):
+        """np.unique imports numpy.ma the first time it runs, 10-19 ms inside
+        the first load of every tunesim process; the duplicate-id test must
+        not pay it. A fresh interpreter shows what load itself imports."""
+        path = tmp_path / "bench.csv"
+        save(generate(16, 9, DEFAULT, 0), str(path))
+        code = (
+            "import sys\n"
+            "from tunesim.benchgen import load\n"
+            "load(sys.argv[1])\n"
+            "print('numpy.ma' in sys.modules)\n"
+        )
+        src = os.path.dirname(os.path.dirname(benchgen.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run(
+            [sys.executable, "-c", code, str(path)], env=env, capture_output=True, text=True,
+            timeout=60, check=True,
+        )
+        assert done.stdout == "False\n"

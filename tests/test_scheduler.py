@@ -3,23 +3,26 @@
 from bisect import bisect_left
 from unittest import mock
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tunesim import (
     DataError,
     InternalError,
+    LearningCurveTable,
     RankingCriterion,
     ResourceSpec,
     SchedulerConfig,
     UsageError,
     simulate,
 )
+from tunesim.benchgen import generate
 from tunesim.core import rung_levels
 from tunesim.ranking import is_stable
 from tunesim.scheduler import MODES, Job, RandomSearcher, Scheduler
-from util import ScriptedSearcher, table_from_rows
+from util import NOISY_TIGHT, TOP_CHURN, ScriptedSearcher, table_from_rows
 
 
 def make_scheduler(mode="asha", eta=3, r=1, cap=81, n=8, order=None, **kwargs):
@@ -215,6 +218,78 @@ class TestStabilityTrigger:
 
         with mock.patch.object(Scheduler, "report", report):
             simulate(config, table, workers)
+
+
+# every criterion kind; rrr's default threshold is rarely crossed, so one is tighter
+DIFFERENTIAL_CRITERIA = (
+    "direct", "soft:0.005", "soft:0.025", "soft-sigma:1", "soft-sigma:2", "soft-mean-dist",
+    "soft-median-dist", "rbo:p=0.9,t=0.5", "rbo", "rrr:p=0.9,t=0.01", "arrr",
+    "always-unstable",
+)
+
+
+CHURN_MODELS = {"noisy": NOISY_TIGHT, "top-churn": TOP_CHURN}
+
+
+def churn_table(num_configs, max_resource, model, table_seed, quantized):
+    """A noisy or top-churn table, where pasha's checks do fail; quantized
+    rounds its metrics up to multiples of 1/32, so that rungs hold exact ties."""
+    table = generate(num_configs, max_resource, CHURN_MODELS[model], table_seed)
+    if not quantized:
+        return table
+    metrics = np.ceil(table.metrics * 32) / 32
+    return LearningCurveTable(table.ids, metrics, table.costs, table.finals)
+
+
+class TestIncrementalStability:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        table_args=st.tuples(
+            st.integers(50, 250),
+            st.sampled_from((81, 100)),
+            st.sampled_from(tuple(CHURN_MODELS)),
+            st.integers(0, 100),
+            st.booleans(),
+        ),
+        seed=st.integers(0, 100),
+        workers=st.integers(1, 4),
+    )
+    # a growth with pair_below_cap leaves an unchecked violation outside the
+    # first window of the new pair, for direct and soft
+    @example(table_args=(50, 81, "noisy", 0, True), seed=1, workers=2)
+    def test_every_verdict_is_the_full_checks(self, table_args, seed, workers):
+        """The scheduler keeps each pair's check incrementally; every verdict,
+        for every criterion with and without pair_below_cap, must still be
+        is_stable's on the ladder's rungs at that moment, and only an unstable
+        one grows the cap."""
+        _, max_resource, *_ = table_args
+        table = churn_table(*table_args)
+        real_report = Scheduler.report
+
+        def report(sched, job, metric):
+            pair_top = sched.top_index - 1 if sched.config.pair_below_cap else sched.top_index
+            checked = sched.cap < sched.ceiling and job.rung == pair_top
+            cap = sched.cap
+            real_report(sched, job, metric)
+            stable = not checked or is_stable(
+                sched.criterion,
+                sched.ladder.sorted_rung(pair_top),
+                sched.ladder.sorted_rung(pair_top - 1),
+            )
+            assert (sched.cap == cap) == stable
+
+        with mock.patch.object(Scheduler, "report", report):
+            for spelling in DIFFERENTIAL_CRITERIA:
+                for pair_below_cap in (False, True):
+                    config = SchedulerConfig(
+                        resources=ResourceSpec(1, 3, max_resource),
+                        num_configs=len(table.ids),
+                        mode="pasha",
+                        criterion=RankingCriterion.parse(spelling),
+                        seed=seed,
+                        pair_below_cap=pair_below_cap,
+                    )
+                    simulate(config, table, workers)
 
 
 class TestBestConfig:

@@ -19,6 +19,13 @@ NOISY_TIGHT = CurveModel(
     noise_std=0.01, hard=True, head_gap=0.005, head_jitter=0.002, gap_scale=0.01
 )
 
+# the top ranks keep crossing until late in training: the regime in which
+# pasha grows its cap and its stability checks fail, where the default
+# model's clean top ranks keep it at the starting cap
+TOP_CHURN = CurveModel(
+    damp_lo=0, damp_hi=0.01, early_scale=0.5, head_gap=0.005, head_jitter=0.002, gap_scale=0.01
+)
+
 
 def ranked(*pairs: tuple[int, float]) -> list[RungEntry]:
     """Rung entries from (config, metric) pairs given best first.
