@@ -257,6 +257,8 @@ class TestIncrementalStability:
     # a growth with pair_below_cap leaves an unchecked violation outside the
     # first window of the new pair, for direct and soft
     @example(table_args=(50, 81, "noisy", 0, True), seed=1, workers=2)
+    # verdicts that the first and the last position of a window decide
+    @example(table_args=(100, 81, "noisy", 0, False), seed=0, workers=2)
     def test_every_verdict_is_the_full_checks(self, table_args, seed, workers):
         """The scheduler keeps each pair's check incrementally; every verdict,
         for every criterion with and without pair_below_cap, must still be
