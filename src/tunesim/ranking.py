@@ -277,121 +277,53 @@ class _SigmaEpsilon:
         return self.multiplier * _sqrt_of_frac(variance_num, n * n * scale * scale)
 
 
-class _GapEpsilon:
-    """An epsilon over the gaps between consecutive projected metrics.
-
-    A metric placed at q splits the gap between its neighbours in two, or adds
-    one gap at either end; _gap(g, +1) counts a gap in, _gap(g, -1) out.
-    """
-
-    def __init__(self, c: RankingCriterion, projected: list[RungEntry]) -> None:
-        for a, b in zip(projected, projected[1:]):
-            self._gap(a.metric - b.metric, 1)
-
-    def add(self, projected: list[RungEntry], q: int) -> None:
-        metric = projected[q].metric
-        if q:
-            before = projected[q - 1].metric
-            self._gap(before - metric, 1)
-        if q + 1 < len(projected):
-            after = projected[q + 1].metric
-            self._gap(metric - after, 1)
-            if q:
-                self._gap(before - after, -1)
-
-
-class _MeanGapEpsilon(_GapEpsilon):
-    """epsilon_mean_distance: the gaps' exact sum, kept as an integer over their
-    largest denominator and rounded once, is fsum's, hence fmean's."""
-
-    def __init__(self, c: RankingCriterion, projected: list[RungEntry]) -> None:
-        self.count = self.total = 0
-        self.scale = 1
-        super().__init__(c, projected)
-
-    def _gap(self, gap: float, sign: int) -> None:
-        num, den = gap.as_integer_ratio()
-        if den > self.scale:  # only an added gap: a removed one was counted at <= scale
-            self.total *= den // self.scale
-            self.scale = den
-        self.count += sign
-        self.total += sign * num * (self.scale // den)
-
-    def value(self) -> float:
-        return self.total / self.scale / self.count if self.count else 0.0
-
-
-class _MedianGapEpsilon(_GapEpsilon):
-    """epsilon_median_distance over an ordered list of the gaps."""
-
-    def __init__(self, c: RankingCriterion, projected: list[RungEntry]) -> None:
-        self.gaps: list[float] = []
-        super().__init__(c, projected)
-
-    def _gap(self, gap: float, sign: int) -> None:
-        if sign > 0:
-            insort(self.gaps, gap)
-        else:
-            del self.gaps[bisect_left(self.gaps, gap)]
-
-    def value(self) -> float:
-        gaps = self.gaps
-        n = len(gaps)
-        if not n:
-            return 0.0
-        i = n // 2
-        return gaps[i] if n % 2 else (gaps[i - 1] + gaps[i]) / 2
-
-
 @dataclass(frozen=True)
 class _Kind:
     """One criterion kind: how it is spelled, its default threshold, its test.
 
     stable(criterion, top, below) sees a top rung of two or more entries and
     the below rung already projected onto the top rung's configs. A kind of
-    the soft family also says how _PairCheck keeps its epsilon: fixed(criterion)
-    gives a constant one, adaptive(criterion, projected) an object that follows
-    the projection as it grows.
+    the soft family is built by _soft_kind from its epsilon(criterion,
+    below). If that epsilon ignores the below rung (fixed), _PairCheck
+    computes it once; adaptive(criterion, projected) builds an object that
+    keeps it as the projection grows. Any other kind is rescored in full.
     """
 
     parse: Callable[[str, str], dict]
     spelling: str  # canonical form, formatted with c=the criterion
     stable: Callable[[RankingCriterion, Sequence[RungEntry], list[RungEntry]], bool]
     threshold: float = 0.5
-    fixed: Callable[[RankingCriterion], float] | None = None
+    epsilon: Callable[[RankingCriterion, list[RungEntry]], float] | None = None
+    fixed: bool = False
     adaptive: Callable[[RankingCriterion, list[RungEntry]], object] | None = None
+
+
+def _soft_kind(parse, spelling, epsilon, fixed=False, adaptive=None) -> _Kind:
+    return _Kind(parse, spelling, _soft(epsilon), epsilon=epsilon, fixed=fixed, adaptive=adaptive)
 
 
 _BARE = "{c.kind}"
 _P_T = "{c.kind}:p={c.p:g},t={c.threshold:g}"
 
 _KINDS = {
-    "direct": _Kind(
-        _no_parameters, _BARE, _soft(lambda c, below: 0.0), fixed=lambda c: 0.0
-    ),
-    "soft": _Kind(
+    "direct": _soft_kind(_no_parameters, _BARE, lambda c, below: 0.0, fixed=True),
+    "soft": _soft_kind(
         _one_parameter("epsilon", float, "an epsilon, e.g. soft:0.025"),
         "{c.kind}:{c.epsilon:g}",
-        _soft(lambda c, below: c.epsilon),
-        fixed=lambda c: c.epsilon,
+        lambda c, below: c.epsilon,
+        fixed=True,
     ),
-    "soft-sigma": _Kind(
+    "soft-sigma": _soft_kind(
         _one_parameter("multiplier", int, "a multiplier, e.g. soft-sigma:2"),
         "{c.kind}:{c.multiplier}",
-        _soft(lambda c, below: epsilon_sigma(_metrics(below), c.multiplier)),
+        lambda c, below: epsilon_sigma(_metrics(below), c.multiplier),
         adaptive=_SigmaEpsilon,
     ),
-    "soft-mean-dist": _Kind(
-        _no_parameters,
-        _BARE,
-        _soft(lambda c, below: epsilon_mean_distance(_metrics(below))),
-        adaptive=_MeanGapEpsilon,
+    "soft-mean-dist": _soft_kind(
+        _no_parameters, _BARE, lambda c, below: epsilon_mean_distance(_metrics(below))
     ),
-    "soft-median-dist": _Kind(
-        _no_parameters,
-        _BARE,
-        _soft(lambda c, below: epsilon_median_distance(_metrics(below))),
-        adaptive=_MedianGapEpsilon,
+    "soft-median-dist": _soft_kind(
+        _no_parameters, _BARE, lambda c, below: epsilon_median_distance(_metrics(below))
     ),
     "rbo": _Kind(_p_and_t, _P_T, _rbo_ok),
     "rrr": _Kind(_p_and_t, _P_T, _regret_ok(absolute=False), threshold=0.05),
@@ -494,11 +426,12 @@ class _PairCheck:
     only the compared pairs at positions min(p, q)..max(p, q); every other
     position compares the same two entries as before. With a fixed epsilon
     (soft, direct) the previous verdict was stable, or the cap would have
-    grown and the pair moved on, so the window's deviations decide. An
-    adaptive epsilon moves with every insertion, so every position's
-    deviation is kept in an ordered list and the largest is compared with the
-    new epsilon. rbo, rrr and arrr weight positions by depth, which every
-    insertion shifts, so they rescore the maintained projection in full.
+    grown and the pair moved on, so the window's deviations decide. The
+    sigma epsilon moves with every insertion, so every position's deviation
+    is kept in an ordered list and the largest is compared with the new
+    epsilon. rbo, rrr and arrr weight positions by depth, which every
+    insertion shifts, so they rescore the maintained projection in full;
+    so, for now, do soft-mean-dist and soft-median-dist.
     """
 
     def __init__(
@@ -513,8 +446,8 @@ class _PairCheck:
             self._epsilon = kind.adaptive(criterion, projected)
             self._deviations = self._window(0, len(top) - 1)
             self._ordered = sorted(self._deviations)
-        elif kind.fixed is not None:
-            self._epsilon = kind.fixed(criterion)
+        elif kind.fixed:
+            self._epsilon = kind.epsilon(criterion, projected)
 
     def _window(self, lo: int, hi: int) -> list[float]:
         """|deviation| at positions lo..hi: below's metric of top config i
@@ -538,7 +471,7 @@ class _PairCheck:
                 f"the stability pair projects {len(self._projected)} entries for "
                 f"{len(top)} in its top rung; a top-rung result went unchecked"
             )
-        if kind.adaptive is None and kind.fixed is None:
+        if kind.adaptive is None and not kind.fixed:
             return kind.stable(self._criterion, top, self._projected)
         lo, hi = (p, q) if p < q else (q, p)
         window = self._window(lo, hi)

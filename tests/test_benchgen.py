@@ -568,11 +568,14 @@ class TestOnePassLoad:
     def test_load_leaves_numpy_ma_unimported(self, tmp_path):
         """np.unique imports numpy.ma the first time it runs, 10-19 ms inside
         the first load of every tunesim process; the duplicate-id test must
-        not pay it. A fresh interpreter shows what load itself imports."""
+        not pay it. A fresh interpreter shows what load itself imports; numpy
+        1.x imports numpy.ma with numpy itself, so there is nothing to test."""
         path = tmp_path / "bench.csv"
         save(generate(16, 9, DEFAULT, 0), str(path))
         code = (
             "import sys\n"
+            "import numpy\n"
+            "print('numpy.ma' in sys.modules)\n"
             "from tunesim.benchgen import load\n"
             "load(sys.argv[1])\n"
             "print('numpy.ma' in sys.modules)\n"
@@ -583,4 +586,6 @@ class TestOnePassLoad:
             [sys.executable, "-c", code, str(path)], env=env, capture_output=True, text=True,
             timeout=60, check=True,
         )
-        assert done.stdout == "False\n"
+        if done.stdout.startswith("True"):
+            pytest.skip("this numpy imports numpy.ma on import numpy")
+        assert done.stdout == "False\nFalse\n"

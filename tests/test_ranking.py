@@ -17,8 +17,6 @@ from tunesim import DataError, InternalError, RankingCriterion, UsageError
 from tunesim.core import RungEntry, _rank_key
 from tunesim.ranking import (
     CRITERION_KINDS,
-    _MeanGapEpsilon,
-    _MedianGapEpsilon,
     _SigmaEpsilon,
     arrr,
     epsilon_mean_distance,
@@ -250,38 +248,30 @@ class TestAdaptiveEpsilon:
         assert epsilon_median_distance(below) == 0.0
 
 
-# adaptive epsilon kept incrementally -> (spelling, the full function it must equal)
-KEPT_EPSILONS = {
-    _SigmaEpsilon: ("soft-sigma:3", lambda metrics: epsilon_sigma(metrics, 3)),
-    _MeanGapEpsilon: ("soft-mean-dist", epsilon_mean_distance),
-    _MedianGapEpsilon: ("soft-median-dist", epsilon_median_distance),
-}
-
-
 class TestKeptEpsilon:
     @settings(max_examples=200, deadline=None)
     @given(
-        kept=st.sampled_from(tuple(KEPT_EPSILONS)),
+        multiplier=st.sampled_from((1, 2, 3)),
         metrics=st.lists(
             st.one_of(st.floats(1e-3, 1.0), st.sampled_from((0.25, 0.5, 0.75, 1.0))),
             max_size=30,
         ),
         start=st.integers(0, 30),
     )
-    def test_each_insertion_keeps_the_full_epsilon_bit_for_bit(self, kept, metrics, start):
+    def test_each_insertion_keeps_epsilon_sigma_bit_for_bit(self, multiplier, metrics, start):
         """Built from a projection, then given one metric at a time at its
-        rank, a kept epsilon equals its full function on the projection's
+        rank, the kept sigma epsilon equals epsilon_sigma on the projection's
         metrics; quarter metrics tie and arrive with smaller denominators."""
-        spelling, full = KEPT_EPSILONS[kept]
         entries = [RungEntry(i, m, completion_index=i) for i, m in enumerate(metrics)]
         projected = sorted(entries[:start], key=_rank_key)
-        epsilon = kept(RankingCriterion.parse(spelling), projected)
+        epsilon = _SigmaEpsilon(RankingCriterion("soft-sigma", multiplier=multiplier), projected)
         for entry in entries[start:]:
             q = bisect_right([_rank_key(e) for e in projected], _rank_key(entry))
             projected.insert(q, entry)
             epsilon.add(projected, q)
-            assert epsilon.value().hex() == full([e.metric for e in projected]).hex()
-        assert epsilon.value().hex() == full([e.metric for e in projected]).hex()
+            full = epsilon_sigma([e.metric for e in projected], multiplier)
+            assert epsilon.value().hex() == full.hex()
+        assert epsilon.value().hex() == epsilon_sigma([e.metric for e in projected], multiplier).hex()
 
 
 class TestRbo:
