@@ -25,6 +25,7 @@ from .experiment import (
     aggregate,
     emit_report,
     read_cells,
+    report_cells,
     run_cells,
     run_experiment,
     write_cells,
@@ -80,5 +81,6 @@ __all__ = [
     "aggregate",
     "emit_report",
     "read_cells",
+    "report_cells",
     "write_cells",
 ]

@@ -291,34 +291,37 @@ def _rows_by_array(handle, units: int) -> Rows | None:
 
 def _rows_by_line(reader, lines_before: int, units: int) -> Rows:
     """The data rows parsed one at a time from a csv reader, with float();
-    errors name the first file line of the bad record (lines_before is the
-    number of file lines ahead of the reader's first)."""
+    errors, csv's own included, name the first file line of the bad record
+    (lines_before is the number of file lines ahead of the reader's first)."""
     expected_fields = 2 + 2 * units + 1
     parsed: dict[ConfigId, tuple[str, list[float]]] = {}  # config -> payload, values
     lines_read = lines_before
-    for row in reader:
-        # a quoted field can span lines: name the record's first physical line
-        number, lines_read = lines_read + 1, lines_before + reader.line_num
-        if not row:
-            continue
-        if len(row) != expected_fields:
-            raise FormatError(
-                f"line {number}: expected {expected_fields} fields, got {len(row)}"
-            )
-        try:
-            config = int(row[0])
-            values = [float(x) for x in row[2:]]
-        except ValueError as exc:
-            raise FormatError(f"line {number}: {exc}") from exc
-        if config < 0:
-            raise FormatError(f"line {number}: config ids must be >= 0, got {config}")
-        if config in parsed:
-            raise FormatError(f"line {number}: duplicate config id {config}")
-        if not all(math.isfinite(v) for v in values):
-            raise FormatError(f"line {number}: non-finite value")
-        if any(c <= 0 for c in values[units : 2 * units]):
-            raise FormatError(f"line {number}: costs must be > 0")
-        parsed[config] = row[1], values
+    try:
+        for row in reader:
+            # a quoted field can span lines: name the record's first physical line
+            number, lines_read = lines_read + 1, lines_before + reader.line_num
+            if not row:
+                continue
+            if len(row) != expected_fields:
+                raise FormatError(
+                    f"line {number}: expected {expected_fields} fields, got {len(row)}"
+                )
+            try:
+                config = int(row[0])
+                values = [float(x) for x in row[2:]]
+            except ValueError as exc:
+                raise FormatError(f"line {number}: {exc}") from exc
+            if config < 0:
+                raise FormatError(f"line {number}: config ids must be >= 0, got {config}")
+            if config in parsed:
+                raise FormatError(f"line {number}: duplicate config id {config}")
+            if not all(math.isfinite(v) for v in values):
+                raise FormatError(f"line {number}: non-finite value")
+            if any(c <= 0 for c in values[units : 2 * units]):
+                raise FormatError(f"line {number}: costs must be > 0")
+            parsed[config] = row[1], values
+    except csv.Error as exc:
+        raise FormatError(f"line {lines_read + 1}: {exc}") from exc
     array = np.array([v for _, v in parsed.values()]).reshape(len(parsed), 2 * units + 1)
     return list(parsed), tuple(p for p, _ in parsed.values()), array
 

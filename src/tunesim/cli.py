@@ -19,9 +19,8 @@ from .experiment import (
     REPORT_FORMATS,
     ExperimentSpec,
     MethodSpec,
-    aggregate,
     emit_report,
-    read_cells,
+    report_cells,
     run_experiment,
 )
 from .ranking import RankingCriterion
@@ -260,8 +259,7 @@ def _run_command(args) -> int:
 
 
 def _report_command(args) -> int:
-    report = aggregate(read_cells(args.cells))
-    return _write_output(emit_report(report, args.format), args.out)
+    return _write_output(emit_report(report_cells(args.cells), args.format), args.out)
 
 
 def _crossings_command(args) -> int:

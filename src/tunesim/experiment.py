@@ -14,6 +14,7 @@ import csv
 import io
 import math
 import os
+import warnings
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -289,11 +290,11 @@ def _spread(values: np.ndarray) -> float:
     return _sqrt_of_frac(num << 2 * low, den) if low >= 0 else _sqrt_of_frac(num, den << -2 * low)
 
 
-def _mean_std(values: tuple[float, ...], method: str, field: str) -> tuple[float, float]:
-    array = np.array(values, dtype=np.float64)
+def _mean_std(values: np.ndarray, method: str, field: str) -> tuple[float, float]:
+    array = np.asarray(values, dtype=np.float64)
     if not np.isfinite(array).all():
         raise DataError(f"method {method!r} has a cell with a non-finite {field}")
-    return math.fsum(values) / len(values), _spread(array)
+    return math.fsum(array.tolist()) / len(array), _spread(array)
 
 
 def reference_method(names: list[str]) -> str:
@@ -317,23 +318,53 @@ def aggregate(
     """
     if not cells:
         raise DataError("no cells to aggregate")
+    methods, _, _, metrics, runtimes, max_resources, _, _ = zip(*cells)
+    names, codes = _method_codes(methods)
+    columns = [np.array(column, dtype=object) for column in (metrics, runtimes, max_resources)]
+    return _fold(names, codes, columns, method_order, metric_name)
+
+
+def _method_codes(methods) -> tuple[list[str], np.ndarray]:
+    """The distinct method names in first-appearance order, one string object
+    per name, and each cell's index into them."""
+    index: dict[str, int] = {}
+    codes = [index.setdefault(method, len(index)) for method in methods]
+    return list(index), np.array(codes, dtype=np.intp)
+
+
+def _fold(
+    names: list[str],
+    codes: np.ndarray,
+    columns: list[np.ndarray],
+    method_order: list[str] | None,
+    metric_name: str,
+) -> ExperimentReport:
+    """aggregate's report from columns: each cell's method as a code into
+    names, and its metric, runtime and max resource.
+
+    One stable argsort groups the cells by method. The sums are exact, so the
+    grouping order cannot move a bit of the result.
+    """
     if method_order is None:
-        method_order = list(dict.fromkeys(cell.method for cell in cells))
-    groups: dict[str, list[CellResult]] = {name: [] for name in method_order}
-    for cell in cells:
-        if cell.method not in groups:
-            raise DataError(f"cell names unknown method {cell.method!r}")
-        groups[cell.method].append(cell)
+        method_order = names
+    slots = {name: k for k, name in enumerate(dict.fromkeys(method_order))}
+    for name in names:
+        if name not in slots:
+            raise DataError(f"cell names unknown method {name!r}")
+    codes = np.array([slots[name] for name in names], dtype=np.intp)[codes]
+    order = np.argsort(codes, kind="stable")
+    columns = [column[order] for column in columns]
+    counts = np.bincount(codes, minlength=len(slots)).tolist()
     stats = {}
-    for name, group in groups.items():
-        if not group:
+    lo = 0
+    for name, count in zip(slots, counts):
+        if not count:
             raise DataError(f"method {name!r} has no cells")
-        _, _, _, metrics, runtimes, max_resources, _, _ = zip(*group)
-        stats[name] = (
-            _mean_std(metrics, name, "metric"),
-            _mean_std(runtimes, name, "runtime"),
-            _mean_std(max_resources, name, "max resource"),
-        )
+        stats[name] = [
+            _mean_std(column[lo : lo + count], name, field)
+            for column, field in zip(columns, ("metric", "runtime", "max resource"))
+        ]
+        lo += count
     reference = reference_method(method_order)
     reference_runtime = stats[reference][1][0]
     rows = []
@@ -350,7 +381,7 @@ def aggregate(
                 speedup=factor,
                 max_resources_mean=max_mean,
                 max_resources_std=max_std,
-                repetitions=len(groups[name]),
+                repetitions=counts[slots[name]],
             )
         )
     return ExperimentReport(rows=tuple(rows), metric_name=metric_name, reference=reference)
@@ -464,18 +495,90 @@ def write_cells(cells: list[CellResult], path: str) -> None:
 
 def read_cells(path: str) -> list[CellResult]:
     """Read a cells file back; a bad row, or a non-finite metric or runtime, is
-    a DataError naming the first physical line of its record."""
-    names: dict[str, str] = {}  # one string object per method name
-    cells = []
+    a DataError naming the first physical line of its record.
+
+    The rows are parsed in one numpy pass; anything that pass refuses is read
+    again row by row, which names the bad line.
+    """
+    names, codes, columns = _cell_columns(path)
+    methods = [names[code] for code in codes.tolist()]
+    return list(map(CellResult, methods, *(column.tolist() for column in columns)))
+
+
+def report_cells(path: str) -> ExperimentReport:
+    """The report of a cells file, equal to aggregate(read_cells(path)).
+
+    Each method's metric, runtime and max resource columns are folded as
+    read_cells parses them, without a CellResult per row.
+    """
+    names, codes, (_, _, metrics, runtimes, max_resources, _, _) = _cell_columns(path)
+    return _fold(names, codes, [metrics, runtimes, max_resources], None, "metric")
+
+
+def _cell_columns(path: str) -> tuple[list[str], np.ndarray, list[np.ndarray]]:
+    """A cells file's method names in first-appearance order, each row's index
+    into them, and its other seven fields as columns in CELL_FIELDS order."""
     with open(path, "r", encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
+        try:
+            header = next(csv.reader([handle.readline()]), None)
+        except csv.Error as exc:
+            raise DataError(f"{path}:1: {exc}") from exc
         if header != list(CELL_FIELDS):
             raise DataError(f"{path}: not a per-run cells file (unexpected header)")
-        lines_read = reader.line_num
+        data_start = handle.tell()
+        parsed = _cells_by_array(handle)
+        if parsed is not None:
+            return parsed
+        handle.seek(data_start)
+        cells = _cells_by_line(csv.reader(handle), path)
+    methods, *columns = zip(*cells)
+    names, codes = _method_codes(methods)
+    return names, codes, [np.array(column, dtype=object) for column in columns]
+
+
+_CELL_DTYPE = np.dtype(
+    list(zip(CELL_FIELDS, (object, np.int64, np.int64, float, float, np.int64, np.int64, np.int64)))
+)
+
+
+def _cells_by_array(handle) -> tuple[list[str], np.ndarray, list[np.ndarray]] | None:
+    """The data rows parsed in one numpy pass, as _cell_columns returns them,
+    or None if they need _cells_by_line.
+
+    numpy splits fields and records as csv.reader does and converts each value
+    as int() and float() do, but refuses a few spellings Python accepts (`1_0`,
+    non-ASCII digits, ints beyond int64). Any warning, such as the one for no
+    rows, a non-finite metric or runtime, and a method name longer than csv's
+    field limit are refusals too: the row-by-row reader decides those.
+    """
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            data = np.loadtxt(
+                handle, dtype=_CELL_DTYPE, delimiter=",", quotechar='"', comments=None, ndmin=1
+            )
+    except (ValueError, Warning):
+        return None
+    names, codes = _method_codes(data["method"].tolist())
+    if not (
+        np.isfinite(data["metric"]).all()
+        and np.isfinite(data["runtime_s"]).all()
+        and max(map(len, names)) <= csv.field_size_limit()
+    ):
+        return None
+    return names, codes, [data[field] for field in CELL_FIELDS[1:]]
+
+
+def _cells_by_line(reader, path: str) -> list[CellResult]:
+    """The data rows parsed one at a time from a csv reader that starts after
+    the header line; a bad row, or a non-finite metric or runtime, is a
+    DataError naming the first physical line of its record."""
+    cells = []
+    lines_read = 1
+    try:
         for row in reader:
             # a quoted field can span lines: name the record's first physical line
-            number, lines_read = lines_read + 1, reader.line_num
+            number, lines_read = lines_read + 1, 1 + reader.line_num
             if not row:
                 continue
             if len(row) != len(CELL_FIELDS):
@@ -486,7 +589,7 @@ def read_cells(path: str) -> list[CellResult]:
             try:
                 metric, runtime = float(metric), float(runtime)
                 cell = CellResult(
-                    names.setdefault(method, method),
+                    method,
                     int(ss),
                     int(bs),
                     metric,
@@ -501,6 +604,8 @@ def read_cells(path: str) -> list[CellResult]:
                 field = "runtime" if math.isfinite(metric) else "metric"
                 raise DataError(f"{path}:{number}: non-finite {field}")
             cells.append(cell)
+    except csv.Error as exc:
+        raise DataError(f"{path}:{lines_read + 1}: {exc}") from exc
     if not cells:
         raise DataError(f"{path}: no data rows")
     return cells

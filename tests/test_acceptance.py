@@ -22,6 +22,7 @@ import math
 import random
 import statistics
 import time
+from pathlib import Path
 
 from tunesim import (
     CurveModel,
@@ -291,8 +292,8 @@ def test_simulator_accounting(tmp_path):
     path_a, path_b = str(tmp_path / "a.trace"), str(tmp_path / "b.trace")
     write_trace(first.trace, path_a)
     write_trace(second.trace, path_b)
-    bytes_a = open(path_a, "rb").read()
-    assert bytes_a == open(path_b, "rb").read(), "same-seed reruns must be byte-identical"
+    bytes_a = Path(path_a).read_bytes()
+    assert bytes_a == Path(path_b).read_bytes(), "same-seed reruns must be byte-identical"
     assert read_trace(path_a) == first.trace
     assert first == second
     finish(

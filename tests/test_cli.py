@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import os
+from pathlib import Path
 
 import pytest
 
-from tunesim import CurveModel, generate, load, save
+from tunesim import CurveModel, DataError, FormatError, generate, load, read_cells, save
+from tunesim.benchgen import FORMAT_MAGIC
 from tunesim.cli import _parse_seeds, main
 
 
@@ -82,7 +84,7 @@ class TestRunVerb:
         )
         assert code == 0
         assert "wrote" in capsys.readouterr().out
-        report_text = open(report_path).read()
+        report_text = Path(report_path).read_text()
         assert report_text.startswith("| Method |")
         assert "| asha |" in report_text and "| one-epoch |" in report_text
 
@@ -337,8 +339,8 @@ class TestConfigFile:
         )
         assert main(["run", "--config", str(path)]) == 0
         assert capsys.readouterr().out == f"wrote {out}\n"
-        assert open(out).read().startswith("method,")
-        rows = open(cells).read().splitlines()
+        assert Path(out).read_text().startswith("method,")
+        rows = Path(cells).read_text().splitlines()
         assert len(rows) == 1 + 3
         assert len(os.listdir(traces)) == 3
 
@@ -477,6 +479,22 @@ class TestReportVerb:
         assert f"{path}:3: non-finite" in err and "Traceback" not in err
 
 
+    def test_field_over_the_csv_limit_is_a_data_error_naming_its_line(self, tmp_path, capsys):
+        """csv.reader refuses a field over its limit (131,072 characters by
+        default); the refusal names the record's line instead of escaping as
+        a traceback, and the limit, global to the process, stays as it is."""
+        path = tmp_path / "cells.csv"
+        path.write_text(
+            "method,scheduler_seed,benchmark_seed,metric,runtime_s,max_resources,units,jobs\n"
+            "asha,0,0,0.8,2.0,9,10,5\n"
+            f"{'m' * 200_000},1,0,0.9,1.0,9,10,5\n"
+        )
+        with pytest.raises(DataError, match=r"cells\.csv:3: field larger than field limit"):
+            read_cells(str(path))
+        assert main(["report", "--cells", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"{path}:3: field larger than field limit" in err and "Traceback" not in err
+
 class TestCrossingsVerb:
     def test_reports_pairs_to_stdout(self, bench, capsys):
         assert main(["crossings", "--benchmark", bench]) == 0
@@ -493,7 +511,23 @@ class TestCrossingsVerb:
     def test_out_file(self, bench, tmp_path, capsys):
         out = str(tmp_path / "crossings.csv")
         assert main(["crossings", "--benchmark", bench, "--out", out]) == 0
-        assert open(out).read().startswith("config_a,")
+        assert Path(out).read_text().startswith("config_a,")
+
+
+    def test_field_over_the_csv_limit_on_the_row_reader_names_its_line(self, tmp_path, capsys):
+        """The one-pass parser has no field limit, so an id only Python reads
+        (`1_0`) sends the file to the row-by-row reader, whose csv.reader
+        refuses the long payload on line 8."""
+        path = tmp_path / "bench.csv"
+        path.write_text(
+            FORMAT_MAGIC + "\nunits=1\ndirection=maximize\nconfigs=2\n\n"
+            f"1_0,,0.5,1.0,0.5\n2,{'p' * 200_000},0.25,1.0,0.25\n"
+        )
+        with pytest.raises(FormatError, match="line 7: field larger than field limit"):
+            load(str(path))
+        assert main(["crossings", "--benchmark", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "line 7: field larger than field limit" in err and "Traceback" not in err
 
     def test_missing_file(self, tmp_path):
         assert main(["crossings", "--benchmark", str(tmp_path / "ghost.csv")]) == 2

@@ -8,7 +8,9 @@ import math
 import os
 import statistics
 import sys
+import warnings
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -29,18 +31,22 @@ from tunesim import (
     emit_report,
     generate,
     read_cells,
+    report_cells,
     run_cells,
     run_experiment,
     save,
     write_cells,
 )
+from tunesim import experiment
 from tunesim.experiment import (
+    CELL_FIELDS,
     ExperimentReport,
     MethodRow,
     _spread,
     reference_method,
     resolve_tables,
 )
+from tunesim.simulator import _speedup_factor
 
 SMALL_MODEL = CurveModel(crossing_horizon=2, head_count=4)
 
@@ -499,6 +505,26 @@ class TestReportEmission:
             emit_report(self.report(), "html")
 
 
+# the fields of up to eight cells, method names holding csv's special characters
+CELL_ROWS = st.lists(
+    st.tuples(
+        st.text(st.sampled_from('ab:,"\r\n \t') | st.characters(
+            blacklist_categories=("Cs",), blacklist_characters="\x00"
+        ), max_size=10),
+        st.integers(-(2**80), 2**80),
+        st.integers(-(2**80), 2**80),
+        st.floats(allow_nan=False, allow_infinity=False)
+        | st.sampled_from((-0.0, 5e-324, 2.2250738585072014e-308, 1e308)),
+        st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from((-0.0, 1e308)),
+        st.integers(0, 2**70),
+        st.integers(0, 2**70),
+        st.integers(0, 2**70),
+    ),
+    min_size=1,
+    max_size=8,
+)
+
+
 class TestCellsIO:
     def cells(self):
         return [
@@ -529,25 +555,7 @@ class TestCellsIO:
     @settings(
         max_examples=80, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
     )
-    @given(
-        rows=st.lists(
-            st.tuples(
-                st.text(st.sampled_from('ab:,"\r\n \t') | st.characters(
-                    blacklist_categories=("Cs",), blacklist_characters="\x00"
-                ), max_size=10),
-                st.integers(-(2**80), 2**80),
-                st.integers(-(2**80), 2**80),
-                st.floats(allow_nan=False, allow_infinity=False)
-                | st.sampled_from((-0.0, 5e-324, 2.2250738585072014e-308, 1e308)),
-                st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from((-0.0, 1e308)),
-                st.integers(0, 2**70),
-                st.integers(0, 2**70),
-                st.integers(0, 2**70),
-            ),
-            min_size=1,
-            max_size=8,
-        )
-    )
+    @given(rows=CELL_ROWS)
     def test_write_then_read_gives_the_same_cells(self, tmp_path, rows):
         cells = [CellResult(*row) for row in rows]
         path = str(tmp_path / "cells.csv")
@@ -632,6 +640,127 @@ class TestCellsIO:
             )
         with pytest.raises(DataError, match="no data rows"):
             read_cells(path)
+
+
+# Spellings the one-pass parser and the row-by-row reader must read alike: ones
+# int() and float() accept and numpy may not, non-finite values, quoted and
+# half-quoted method names with line breaks inside quotes, and blank lines.
+_CELL_INTS = ["1_0", "+7", " 7 ", '"7"', "٧", str(2**63), str(-(2**63) - 1), "-0", "1.0", ""]
+_CELL_FLOATS = ["Infinity", "-inf", "nan", "1_0.5", "+.5", " 0.5 ", '"0.5"', "1e999", "0x1p-2"]
+_CELL_NAMES = ['"a"b', '"c\r\nd"', '"e\nf"', '"g\rh"', '""', ' "a,b"', '"x""y"', '"open']
+
+_CELL_MUTATIONS = st.one_of(
+    st.tuples(st.just("field"), st.integers(0), st.sampled_from((1, 2, 5, 6, 7)),
+              st.sampled_from(_CELL_INTS)),
+    st.tuples(st.just("field"), st.integers(0), st.sampled_from((3, 4)),
+              st.sampled_from(_CELL_FLOATS)),
+    st.tuples(st.just("field"), st.integers(0), st.just(0), st.sampled_from(_CELL_NAMES)),
+    st.tuples(st.just("copy-method"), st.integers(0), st.integers(0), st.just("")),
+    st.tuples(st.just("insert"), st.integers(0), st.just(0), st.sampled_from(["", " "])),
+)
+
+
+def _csv_field(value: str) -> str:
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="").writerow([value])
+    return buffer.getvalue()
+
+
+def _mutate_cells(rows, mutation):
+    """rows, one list of csv field texts per line, with one mutation applied."""
+    kind, at, j, token = mutation
+    i = at % len(rows)
+    if kind == "insert":
+        return rows[:i] + [[token]] + rows[i:]
+    row = list(rows[i])
+    if kind == "field":
+        row[j % len(row)] = token
+    else:  # copy-method: two rows of one method make a group of two
+        row[0] = rows[j % len(rows)][0]
+    return rows[:i] + [row] + rows[i + 1 :]
+
+
+def _outcome(read, path):
+    """repr of what read(path) returns, which tells -0.0 from 0.0, or the error."""
+    try:
+        return repr(read(path))
+    except (DataError, OverflowError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _cells_by_line_only(path):
+    with mock.patch.object(experiment, "_cells_by_array", lambda handle: None):
+        return read_cells(path)
+
+
+def _report_by_groups(cells):
+    """aggregate's report worked out from a list of cells per method, the way
+    aggregate did before it folded columns: the oracle for the grouping."""
+    groups = {}
+    for cell in cells:
+        groups.setdefault(cell.method, []).append(cell)
+    stats = {
+        name: [
+            (math.fsum(v) / len(v), _spread(np.array(v, dtype=np.float64)))
+            for v in ([c.metric for c in group], [c.runtime for c in group],
+                      [c.max_resources for c in group])
+        ]
+        for name, group in groups.items()
+    }
+    reference = reference_method(list(groups))
+    rows = []
+    for name, group in groups.items():
+        (metric, metric_std), (runtime, runtime_std), (max_r, max_r_std) = stats[name]
+        factor = 1.0 if name == reference else _speedup_factor(stats[reference][1][0], runtime)
+        rows.append(MethodRow(name, metric, metric_std, runtime, runtime_std, factor,
+                              max_r, max_r_std, len(group)))
+    return ExperimentReport(tuple(rows), "metric", reference)
+
+
+class TestOnePassCells:
+    """read_cells parses rows in one numpy pass and falls back to the row-by-row
+    reader: both must give the same cells or the same error. report_cells folds
+    the same pass's columns and must give the report of those cells."""
+
+    @settings(
+        max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(rows=CELL_ROWS, mutations=st.lists(_CELL_MUTATIONS, max_size=3))
+    def test_one_pass_row_by_row_and_column_fold_agree(self, tmp_path, rows, mutations):
+        lines = [
+            [_csv_field(method), str(ss), str(bs), repr(metric), repr(runtime), str(max_r),
+             str(units), str(jobs)]
+            for method, ss, bs, metric, runtime, max_r, units, jobs in rows
+        ]
+        for mutation in mutations:
+            lines = _mutate_cells(lines, mutation)
+        path = tmp_path / "cells.csv"
+        path.write_bytes(
+            "".join(",".join(line) + "\r\n" for line in [list(CELL_FIELDS), *lines]).encode()
+        )
+        path = str(path)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            cells = _outcome(read_cells, path)
+            report = _outcome(report_cells, path)
+        assert caught == []
+        assert cells == _outcome(_cells_by_line_only, path)
+        assert report == _outcome(lambda p: aggregate(read_cells(p)), path)
+        assert report == _outcome(lambda p: _report_by_groups(read_cells(p)), path)
+
+    def test_written_cells_take_the_one_pass(self, tmp_path):
+        path = str(tmp_path / "cells.csv")
+        cells = [
+            CellResult(method, ss, 0, 0.5 + ss / 8, 10.0 * ss, 3**ss, 10, 5)
+            for ss in range(4)
+            for method in ("one-epoch", "asha", 'a "b",\r\nc')
+        ]
+        write_cells(cells, path)
+        with mock.patch.object(
+            experiment, "_cells_by_line", side_effect=AssertionError("fell back")
+        ):
+            assert read_cells(path) == cells
+            assert report_cells(path) == aggregate(cells)
 
 
 class TestRunExperiment:
