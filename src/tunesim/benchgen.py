@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import csv
 import math
+import mmap
+import os
 import warnings
 from dataclasses import dataclass
 from typing import Sequence
@@ -263,9 +265,12 @@ def _rows_by_array(handle, units: int) -> Rows | None:
     numpy splits fields and records as csv.reader does and converts each value
     with the same correctly rounded routine as float(). It refuses a few
     spellings Python accepts (`1_0`, ids beyond int64) and any warning, such
-    as the one for no rows, is turned into a refusal; the row-by-row reader
-    decides those.
+    as the one for no rows, is turned into a refusal. numpy has no field
+    limit, so a field that could exceed csv's is refused as well (see
+    _fields_fit_csv); the row-by-row reader decides those.
     """
+    if not _fields_fit_csv(handle):
+        return None
     dtype = np.dtype(
         [("id", np.int64), ("payload", object), ("values", np.float64, (2 * units + 1,))]
     )
@@ -287,6 +292,62 @@ def _rows_by_array(handle, units: int) -> Rows | None:
     ):
         return None
     return ids, tuple(data["payload"].tolist()), values
+
+
+def _fields_fit_csv(handle) -> bool:
+    """Whether no csv field in handle's file, from its position (a line start)
+    to the end, can be longer than csv.field_size_limit(); False also when a
+    quote sits where csv.writer would not put one.
+
+    Unquoted, a field lies within one line. A quoted field runs from its
+    opening quote to its closing one, and each escaped quote ("") inside it
+    splits that span into quote pairs that touch. So if every quote opens a
+    field at its start, closes one before a separator or the end, or doubles
+    its neighbour, no field is longer than the longest line or the longest
+    quoted span. Lengths count bytes, never fewer than the characters csv
+    counts. The file is mapped, not read: lines are checked by jumping to the
+    last line end within the limit, a few searches per megabyte, and quotes
+    are located only in a file that holds one. handle itself does not move.
+    """
+    limit = csv.field_size_limit()
+    start = handle.tell()  # a UTF-8 text handle's position at a line start is a byte offset
+    if start >> 64:
+        return False  # a position that carries decoder state
+    with open(handle.name, "rb") as raw:
+        size = os.fstat(raw.fileno()).st_size
+        if size - start <= limit:
+            return True
+        with mmap.mmap(raw.fileno(), 0, access=mmap.ACCESS_READ) as data:
+            line = start  # where the line being checked starts
+            while size - line > limit:
+                found = data.rfind(b"\n", line, line + limit + 1)
+                if found < 0:
+                    return False
+                line = found + 1
+            if data.find(b'"', start) < 0:
+                return True
+            # the array view must be gone before the map closes
+            return _quotes_fit_csv(np.frombuffer(data, np.uint8, offset=start), limit)
+
+
+def _quotes_fit_csv(text: np.ndarray, limit: int, block: int = 1 << 20) -> bool:
+    """_fields_fit_csv's test of the quotes in text, csv data that starts at
+    a line start."""
+    at = np.concatenate(
+        [np.flatnonzero(text[i : i + block] == 34) + i for i in range(0, text.size, block)]
+    )
+    if at.size % 2:
+        return False
+    # the byte before an opening quote and after a closing one; past either
+    # end of text lies a line end or the file's end
+    near = np.where(np.arange(at.size) % 2 == 0, at - 1, at + 1)
+    near = text[near[(near >= 0) & (near < text.size)]]
+    if not ((near == 44) | (near == 10) | (near == 13) | (near == 34)).all():
+        return False
+    opens, closes = at[0::2], at[1::2]
+    first = np.concatenate(([True], opens[1:] != closes[:-1] + 1))  # not an escape
+    last = np.concatenate((first[1:], [True]))
+    return bool((closes[last] - opens[first] <= limit + 1).all())
 
 
 def _rows_by_line(reader, lines_before: int, units: int) -> Rows:

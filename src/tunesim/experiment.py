@@ -14,13 +14,14 @@ import csv
 import io
 import math
 import os
+import shutil
 import warnings
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
 
-from .benchgen import load
+from .benchgen import _fields_fit_csv, load
 from .core import DataError, ResourceSpec, TunesimError, UsageError
 from .ranking import RankingCriterion, _sqrt_of_frac
 from .scheduler import MODES, SchedulerConfig, check_mode_options
@@ -213,6 +214,10 @@ def _trace_name(method: str, scheduler_seed: int, benchmark_seed: int) -> str:
     return f"{safe}-s{scheduler_seed}-b{benchmark_seed}.trace"
 
 
+# the modes whose runs start at one cap and can share an event loop (see simulate)
+GROUPED_MODES = ("pasha", "no-increase")
+
+
 def run_cells(
     spec: ExperimentSpec,
     tables: dict[int, LearningCurveTable] | None = None,
@@ -222,50 +227,85 @@ def run_cells(
 
     Any simulation failure is re-raised with the offending cell named. With
     traces_dir set, each cell's event trace is written there as well.
+
+    A pasha or no-increase cell is simulated together with the later pasha
+    and no-increase cells of its seeds (simulate's also). The cells whose
+    every growth decision matched take its result, and its trace file is
+    copied for them when the loop reaches them; the others are simulated
+    in their turn. Cells, traces and errors are those of one simulate call
+    per cell.
     """
     if tables is None:
         tables = resolve_tables(spec)
     if traces_dir is not None:
         os.makedirs(traces_dir, exist_ok=True)
+
+    def config(method: MethodSpec, ss: int) -> SchedulerConfig:
+        return SchedulerConfig(
+            resources=spec.resources,
+            num_configs=spec.num_configs,
+            mode=method.mode,
+            criterion=method.criterion,
+            seed=ss,
+            pair_below_cap=method.pair_below_cap,
+            random_draws=method.random_draws,
+        )
+
+    # (method index, ss, bs) of a cell not yet reached that shares an earlier
+    # cell's result -> (its result fields, that earlier cell, its trace file)
+    shared: dict[tuple[int, int, int], tuple[tuple, tuple[int, int, int], str | None]] = {}
+    # trace file -> the simulated cell whose trace it holds
+    written: dict[str, tuple[int, int, int]] = {}
     cells: list[CellResult] = []
-    for method in spec.methods:
+    for i, method in enumerate(spec.methods):
         for ss in spec.scheduler_seeds:
             for bs in spec.benchmark_seeds:
+                key = (i, ss, bs)
+                path = None
+                if traces_dir is not None:
+                    path = os.path.join(traces_dir, _trace_name(method.name, ss, bs))
+                fields, source, source_path = shared.pop(key, (None, None, None))
+                # a later cell may have overwritten the trace file to copy
+                if fields is not None and (path is None or written.get(source_path) == source):
+                    if path != source_path:
+                        shutil.copyfile(source_path, path)
+                        written[path] = source
+                    cells.append(CellResult(method.name, ss, bs, *fields))
+                    continue
+                group = []  # the later methods whose cells here may share this one's result
+                if method.mode in GROUPED_MODES:
+                    group = [
+                        j
+                        for j in range(i + 1, len(spec.methods))
+                        if spec.methods[j].mode in GROUPED_MODES and (j, ss, bs) not in shared
+                    ]
                 table = tables[bs]
-                config = SchedulerConfig(
-                    resources=spec.resources,
-                    num_configs=spec.num_configs,
-                    mode=method.mode,
-                    criterion=method.criterion,
-                    seed=ss,
-                    pair_below_cap=method.pair_below_cap,
-                    random_draws=method.random_draws,
-                )
                 try:
                     result = simulate(
-                        config, table, spec.workers, collect_trace=traces_dir is not None
+                        config(method, ss),
+                        table,
+                        spec.workers,
+                        collect_trace=path is not None,
+                        also=tuple(config(spec.methods[j], ss) for j in group),
                     )
                 except TunesimError as exc:
                     raise type(exc)(
                         f"cell (method {method.name!r}, scheduler seed {ss}, "
                         f"benchmark seed {bs}): {exc}"
                     ) from exc
-                if traces_dir is not None and result.trace is not None:
-                    write_trace(
-                        result.trace, os.path.join(traces_dir, _trace_name(method.name, ss, bs))
-                    )
-                cells.append(
-                    CellResult(
-                        method=method.name,
-                        scheduler_seed=ss,
-                        benchmark_seed=bs,
-                        metric=table.display_metric(result.chosen_metric_full),
-                        runtime=result.wall_clock,
-                        max_resources=result.max_resources,
-                        units=result.units_consumed,
-                        jobs=result.jobs_executed,
-                    )
+                if path is not None:
+                    write_trace(result.trace, path)
+                    written[path] = key
+                fields = (
+                    table.display_metric(result.chosen_metric_full),
+                    result.wall_clock,
+                    result.max_resources,
+                    result.units_consumed,
+                    result.jobs_executed,
                 )
+                for index in result.same:
+                    shared[group[index], ss, bs] = (fields, key, path)
+                cells.append(CellResult(method.name, ss, bs, *fields))
     return cells
 
 
@@ -291,10 +331,18 @@ def _spread(values: np.ndarray) -> float:
 
 
 def _mean_std(values: np.ndarray, method: str, field: str) -> tuple[float, float]:
-    array = np.asarray(values, dtype=np.float64)
+    """Mean and sample std of one method's column; a value beyond float range,
+    or a sum or spread that overflows one, is a DataError naming the method."""
+    try:
+        array = np.asarray(values, dtype=np.float64)
+    except OverflowError:  # an int too large for a float
+        raise DataError(f"method {method!r} has a cell whose {field} overflows a float") from None
     if not np.isfinite(array).all():
         raise DataError(f"method {method!r} has a cell with a non-finite {field}")
-    return math.fsum(array.tolist()) / len(array), _spread(array)
+    try:
+        return math.fsum(array.tolist()) / len(array), _spread(array)
+    except OverflowError:
+        raise DataError(f"method {method!r}: the mean or std of its {field} overflows a float") from None
 
 
 def reference_method(names: list[str]) -> str:
@@ -548,9 +596,12 @@ def _cells_by_array(handle) -> tuple[list[str], np.ndarray, list[np.ndarray]] | 
     numpy splits fields and records as csv.reader does and converts each value
     as int() and float() do, but refuses a few spellings Python accepts (`1_0`,
     non-ASCII digits, ints beyond int64). Any warning, such as the one for no
-    rows, a non-finite metric or runtime, and a method name longer than csv's
-    field limit are refusals too: the row-by-row reader decides those.
+    rows, a non-finite metric or runtime, and any field that could be longer
+    than csv's field limit (see benchgen._fields_fit_csv) are refusals
+    too: the row-by-row reader decides those.
     """
+    if not _fields_fit_csv(handle):
+        return None
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -560,11 +611,7 @@ def _cells_by_array(handle) -> tuple[list[str], np.ndarray, list[np.ndarray]] | 
     except (ValueError, Warning):
         return None
     names, codes = _method_codes(data["method"].tolist())
-    if not (
-        np.isfinite(data["metric"]).all()
-        and np.isfinite(data["runtime_s"]).all()
-        and max(map(len, names)) <= csv.field_size_limit()
-    ):
+    if not (np.isfinite(data["metric"]).all() and np.isfinite(data["runtime_s"]).all()):
         return None
     return names, codes, [data[field] for field in CELL_FIELDS[1:]]
 

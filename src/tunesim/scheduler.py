@@ -20,6 +20,7 @@ from .core import (
     ResourceSpec,
     RungEntry,
     RungLadder,
+    TunesimError,
     UsageError,
     grow,
     rung_levels,
@@ -102,15 +103,74 @@ class RandomSearcher:
         return config
 
 
+class _Growth:
+    """One config's rule for growing the cap over a ladder it may share.
+
+    index is the config's position in the Scheduler's also list (-1 for the
+    run's own config); pair is the stability pair's incremental check, once
+    a full check has found the pair stable.
+    """
+
+    __slots__ = ("index", "ceiling", "criterion", "pair_below_cap", "pair")
+
+    def __init__(self, index: int, ceiling: int, config: SchedulerConfig) -> None:
+        self.index, self.ceiling = index, ceiling
+        self.criterion = config.criterion or DEFAULT_CRITERION
+        self.pair_below_cap = config.pair_below_cap
+        self.pair: _PairCheck | None = None
+
+    def grows(
+        self, ladder: RungLadder, cap: int, top: int, rung: int, position: int,
+        below: RungEntry | None,
+    ) -> bool:
+        """Whether the report just placed at position of rung grows the cap.
+
+        The stability pair is the top ladder level and the one beneath it
+        (with pair_below_cap, the pair one level down). It is re-evaluated
+        only when a report lands in the pair's upper rung. A report into the
+        lower rung adds a config that the upper rung does not hold, so the
+        projection, and with it the verdict, stays what it was before the
+        report. The pair's first check is is_stable's full one; once that
+        finds the pair stable, a ranking._PairCheck keeps the pair's
+        projection, and each later report into the upper rung re-checks only
+        what its result moved. below is the reported config's entry in the
+        rung beneath, the one it was promoted from.
+        """
+        if cap >= self.ceiling:
+            return False
+        if rung != (top - 1 if self.pair_below_cap else top):
+            return False
+        if self.pair is None:
+            top_rung, below_rung = ladder.sorted_rung(rung), ladder.sorted_rung(rung - 1)
+            stable = is_stable(self.criterion, top_rung, below_rung)
+            if stable:
+                self.pair = _PairCheck(self.criterion, top_rung, below_rung)
+        else:
+            stable = self.pair.add(position, below)
+        return not stable
+
+
 class Scheduler:
     """Decision engine behind get_job and report.
 
     Every mode is a starting cap and a ceiling: jobs target levels up to the
     cap, and only pasha starts below its ceiling, growing toward it when the
     top rungs rank configs differently.
+
+    The configs in also share this run's jobs for as long as they make the
+    same growth decisions: they must equal config in resources,
+    num_configs, seed and starting cap (so pasha and no-increase group).
+    members lists those that have agreed so far; for each of them this run
+    issues exactly the jobs a Scheduler of its own would.
     """
 
-    def __init__(self, config: SchedulerConfig, universe: Sequence[ConfigId], searcher=None):
+    def __init__(
+        self,
+        config: SchedulerConfig,
+        universe: Sequence[ConfigId],
+        searcher=None,
+        also: Sequence[SchedulerConfig] = (),
+    ):
         spec = config.resources
         r, top = spec.min_resource, spec.max_resource
         start = spec.reduction_factor**2 * r
@@ -127,8 +187,19 @@ class Scheduler:
         self.levels = rung_levels(spec)
         self.ladder = RungLadder(self.levels)
         self.searcher = searcher if searcher is not None else RandomSearcher(universe, config.seed)
-        self.criterion = config.criterion or DEFAULT_CRITERION
         self.cap, self.ceiling = rows[config.mode]
+        self._own = _Growth(-1, self.ceiling, config)
+        self.criterion = self._own.criterion
+        shared = (spec, config.num_configs, config.seed, self.cap)
+        for index, other in enumerate(also):
+            if (other.resources, other.num_configs, other.seed,
+                    rows.get(other.mode, (None,))[0]) != shared:
+                raise UsageError(
+                    f"grouped config {index} ({other.mode!r}) differs from the run's "
+                    "resources, num_configs, seed or starting cap"
+                )
+        # the configs of also that have made every growth decision this run made
+        self.members = [_Growth(i, rows[c.mode][1], c) for i, c in enumerate(also)]
         self._eta = spec.reduction_factor
         # highest ladder index jobs may currently target: the top level not above the cap
         self.top_index = bisect_right(self.levels, self.cap) - 1
@@ -136,7 +207,6 @@ class Scheduler:
         self._completions = 0
         # (config, rung) of each running job -> the entry it was promoted from, if any
         self._in_flight: dict[tuple[ConfigId, int], RungEntry | None] = {}
-        self._pair: _PairCheck | None = None  # the stability pair, once found stable
 
     def get_job(self) -> Job | None:
         """Next job: an eager promotion if one exists, else a fresh draw.
@@ -161,16 +231,11 @@ class Scheduler:
     def report(self, job: Job, metric: float) -> None:
         """Record a completed job; in progressive mode, maybe raise the cap.
 
-        The stability pair is the current top ladder level and the one
-        beneath it (with pair_below_cap, the pair one level down). It is
-        re-evaluated only when a report lands in the pair's upper rung. A
-        report into the lower rung adds a config that the upper rung does not
-        hold, so the projection, and with it the verdict, stays what it was
-        before the report. The pair's first check is is_stable's full one;
-        once that finds the pair stable, a ranking._PairCheck keeps the
-        pair's projection, and each later report into the upper rung
-        re-checks only what its result moved. A growth moves the pair up a
-        level and drops that state. At most one growth step per report.
+        Whether the cap grows is _Growth.grows, asked of the run's own config
+        and of every member still grouped with it. A member whose verdict
+        differs from the run's, or whose check raises, leaves the group. When
+        the cap grows, every member still grouped grew with it, so all drop
+        their pair state together. At most one growth step per report.
         """
         config, rung, _ = job
         try:
@@ -182,23 +247,25 @@ class Scheduler:
         entry = RungEntry(config, metric, False, self._completions)
         self._completions += 1
         position = self.ladder.insert(rung, entry)
-        if self.cap >= self.ceiling:
+        if self.cap >= self.ceiling and not self.members:
             return  # a fixed or clamped cap: plain successive halving
-        top = self.top_index
-        pair_top = top - 1 if self.config.pair_below_cap else top
-        if rung != pair_top:
-            return
-        if self._pair is None:
-            top_rung, below_rung = self.ladder.sorted_rung(rung), self.ladder.sorted_rung(rung - 1)
-            stable = is_stable(self.criterion, top_rung, below_rung)
-            if stable:
-                self._pair = _PairCheck(self.criterion, top_rung, below_rung)
-        else:
-            stable = self._pair.add(position, below)
-        if not stable:
+        state = (self.ladder, self.cap, self.top_index, rung, position, below)
+        grows = self._own.grows(*state)
+        if self.members:
+            kept = []
+            for member in self.members:
+                try:
+                    if member.grows(*state) == grows:
+                        kept.append(member)
+                except TunesimError:
+                    pass  # the member's own run raises this; it leaves the group
+            self.members = kept
+        if grows:
             self.cap = grow(self.cap, self.spec)
             self.top_index = bisect_right(self.levels, self.cap) - 1
-            self._pair = None
+            self._own.pair = None
+            for member in self.members:
+                member.pair = None
 
     def should_stop(self) -> bool:
         """True once every config is drawn, nothing runs, nothing is promotable."""

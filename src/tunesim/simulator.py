@@ -197,6 +197,7 @@ class SimResult:
     units_consumed: int  # total incremental resource units paid
     ladder: RungLadder | None = None
     trace: list[TraceEvent] | None = None
+    same: tuple[int, ...] = ()  # indexes of simulate's also whose result this is too
 
 
 def _random_result(
@@ -229,6 +230,7 @@ def simulate(
     table: LearningCurveTable,
     workers: int,
     collect_trace: bool = False,
+    also: Sequence[SchedulerConfig] = (),
 ) -> SimResult:
     """Run one scheduler against one benchmark with the given worker count.
 
@@ -238,16 +240,27 @@ def simulate(
     completions are ordered by worker index. Every completion polls the idle
     workers in index order until one finds nothing to do, so a cap growth can
     wake workers that found nothing earlier.
+
+    also lists further configs to run in the same event loop (see
+    Scheduler): each leaves it at its first growth decision that differs
+    from config's, or when its own check raises, and one whose ceiling
+    exceeds the table's units never joins, so its own run raises. The
+    result's same holds the indexes of the configs that never left: for
+    each, simulate(also[i], table, workers, collect_trace) returns an equal
+    result.
     """
     if workers < 1:
         raise UsageError(f"workers must be >= 1, got {workers}")
     if config.mode == "random":
+        if also:
+            raise UsageError("the random baseline runs no jobs to share with other configs")
         return _random_result(config, table, collect_trace)
-    sched = Scheduler(config, table.config_ids())
+    sched = Scheduler(config, table.config_ids(), also=also)
     if sched.ceiling > table.resource_units:  # refused before the first job, in every mode
         raise DataError(
             f"the benchmark covers {table.resource_units} units; requested {sched.ceiling}"
         )
+    sched.members = [m for m in sched.members if m.ceiling <= table.resource_units]
     get_job, report = sched.get_job, sched.report
     metric_at, incremental_cost = table.metric, table.incremental_cost
     heappush, heappop = heapq.heappush, heapq.heappop
@@ -305,6 +318,7 @@ def simulate(
         units_consumed=units_consumed,
         ladder=sched.ladder,
         trace=trace if collect_trace else None,
+        same=tuple(m.index for m in sched.members),
     )
 
 

@@ -546,6 +546,23 @@ class TestOnePassLoad:
             ):
                 assert load(path) == table
 
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            '"' + "p\n" * 70_000 + '"',  # no line is longer than the limit
+            '"' + 'abc""\n' * 30_000 + '"',  # nor does a quote pair
+        ],
+        ids=["short-lines", "escaped-quotes-in-short-lines"],
+    )
+    def test_quoted_field_over_the_csv_limit_goes_to_the_row_reader(self, tmp_path, payload):
+        path = tmp_path / "bench.csv"
+        path.write_text(
+            FORMAT_MAGIC + "\nunits=1\ndirection=maximize\nconfigs=1\n\n"
+            f"0,{payload},0.5,1.0,0.5\n"
+        )
+        with pytest.raises(FormatError, match="line 6: field larger than field limit"):
+            load(str(path))
+
     def test_no_rows_raise_no_warning_even_as_errors(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text(FORMAT_MAGIC + "\nunits=2\ndirection=maximize\nconfigs=0\n\n")

@@ -478,6 +478,37 @@ class TestReportVerb:
         err = capsys.readouterr().err
         assert f"{path}:3: non-finite" in err and "Traceback" not in err
 
+    def test_max_resources_beyond_float_range_is_a_data_error_naming_the_method(
+        self, tmp_path, capsys
+    ):
+        """A 400-digit integer reads as a Python int but cannot be averaged as
+        a float; the report refuses it as bad data, not with a traceback."""
+        path = tmp_path / "cells.csv"
+        path.write_text(
+            "method,scheduler_seed,benchmark_seed,metric,runtime_s,max_resources,units,jobs\n"
+            f"asha,0,0,0.8,2.0,{'9' * 400},10,5\n"
+        )
+        assert main(["report", "--cells", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "method 'asha' has a cell whose max resource overflows a float" in err
+        assert "Traceback" not in err
+
+    def test_metric_sum_beyond_float_range_is_a_data_error_naming_the_method(
+        self, tmp_path, capsys
+    ):
+        """Two finite 1e308 metrics sum past the largest float."""
+        path = tmp_path / "cells.csv"
+        path.write_text(
+            "method,scheduler_seed,benchmark_seed,metric,runtime_s,max_resources,units,jobs\n"
+            "asha,0,0,0.5,2.0,9,10,5\n"
+            "pasha,0,0,1e308,2.0,9,10,5\n"
+            "pasha,1,0,1e308,2.0,9,10,5\n"
+        )
+        assert main(["report", "--cells", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "method 'pasha': the mean or std of its metric overflows a float" in err
+        assert "Traceback" not in err
+
 
     def test_field_over_the_csv_limit_is_a_data_error_naming_its_line(self, tmp_path, capsys):
         """csv.reader refuses a field over its limit (131,072 characters by
@@ -488,6 +519,23 @@ class TestReportVerb:
             "method,scheduler_seed,benchmark_seed,metric,runtime_s,max_resources,units,jobs\n"
             "asha,0,0,0.8,2.0,9,10,5\n"
             f"{'m' * 200_000},1,0,0.9,1.0,9,10,5\n"
+        )
+        with pytest.raises(DataError, match=r"cells\.csv:3: field larger than field limit"):
+            read_cells(str(path))
+        assert main(["report", "--cells", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"{path}:3: field larger than field limit" in err and "Traceback" not in err
+
+    def test_numeric_field_over_the_csv_limit_is_a_data_error_naming_its_line(
+        self, tmp_path, capsys
+    ):
+        """A metric spelled with 200,000 digits is a float numpy reads, but a
+        field csv.reader refuses; the one-pass parser leaves it to that reader."""
+        path = tmp_path / "cells.csv"
+        path.write_text(
+            "method,scheduler_seed,benchmark_seed,metric,runtime_s,max_resources,units,jobs\n"
+            "asha,0,0,0.8,2.0,9,10,5\n"
+            f"asha,1,0,0.{'5' * 200_000},1.0,9,10,5\n"
         )
         with pytest.raises(DataError, match=r"cells\.csv:3: field larger than field limit"):
             read_cells(str(path))
@@ -515,13 +563,30 @@ class TestCrossingsVerb:
 
 
     def test_field_over_the_csv_limit_on_the_row_reader_names_its_line(self, tmp_path, capsys):
-        """The one-pass parser has no field limit, so an id only Python reads
-        (`1_0`) sends the file to the row-by-row reader, whose csv.reader
-        refuses the long payload on line 8."""
+        """An id only Python reads (`1_0`) sends the file to the row-by-row
+        reader, whose csv.reader refuses the long payload on line 7."""
         path = tmp_path / "bench.csv"
         path.write_text(
             FORMAT_MAGIC + "\nunits=1\ndirection=maximize\nconfigs=2\n\n"
             f"1_0,,0.5,1.0,0.5\n2,{'p' * 200_000},0.25,1.0,0.25\n"
+        )
+        with pytest.raises(FormatError, match="line 7: field larger than field limit"):
+            load(str(path))
+        assert main(["crossings", "--benchmark", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "line 7: field larger than field limit" in err and "Traceback" not in err
+
+    def test_field_over_the_csv_limit_is_refused_without_an_unrelated_bad_line(
+        self, tmp_path, capsys
+    ):
+        """numpy has no field limit, so the one-pass parser leaves a file
+        holding a field that could exceed csv's to the row-by-row reader:
+        the long payload is refused whether or not another line is one only
+        that reader reads."""
+        path = tmp_path / "bench.csv"
+        path.write_text(
+            FORMAT_MAGIC + "\nunits=1\ndirection=maximize\nconfigs=2\n\n"
+            f"1,,0.5,1.0,0.5\n2,{'p' * 200_000},0.25,1.0,0.25\n"
         )
         with pytest.raises(FormatError, match="line 7: field larger than field limit"):
             load(str(path))

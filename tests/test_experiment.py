@@ -695,15 +695,27 @@ def _cells_by_line_only(path):
 
 def _report_by_groups(cells):
     """aggregate's report worked out from a list of cells per method, the way
-    aggregate did before it folded columns: the oracle for the grouping."""
+    aggregate did before it folded columns: the oracle for the grouping. A
+    value or sum beyond float range is the DataError aggregate names it with."""
     groups = {}
     for cell in cells:
         groups.setdefault(cell.method, []).append(cell)
+
+    def mean_std(name, field, values):
+        try:
+            floats = [float(v) for v in values]
+        except OverflowError:
+            raise DataError(f"method {name!r} has a cell whose {field} overflows a float")
+        try:
+            return math.fsum(floats) / len(floats), _spread(np.array(floats))
+        except OverflowError:
+            raise DataError(f"method {name!r}: the mean or std of its {field} overflows a float")
+
     stats = {
         name: [
-            (math.fsum(v) / len(v), _spread(np.array(v, dtype=np.float64)))
-            for v in ([c.metric for c in group], [c.runtime for c in group],
-                      [c.max_resources for c in group])
+            mean_std(name, field, [getattr(c, attr) for c in group])
+            for field, attr in (("metric", "metric"), ("runtime", "runtime"),
+                                ("max resource", "max_resources"))
         ]
         for name, group in groups.items()
     }
