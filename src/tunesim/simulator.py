@@ -246,8 +246,8 @@ def simulate(
     from config's, or when its own check raises, and one whose ceiling
     exceeds the table's units never joins, so its own run raises. The
     result's same holds the indexes of the configs that never left: for
-    each, simulate(also[i], table, workers, collect_trace) returns an equal
-    result.
+    each, simulate(also[i], table, workers, collect_trace) returns this
+    result but for an empty same.
     """
     if workers < 1:
         raise UsageError(f"workers must be >= 1, got {workers}")

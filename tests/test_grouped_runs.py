@@ -162,9 +162,11 @@ def grid(picks, kind, n=30, workers=2, seeds=(0, 1), bench_seeds=(0,)):
     return spec, {bs: table(kind, n, bs) for bs in bench_seeds}
 
 
-SOFT, SIGMA, RRR = ("pasha:soft:0.025", False), ("pasha:soft-sigma:1", False), (
-    "pasha:rrr:p=0.9,t=0.01", False)
-ALWAYS, NO_INCREASE = ("pasha:always-unstable", False), ("no-increase", False)
+SOFT = ("pasha:soft:0.025", False)
+SIGMA = ("pasha:soft-sigma:1", False)
+RRR = ("pasha:rrr:p=0.9,t=0.01", False)
+ALWAYS = ("pasha:always-unstable", False)
+NO_INCREASE = ("no-increase", False)
 
 
 class TestRunCellsMatchesOneSimulatePerCell:
