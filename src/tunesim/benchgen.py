@@ -16,14 +16,12 @@ import mmap
 import os
 import warnings
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator
 
 import numpy as np
 
 from .core import ConfigId, DataError
-from .simulator import LearningCurveTable
-
-Rows = tuple[Sequence[ConfigId], tuple[str, ...], np.ndarray]  # ids, payloads, value rows
+from .simulator import LearningCurveTable, _first_bad_row
 
 FORMAT_MAGIC = "tunesim-benchmark-v1"
 
@@ -221,9 +219,10 @@ def load(path: str) -> LearningCurveTable:
     """Read a benchmark file, normalizing the metric direction to maximize.
 
     Values load bit for bit as Python's float() reads them. The rows are
-    parsed in one numpy pass; anything that pass refuses is read again row by
-    row, so an error names its line. Lines end only where csv ends them, so
-    a quoted payload keeps its line breaks.
+    parsed in one numpy pass; anything that pass refuses, and any row the
+    table refuses, is read again row by row, so an error names its line.
+    Lines end only where csv ends them, so a quoted payload keeps its line
+    breaks.
     """
     with open(path, "r", encoding="utf-8", newline="") as handle:
         header, header_lines = _parse_header(handle)
@@ -243,55 +242,75 @@ def load(path: str) -> LearningCurveTable:
                 f"header: direction must be maximize or minimize, got {direction!r}"
             )
         sign = -1.0 if direction == "minimize" else 1.0
-        data_start = handle.tell()
-        parsed = _rows_by_array(handle, units)
-        if parsed is None:
-            handle.seek(data_start)
-            parsed = _rows_by_line(csv.reader(handle), header_lines, units)
-    ids, payloads, values = parsed
+
+        def table(ids, payloads, values: np.ndarray) -> LearningCurveTable:
+            return LearningCurveTable(
+                ids, sign * values[:, :units], values[:, units:-1], sign * values[:, -1], payloads,
+                metric_name=header.get("metric", "metric"),
+                unit_label=header.get("unit_label", "unit"),
+                flipped=(direction == "minimize"),
+            )
+
+        dtype = np.dtype(
+            [("id", np.int64), ("payload", object), ("values", np.float64, (2 * units + 1,))]
+        )
+        data = _array_pass(handle, dtype)
+        if data is not None and len(data) == declared:
+            try:
+                return table(data["id"], data["payload"].tolist(), data["values"])
+            except DataError:
+                pass  # a row the table refuses: the row-by-row reader names its line
+        ids, payloads, values = _rows_by_line(handle, header_lines, units)
     if len(ids) != declared:
         raise FormatError(f"header declares {declared} configs but the file holds {len(ids)}")
-    return LearningCurveTable(
-        ids, sign * values[:, :units], values[:, units:-1], sign * values[:, -1], payloads,
-        metric_name=header.get("metric", "metric"),
-        unit_label=header.get("unit_label", "unit"),
-        flipped=(direction == "minimize"),
-    )
+    return table(ids, payloads, values)
 
 
-def _rows_by_array(handle, units: int) -> Rows | None:
-    """The data rows parsed in one numpy pass, or None if they need _rows_by_line.
+def _array_pass(handle, dtype: np.dtype) -> np.ndarray | None:
+    """The csv records from handle's position to the end, parsed in one numpy
+    pass into a structured array of dtype; None if numpy refuses them. handle
+    is left where it was either way.
 
     numpy splits fields and records as csv.reader does and converts each value
-    with the same correctly rounded routine as float(). It refuses a few
-    spellings Python accepts (`1_0`, ids beyond int64) and any warning, such
-    as the one for no rows, is turned into a refusal. numpy has no field
-    limit, so a field that could exceed csv's is refused as well (see
-    _fields_fit_csv); the row-by-row reader decides those.
+    with the same correctly rounded routines as int() and float(). It refuses a
+    few spellings Python accepts (`1_0`, non-ASCII digits, ints beyond int64),
+    and any warning, such as the one for no rows, is turned into a refusal.
+    numpy has no field limit, so a field that could exceed csv's is refused as
+    well (see _fields_fit_csv); the row-by-row readers decide those.
     """
-    if not _fields_fit_csv(handle):
-        return None
-    dtype = np.dtype(
-        [("id", np.int64), ("payload", object), ("values", np.float64, (2 * units + 1,))]
-    )
+    start = handle.tell()
+    if _fields_fit_csv(handle):
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                return np.loadtxt(
+                    handle, dtype=dtype, delimiter=",", quotechar='"', comments=None, ndmin=1
+                )
+        except (ValueError, Warning):
+            pass
+        finally:
+            handle.seek(start)
+    return None
+
+
+def _csv_records(handle, lines_before: int, width: int, error) -> Iterator[tuple[int, list[str]]]:
+    """Each non-empty csv record from handle's position on, with the number of
+    its first file line (lines_before is the number of file lines ahead of
+    that position). A record that does not hold width fields, or that csv
+    cannot split, raises error(line, message)."""
+    reader = csv.reader(handle)
+    lines_read = lines_before
     try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            data = np.loadtxt(
-                handle, dtype=dtype, delimiter=",", quotechar='"', comments=None, ndmin=1
-            )
-    except (ValueError, Warning):
-        return None
-    ids, values = data["id"], data["values"]
-    ordered = np.sort(ids)  # np.unique would import numpy.ma on first use
-    if not (
-        np.isfinite(values).all()
-        and (values[:, units:-1] > 0).all()
-        and (ids >= 0).all()
-        and not (ordered[1:] == ordered[:-1]).any()
-    ):
-        return None
-    return ids, tuple(data["payload"].tolist()), values
+        for row in reader:
+            # a quoted field can span lines: name the record's first physical line
+            number, lines_read = lines_read + 1, lines_before + reader.line_num
+            if not row:
+                continue
+            if len(row) != width:
+                raise error(number, f"expected {width} fields, got {len(row)}")
+            yield number, row
+    except csv.Error as exc:
+        raise error(lines_read + 1, exc) from exc
 
 
 def _fields_fit_csv(handle) -> bool:
@@ -350,41 +369,37 @@ def _quotes_fit_csv(text: np.ndarray, limit: int, block: int = 1 << 20) -> bool:
     return bool((closes[last] - opens[first] <= limit + 1).all())
 
 
-def _rows_by_line(reader, lines_before: int, units: int) -> Rows:
-    """The data rows parsed one at a time from a csv reader, with float();
-    errors, csv's own included, name the first file line of the bad record
-    (lines_before is the number of file lines ahead of the reader's first)."""
-    expected_fields = 2 + 2 * units + 1
-    parsed: dict[ConfigId, tuple[str, list[float]]] = {}  # config -> payload, values
-    lines_read = lines_before
+def _rows_by_line(
+    handle, lines_before: int, units: int
+) -> tuple[list[ConfigId], list[str], np.ndarray]:
+    """The data rows parsed one at a time with int() and float(): ids,
+    payloads and value rows. An error names the first file line of its
+    record: the first row, in file order, that LearningCurveTable refuses,
+    and failing that the first record that does not parse."""
+
+    def error(line: int, message) -> FormatError:
+        return FormatError(f"line {line}: {message}")
+
+    records = []  # (line, id, payload, value row) per record
+    unparsed = None
     try:
-        for row in reader:
-            # a quoted field can span lines: name the record's first physical line
-            number, lines_read = lines_read + 1, lines_before + reader.line_num
-            if not row:
-                continue
-            if len(row) != expected_fields:
-                raise FormatError(
-                    f"line {number}: expected {expected_fields} fields, got {len(row)}"
-                )
+        for number, fields in _csv_records(handle, lines_before, 2 * units + 3, error):
             try:
-                config = int(row[0])
-                values = [float(x) for x in row[2:]]
+                records.append((number, int(fields[0]), fields[1], [float(x) for x in fields[2:]]))
             except ValueError as exc:
-                raise FormatError(f"line {number}: {exc}") from exc
-            if config < 0:
-                raise FormatError(f"line {number}: config ids must be >= 0, got {config}")
-            if config in parsed:
-                raise FormatError(f"line {number}: duplicate config id {config}")
-            if not all(math.isfinite(v) for v in values):
-                raise FormatError(f"line {number}: non-finite value")
-            if any(c <= 0 for c in values[units : 2 * units]):
-                raise FormatError(f"line {number}: costs must be > 0")
-            parsed[config] = row[1], values
-    except csv.Error as exc:
-        raise FormatError(f"line {lines_read + 1}: {exc}") from exc
-    array = np.array([v for _, v in parsed.values()]).reshape(len(parsed), 2 * units + 1)
-    return list(parsed), tuple(p for p, _ in parsed.values()), array
+                raise error(number, exc) from exc
+    except FormatError as exc:
+        unparsed = exc  # a bad row read before it is named first
+    ids = [record[1] for record in records]
+    values = np.array([record[3] for record in records]).reshape(len(records), 2 * units + 1)
+    bad = _first_bad_row(
+        np.array(ids, dtype=object), values[:, :units], values[:, units:-1], values[:, -1]
+    )
+    if bad is not None:
+        raise error(records[bad[0]][0], bad[1])
+    if unparsed is not None:
+        raise unparsed
+    return ids, [record[2] for record in records], values
 
 
 def crossing_report(table: LearningCurveTable) -> list[tuple[tuple[ConfigId, ConfigId], int]]:

@@ -15,16 +15,15 @@ import io
 import math
 import os
 import shutil
-import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import NamedTuple
 
 import numpy as np
 
-from .benchgen import _fields_fit_csv, load
+from .benchgen import _array_pass, _csv_records, load
 from .core import DataError, ResourceSpec, TunesimError, UsageError
 from .ranking import RankingCriterion, _sqrt_of_frac
-from .scheduler import MODES, SchedulerConfig, check_mode_options
+from .scheduler import MODES, SchedulerConfig, _Mode
 from .simulator import LearningCurveTable, _speedup_factor, simulate, write_trace
 
 SEED_PLACEHOLDER = "{seed}"
@@ -44,17 +43,10 @@ CELL_FIELDS = (
 
 
 @dataclass(frozen=True)
-class MethodSpec:
+class MethodSpec(_Mode):
     """One column of the comparison: a scheduling mode plus its options."""
 
     name: str
-    mode: str
-    criterion: RankingCriterion | None = None
-    pair_below_cap: bool = False
-    random_draws: int | None = None
-
-    def __post_init__(self) -> None:
-        check_mode_options(self)
 
     @classmethod
     def parse(
@@ -217,6 +209,9 @@ def _trace_name(method: str, scheduler_seed: int, benchmark_seed: int) -> str:
 # the modes whose runs start at one cap and can share an event loop (see simulate)
 GROUPED_MODES = ("pasha", "no-increase")
 
+# the fields a MethodSpec passes on to the SchedulerConfig of each of its runs
+_MODE_FIELDS = tuple(f.name for f in fields(_Mode))
+
 
 def run_cells(
     spec: ExperimentSpec,
@@ -241,15 +236,8 @@ def run_cells(
         os.makedirs(traces_dir, exist_ok=True)
 
     def config(method: MethodSpec, ss: int) -> SchedulerConfig:
-        return SchedulerConfig(
-            resources=spec.resources,
-            num_configs=spec.num_configs,
-            mode=method.mode,
-            criterion=method.criterion,
-            seed=ss,
-            pair_below_cap=method.pair_below_cap,
-            random_draws=method.random_draws,
-        )
+        options = {name: getattr(method, name) for name in _MODE_FIELDS}
+        return SchedulerConfig(spec.resources, spec.num_configs, seed=ss, **options)
 
     # (method index, ss, bs) of a cell not yet reached that shares an earlier
     # cell's result -> (its result fields, that earlier cell, its trace file)
@@ -565,7 +553,12 @@ def report_cells(path: str) -> ExperimentReport:
 
 def _cell_columns(path: str) -> tuple[list[str], np.ndarray, list[np.ndarray]]:
     """A cells file's method names in first-appearance order, each row's index
-    into them, and its other seven fields as columns in CELL_FIELDS order."""
+    into them, and its other seven fields as columns in CELL_FIELDS order.
+
+    The rows are parsed in one numpy pass (see benchgen._array_pass); rows
+    that pass refuses, or that hold a non-finite metric or runtime, are read
+    again by _cells_by_line, which names the bad line.
+    """
     with open(path, "r", encoding="utf-8", newline="") as handle:
         try:
             header = next(csv.reader([handle.readline()]), None)
@@ -573,15 +566,14 @@ def _cell_columns(path: str) -> tuple[list[str], np.ndarray, list[np.ndarray]]:
             raise DataError(f"{path}:1: {exc}") from exc
         if header != list(CELL_FIELDS):
             raise DataError(f"{path}: not a per-run cells file (unexpected header)")
-        data_start = handle.tell()
-        parsed = _cells_by_array(handle)
-        if parsed is not None:
-            return parsed
-        handle.seek(data_start)
-        cells = _cells_by_line(csv.reader(handle), path)
-    methods, *columns = zip(*cells)
+        data = _array_pass(handle, _CELL_DTYPE)
+        if data is not None and all(np.isfinite(data[f]).all() for f in ("metric", "runtime_s")):
+            methods, columns = data["method"].tolist(), [data[f] for f in CELL_FIELDS[1:]]
+        else:
+            methods, *columns = zip(*_cells_by_line(handle, path))
+            columns = [np.array(column, dtype=object) for column in columns]
     names, codes = _method_codes(methods)
-    return names, codes, [np.array(column, dtype=object) for column in columns]
+    return names, codes, columns
 
 
 _CELL_DTYPE = np.dtype(
@@ -589,70 +581,27 @@ _CELL_DTYPE = np.dtype(
 )
 
 
-def _cells_by_array(handle) -> tuple[list[str], np.ndarray, list[np.ndarray]] | None:
-    """The data rows parsed in one numpy pass, as _cell_columns returns them,
-    or None if they need _cells_by_line.
+def _cells_by_line(handle, path: str) -> list[CellResult]:
+    """The data rows parsed one at a time from handle, which starts after the
+    header line; a bad row, or a non-finite metric or runtime, is a DataError
+    naming the first physical line of its record."""
 
-    numpy splits fields and records as csv.reader does and converts each value
-    as int() and float() do, but refuses a few spellings Python accepts (`1_0`,
-    non-ASCII digits, ints beyond int64). Any warning, such as the one for no
-    rows, a non-finite metric or runtime, and any field that could be longer
-    than csv's field limit (see benchgen._fields_fit_csv) are refusals
-    too: the row-by-row reader decides those.
-    """
-    if not _fields_fit_csv(handle):
-        return None
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            data = np.loadtxt(
-                handle, dtype=_CELL_DTYPE, delimiter=",", quotechar='"', comments=None, ndmin=1
-            )
-    except (ValueError, Warning):
-        return None
-    names, codes = _method_codes(data["method"].tolist())
-    if not (np.isfinite(data["metric"]).all() and np.isfinite(data["runtime_s"]).all()):
-        return None
-    return names, codes, [data[field] for field in CELL_FIELDS[1:]]
+    def error(line: int, message) -> DataError:
+        return DataError(f"{path}:{line}: {message}")
 
-
-def _cells_by_line(reader, path: str) -> list[CellResult]:
-    """The data rows parsed one at a time from a csv reader that starts after
-    the header line; a bad row, or a non-finite metric or runtime, is a
-    DataError naming the first physical line of its record."""
     cells = []
-    lines_read = 1
-    try:
-        for row in reader:
-            # a quoted field can span lines: name the record's first physical line
-            number, lines_read = lines_read + 1, 1 + reader.line_num
-            if not row:
-                continue
-            if len(row) != len(CELL_FIELDS):
-                raise DataError(
-                    f"{path}:{number}: expected {len(CELL_FIELDS)} fields, got {len(row)}"
-                )
-            method, ss, bs, metric, runtime, max_resources, units, jobs = row
-            try:
-                metric, runtime = float(metric), float(runtime)
-                cell = CellResult(
-                    method,
-                    int(ss),
-                    int(bs),
-                    metric,
-                    runtime,
-                    int(max_resources),
-                    int(units),
-                    int(jobs),
-                )
-            except ValueError as exc:
-                raise DataError(f"{path}:{number}: {exc}") from exc
-            if not (math.isfinite(metric) and math.isfinite(runtime)):
-                field = "runtime" if math.isfinite(metric) else "metric"
-                raise DataError(f"{path}:{number}: non-finite {field}")
-            cells.append(cell)
-    except csv.Error as exc:
-        raise DataError(f"{path}:{lines_read + 1}: {exc}") from exc
+    for number, row in _csv_records(handle, 1, len(CELL_FIELDS), error):
+        method, ss, bs, metric, runtime, max_resources, units, jobs = row
+        try:
+            metric, runtime = float(metric), float(runtime)
+            cell = CellResult(
+                method, int(ss), int(bs), metric, runtime, int(max_resources), int(units), int(jobs)
+            )
+        except ValueError as exc:
+            raise error(number, exc) from exc
+        if not (math.isfinite(metric) and math.isfinite(runtime)):
+            raise error(number, f"non-finite {'runtime' if math.isfinite(metric) else 'metric'}")
+        cells.append(cell)
     if not cells:
         raise DataError(f"{path}: no data rows")
     return cells

@@ -35,42 +35,42 @@ DEFAULT_CRITERION = RankingCriterion("soft", epsilon=0.025)
 MODE_OPTIONS = {"pair_below_cap": ("pasha", False), "random_draws": ("random", None)}
 
 
-def check_mode_options(spec) -> None:
-    """Refuse a per-mode option set away from its default outside its mode.
+@dataclass(frozen=True, kw_only=True)
+class _Mode:
+    """A scheduling mode and its options, checked here for SchedulerConfig and
+    experiment.MethodSpec alike. An option (MODE_OPTIONS, or the criterion)
+    set away from its default outside its own mode is refused: the scheduler
+    reads each only in its own mode, so elsewhere it would be ignored."""
 
-    spec is anything with a mode and the MODE_OPTIONS fields, such as a
-    SchedulerConfig or an experiment MethodSpec. The scheduler reads each
-    option only in its own mode, so elsewhere it would be silently ignored.
-    """
-    for name, (mode, default) in MODE_OPTIONS.items():
-        if spec.mode != mode and getattr(spec, name) != default:
-            raise UsageError(f"{name} applies only to mode {mode!r}, not {spec.mode!r}")
-    if spec.mode != "pasha" and spec.criterion is not None:
-        raise UsageError(f"criterion applies only to mode 'pasha', not {spec.mode!r}")
-
-
-@dataclass(frozen=True)
-class SchedulerConfig:
-    """Everything one scheduling run needs besides the benchmark itself."""
-
-    resources: ResourceSpec
-    num_configs: int
     mode: str = "pasha"
     criterion: RankingCriterion | None = None  # progressive mode only
-    seed: int = 0
     pair_below_cap: bool = False  # compare rungs (K-1, K-2) instead of (K, K-1)
     random_draws: int | None = None  # candidate pool size for the random baseline
 
     def __post_init__(self) -> None:
         if self.mode not in MODES:
-            raise UsageError(
-                f"unknown mode {self.mode!r}; expected one of " + ", ".join(MODES)
-            )
-        if self.num_configs < 1:
-            raise UsageError(f"num_configs must be >= 1, got {self.num_configs}")
+            raise UsageError(f"unknown mode {self.mode!r}; expected one of " + ", ".join(MODES))
         if self.random_draws is not None and self.random_draws < 1:
             raise UsageError(f"random_draws must be >= 1, got {self.random_draws}")
-        check_mode_options(self)
+        for name, (mode, default) in MODE_OPTIONS.items():
+            if self.mode != mode and getattr(self, name) != default:
+                raise UsageError(f"{name} applies only to mode {mode!r}, not {self.mode!r}")
+        if self.mode != "pasha" and self.criterion is not None:
+            raise UsageError(f"criterion applies only to mode 'pasha', not {self.mode!r}")
+
+
+@dataclass(frozen=True)
+class SchedulerConfig(_Mode):
+    """Everything one scheduling run needs besides the benchmark itself."""
+
+    resources: ResourceSpec
+    num_configs: int
+    seed: int = 0
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if self.num_configs < 1:
+            raise UsageError(f"num_configs must be >= 1, got {self.num_configs}")
 
 
 class Job(NamedTuple):

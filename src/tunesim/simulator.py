@@ -70,23 +70,15 @@ class LearningCurveTable:
         units = metrics.shape[1]
         if units < 1:
             raise DataError(f"resource_units must be >= 1, got {units}")
-        order = np.argsort(ids, kind="stable")
-        ids, metrics, costs, finals = ids[order], metrics[order], costs[order], finals[order]
-        repeated = np.flatnonzero(ids[1:] == ids[:-1])
-        if ids[0] < 0:
-            raise DataError(f"config ids must be >= 0, got {ids[0]}")
-        if repeated.size:
-            raise DataError(f"duplicate config id {ids[repeated[0]]}")
         if costs.shape[1] != units:
             raise DataError(
                 f"every metric row has {units} entries but every cost row has {costs.shape[1]}"
             )
-        bad = ~(np.isfinite(metrics).all(axis=1) & np.isfinite(finals))
-        if bad.any():
-            raise DataError(f"non-finite metric in curve for config {ids[bad.argmax()]}")
-        bad = ~(np.isfinite(costs) & (costs > 0)).all(axis=1)
-        if bad.any():
-            raise DataError(f"costs for config {ids[bad.argmax()]} must be finite and > 0")
+        order = np.argsort(ids, kind="stable")
+        ids, metrics, costs, finals = ids[order], metrics[order], costs[order], finals[order]
+        bad = _first_bad_row(ids, metrics, costs, finals)
+        if bad is not None:
+            raise DataError(bad[1])
         for array in (ids, metrics, costs, finals):
             array.flags.writeable = False
         self.ids, self.metrics, self.costs, self.finals = ids, metrics, costs, finals
@@ -171,6 +163,32 @@ def _ragged_rows(ids: np.ndarray, metrics, costs) -> DataError | None:
                 f"curve for config {config} has {m} metric and {c} cost entries; expected {width}"
             )
     return None
+
+
+def _first_bad_row(ids: np.ndarray, metrics, costs, finals) -> tuple[int, str] | None:
+    """The first row, in the order given, that a table refuses, with the
+    reason naming its config; None if every row is valid.
+
+    Within a row the faults are checked in this order: a negative id, an id
+    an earlier row already holds, a non-finite metric or final, and a cost
+    that is not finite and > 0.
+    """
+    order = np.argsort(ids, kind="stable")
+    repeated = np.zeros(ids.size, dtype=bool)
+    repeated[order[1:][ids[order[1:]] == ids[order[:-1]]]] = True
+    checks = (
+        (ids < 0, "config ids must be >= 0, got {}"),
+        (repeated, "duplicate config id {}"),
+        (~(np.isfinite(metrics).all(axis=1) & np.isfinite(finals)),
+         "non-finite metric in curve for config {}"),
+        (~(np.isfinite(costs) & (costs > 0)).all(axis=1),
+         "costs for config {} must be finite and > 0"),
+    )
+    bad = np.any([fault for fault, _ in checks], axis=0)
+    if not bad.any():
+        return None
+    row = int(bad.argmax())
+    return row, next(reason.format(ids[row]) for fault, reason in checks if fault[row])
 
 
 class TraceEvent(NamedTuple):
@@ -267,7 +285,9 @@ def simulate(
     checkpoint: dict[ConfigId, int] = {}
     heap: list[tuple[float, int]] = []
     running: dict[int, Job] = {}
-    idle = list(range(workers))  # ascending worker index
+    # ascending worker index; each config has at most one job in flight, so a
+    # worker at index num_configs or above would never get one
+    idle = list(range(min(workers, config.num_configs)))
     trace: list[TraceEvent] = []
     record, event = trace.append, tuple.__new__
     jobs_executed = 0

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -495,7 +497,7 @@ def _outcome(path):
 
 
 def _outcome_by_line(path):
-    with mock.patch.object(benchgen, "_rows_by_array", lambda *args: None):
+    with mock.patch.object(benchgen, "_array_pass", lambda handle, dtype: None):
         return _outcome(path)
 
 
@@ -606,3 +608,92 @@ class TestOnePassLoad:
         if done.stdout.startswith("True"):
             pytest.skip("this numpy imports numpy.ma on import numpy")
         assert done.stdout == "False\nFalse\n"
+
+
+# One fault per entry: a negative id, another row's id, or a non-finite
+# metric or final, or a bad cost, at (row, column) positions taken modulo the
+# table's shape
+_FAULTS = st.one_of(
+    st.tuples(st.just("id"), st.integers(0), st.just(0), st.integers(-3, -1)),
+    st.tuples(st.just("copy-id"), st.integers(0), st.integers(0), st.just(None)),
+    st.tuples(st.just("metric"), st.integers(0), st.integers(0),
+              st.sampled_from([math.nan, math.inf, -math.inf])),
+    st.tuples(st.just("final"), st.integers(0), st.just(0),
+              st.sampled_from([math.nan, math.inf, -math.inf])),
+    st.tuples(st.just("cost"), st.integers(0), st.integers(0),
+              st.sampled_from([0.0, -0.0, -1.5, math.nan, math.inf, -math.inf])),
+)
+
+
+@st.composite
+def faulty_rows(draw):
+    """units and rows of [id, metrics, costs, final], in file order, with one
+    to three faults injected (a later one may undo an earlier one)."""
+    n, units = draw(st.integers(1, 8)), draw(st.integers(1, 3))
+    ids = draw(st.lists(st.integers(0, 50), min_size=n, max_size=n, unique=True))
+    rows = [[config, [0.5 + 0.01 * u for u in range(units)], [1.0] * units, 0.6] for config in ids]
+    for kind, i, j, value in draw(st.lists(_FAULTS, min_size=1, max_size=3)):
+        row = rows[i % n]
+        if kind == "id":
+            row[0] = value
+        elif kind == "copy-id":
+            row[0] = rows[j % n][0]
+        elif kind == "final":
+            row[3] = value
+        else:
+            row[1 if kind == "metric" else 2][j % units] = value
+    return units, rows
+
+
+def _first_fault(rows):
+    """The oracle of the row rule: the index of the first bad row, checked one
+    row at a time in the order given, and the table's reason; None if none."""
+    held = set()
+    for i, (config, metrics, costs, final) in enumerate(rows):
+        if config < 0:
+            return i, f"config ids must be >= 0, got {config}"
+        if config in held:
+            return i, f"duplicate config id {config}"
+        held.add(config)
+        if not all(map(math.isfinite, [*metrics, final])):
+            return i, f"non-finite metric in curve for config {config}"
+        if not all(math.isfinite(c) and c > 0 for c in costs):
+            return i, f"costs for config {config} must be finite and > 0"
+    return None
+
+
+class TestFirstBadRow:
+    """LearningCurveTable names the first bad row in ascending id order and
+    load the first in file order, by its line, each with that row's first
+    reason; a record that does not parse after it is not reported."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=faulty_rows(), unparsed_after=st.booleans())
+    def test_the_table_and_load_name_the_first_bad_row(self, case, unparsed_after):
+        units, rows = case
+        ids, metrics, costs, finals = (list(column) for column in zip(*rows))
+        in_id_order = _first_fault(sorted(rows, key=lambda row: row[0]))  # a stable sort
+        if in_id_order is None:
+            table = LearningCurveTable(ids, metrics, costs, finals)
+        else:
+            with pytest.raises(DataError, match=re.escape(in_id_order[1]) + "$"):
+                LearningCurveTable(ids, metrics, costs, finals)
+
+        lines = [",".join([str(r[0]), "", *map(repr, [*r[1], *r[2], r[3]])]) for r in rows]
+        if unparsed_after:
+            lines.append(",".join(["0", "", *["fast"] * (2 * units + 1)]))
+        text = f"{FORMAT_MAGIC}\nunits={units}\ndirection=maximize\nconfigs={len(lines)}\n\n"
+        in_file_order = _first_fault(rows)  # the data rows start on line 6
+        with tempfile.TemporaryDirectory() as d:
+            path = os.path.join(d, "bench.csv")
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write(text + "".join(line + "\n" for line in lines))
+            if in_file_order is not None:
+                line, reason = 6 + in_file_order[0], in_file_order[1]
+            elif unparsed_after:
+                line, reason = 6 + len(rows), "could not convert string to float: 'fast'"
+            else:
+                assert load(path) == table
+                return
+            with pytest.raises(FormatError, match=re.escape(f"line {line}: {reason}") + "$"):
+                load(path)

@@ -215,6 +215,17 @@ class TestRunVerb:
         out = capsys.readouterr().out
         assert "| pasha |" in out and "| random |" in out
 
+    def test_zero_random_draws_is_refused_before_any_cell_runs(self, bench, tmp_path, capsys):
+        traces = tmp_path / "traces"
+        code = main(
+            ["run", "--benchmark", bench, "--method", "asha", "--method", "random",
+             "--random-draws", "0", "--max-resource", "9", "--num-configs", "12",
+             "--traces", str(traces)]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == "error: random_draws must be >= 1, got 0\n"
+        assert not traces.exists()
+
     def test_missing_benchmark_flag(self, capsys):
         code = main(["run", "--method", "asha", "--max-resource", "9",
                      "--num-configs", "12"])

@@ -689,7 +689,7 @@ def _outcome(read, path):
 
 
 def _cells_by_line_only(path):
-    with mock.patch.object(experiment, "_cells_by_array", lambda handle: None):
+    with mock.patch.object(experiment, "_array_pass", lambda handle, dtype: None):
         return read_cells(path)
 
 

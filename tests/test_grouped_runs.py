@@ -202,7 +202,7 @@ class TestRunCellsMatchesOneSimulatePerCell:
         soft = MethodSpec.parse("pasha:soft:0.025")
         methods = (
             dataclasses.replace(soft, name="p:q"),
-            MethodSpec("p_q", "asha"),
+            MethodSpec("p_q", mode="asha"),
             dataclasses.replace(MethodSpec.parse("no-increase"), name="z"),
         )
         spec = ExperimentSpec(methods=methods, resources=RESOURCES, num_configs=20)

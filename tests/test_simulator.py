@@ -7,6 +7,7 @@ import math
 import os
 import random
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -347,6 +348,29 @@ class TestAccounting:
         assert first == second
         third = run("pasha", table, n=20, spec=(1, 3, 27), workers=4, seed=12)
         assert first.trace != third.trace
+
+    @pytest.mark.parametrize("mode", ["pasha", "asha", "one-epoch", "no-increase"])
+    @pytest.mark.parametrize("n", [1, 5, 20])
+    def test_workers_beyond_the_config_count_change_nothing(self, mode, n):
+        # at most one job per config is in flight, so workers n and up never get one
+        costs = {i: [0.5 + ((i + u) % 3) * 0.25 for u in range(27)] for i in range(n)}
+        table = table_from_rows(
+            {i: [0.4 + 0.01 * i + 0.002 * u for u in range(27)] for i in range(n)}, costs=costs
+        )
+        enough, more = (run(mode, table, n=n, spec=(1, 3, 27), workers=w) for w in (n, 3 * n + 7))
+        assert enough == more
+        assert trace_text(enough.trace) == trace_text(more.trace)
+
+    def test_workers_beyond_the_config_count_cost_no_memory(self):
+        table = rising_table(8, 9)
+        run("asha", table, n=8, workers=1)  # fill the table's cost sums first
+        tracemalloc.start()
+        try:
+            run("asha", table, n=8, workers=10**6)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_rejects_a_non_positive_worker_count(self):
         table = rising_table(4, 3)
