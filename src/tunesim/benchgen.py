@@ -402,20 +402,47 @@ def _rows_by_line(
     return ids, [record[2] for record in records], values
 
 
+def _signs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.sign(a - b) as int8, without the subtraction that can overflow."""
+    return (a > b).view(np.int8) - (a < b).view(np.int8)
+
+
+# pairs crossing_report compares in one step
+_CROSSING_BLOCK = 1 << 18
+
+
 def crossing_report(table: LearningCurveTable) -> list[tuple[tuple[ConfigId, ConfigId], int]]:
     """Per config pair whose order ever deviates from the order at full budget,
     the last resource level at which it deviates.
 
     An empty list means the ordering is already final after the first unit.
-    Each row is compared with the rows after it in one step, so memory stays
-    O(n x units).
+    Pairs come in id order. A pair can deviate only at a disordered unit: one
+    where some two configs adjacent in the final order compare differently
+    than they do at the last unit. Everywhere else each column is a monotone
+    image of the last, so it keeps every pair's order. Only the disordered
+    units are compared pairwise, _CROSSING_BLOCK pairs or one row at a time.
     """
-    ids, matrix = table.config_ids(), table.metrics
-    report = []
-    for i in range(len(ids) - 1):
-        sign = np.sign(matrix[i] - matrix[i + 1 :])
-        mismatch = sign != sign[:, -1:]
-        last_index = matrix.shape[1] - 1 - np.argmax(mismatch[:, ::-1], axis=1)
-        for j in np.flatnonzero(mismatch.any(axis=1)):
-            report.append(((ids[i], ids[i + 1 + j]), int(last_index[j]) + 1))
+    matrix = table.metrics
+    ranked = matrix[np.argsort(matrix[:, -1])]
+    adjacent = _signs(ranked[1:], ranked[:-1])
+    units = np.flatnonzero((adjacent[:, :-1] != adjacent[:, -1:]).any(axis=0)).tolist()
+    report: list[tuple[tuple[ConfigId, ConfigId], int]] = []
+    if not units:
+        return report
+    n, final = len(matrix), matrix[:, -1]
+    height = max(1, _CROSSING_BLOCK // n)
+    for start in range(0, n - 1, height):
+        stop = min(n - 1, start + height)
+        # rows start..stop-1 against every later row; a block's own lower
+        # triangle is compared too and then dropped
+        rows, later = slice(start, stop), slice(start + 1, None)
+        order = _signs(final[rows, None], final[None, later])
+        last = np.zeros(order.shape, np.int32)
+        for u in units:  # ascending, so a later deviation overwrites
+            column = matrix[:, u]
+            last[_signs(column[rows, None], column[None, later]) != order] = u + 1
+        last[np.arange(stop - start)[:, None] > np.arange(n - start - 1)] = 0
+        i, j = np.nonzero(last)
+        pairs = zip(table.ids[i + start].tolist(), table.ids[j + start + 1].tolist())
+        report += zip(pairs, last[i, j].tolist())
     return report

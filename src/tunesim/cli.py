@@ -174,9 +174,9 @@ def _read_experiment_file(path: str) -> tuple[dict[str, str], list[MethodSpec]]:
         try:
             below = options.getboolean("pair-below-cap", fallback=False)
             draws = options.getint("random-draws", fallback=None)
-        except ValueError as exc:
+            spec = dataclasses.replace(spec, pair_below_cap=below, random_draws=draws)
+        except (ValueError, UsageError) as exc:
             raise DataError(f"config file [{section}]: {exc}") from exc
-        spec = dataclasses.replace(spec, pair_below_cap=below, random_draws=draws)
         ranking = options.get("ranking", fallback=None)
         if ranking is not None and spec.criterion is None:
             spec = dataclasses.replace(spec, criterion=RankingCriterion.parse(ranking))

@@ -15,7 +15,7 @@ import io
 import math
 import os
 import shutil
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -24,7 +24,7 @@ from .benchgen import _array_pass, _csv_records, load
 from .core import DataError, ResourceSpec, TunesimError, UsageError
 from .ranking import RankingCriterion, _sqrt_of_frac
 from .scheduler import MODES, SchedulerConfig, _Mode
-from .simulator import LearningCurveTable, _speedup_factor, simulate, write_trace
+from .simulator import LearningCurveTable, _average_tables, _speedup_factor, simulate, write_trace
 
 SEED_PLACEHOLDER = "{seed}"
 
@@ -149,28 +149,6 @@ class ExperimentReport:
     reference: str
 
 
-def _average_tables(tables: list[LearningCurveTable]) -> LearningCurveTable:
-    first = tables[0]
-    for other in tables[1:]:
-        if (
-            other.resource_units != first.resource_units
-            or not np.array_equal(other.ids, first.ids)
-            or other.flipped != first.flipped
-        ):
-            raise DataError(
-                "benchmark seeds disagree on units, direction, or config ids; "
-                "cannot impute the missing seeds"
-            )
-    # statistics.fmean per value, which is fsum / n (np.mean rounds differently), one
-    # config at a time: a table-sized list of Python floats would raise peak memory
-    units = first.resource_units
-    mean = np.empty((len(first.ids), 2 * units + 1))
-    for i, out in enumerate(mean):
-        rows = [[*t.metrics[i].tolist(), *t.costs[i].tolist(), t.finals.item(i)] for t in tables]
-        out[:] = [math.fsum(v) / len(v) for v in zip(*rows)]
-    return replace(first, metrics=mean[:, :units], costs=mean[:, units:-1], finals=mean[:, -1])
-
-
 def resolve_tables(spec: ExperimentSpec) -> dict[int, LearningCurveTable]:
     """One table per benchmark seed, loaded from the spec's benchmark path.
 
@@ -195,7 +173,13 @@ def resolve_tables(spec: ExperimentSpec) -> dict[int, LearningCurveTable]:
         raise DataError(f"no benchmark file exists for any seed of {spec.benchmark!r}")
     tables = dict(available)
     if missing:
-        imputed = _average_tables([available[bs] for bs in sorted(available)])
+        try:
+            imputed = _average_tables([available[bs] for bs in sorted(available)])
+        except DataError as exc:
+            raise DataError(
+                f"cannot impute seeds {missing} of {spec.benchmark!r} "
+                f"from the mean of seeds {sorted(available)}: {exc}"
+            ) from None
         for bs in missing:
             tables[bs] = imputed
     return tables

@@ -13,7 +13,8 @@ import math
 import random
 import statistics
 from bisect import insort
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -189,6 +190,62 @@ def _first_bad_row(ids: np.ndarray, metrics, costs, finals) -> tuple[int, str] |
         return None
     row = int(bad.argmax())
     return row, next(reason.format(ids[row]) for fault, reason in checks if fault[row])
+
+
+def _fmean(values: list[float]) -> float:
+    """statistics.fmean(values): the sum rounded once, over len(values).
+    OverflowError when that sum is beyond the float range."""
+    try:
+        total = math.fsum(values)
+    except OverflowError:  # fsum also refuses a finite sum whose partial sums overflow
+        total = float(sum(map(Fraction, values)))
+    return total / len(values)
+
+
+def _average_tables(tables: list[LearningCurveTable]) -> LearningCurveTable:
+    """The tables' elementwise _fmean, for a seed whose table is missing. A
+    DataError names the first value, metrics before costs before finals,
+    whose sum overflows."""
+    first = tables[0]
+    for other in tables[1:]:
+        if (
+            other.resource_units != first.resource_units
+            or not np.array_equal(other.ids, first.ids)
+            or other.flipped != first.flipped
+        ):
+            raise DataError("the tables disagree on units, direction, or config ids")
+    # 64 rows at a time: a value's k 53-bit mantissas, shifted to its smallest
+    # exponent, sum exactly in int64 when the exponents spread at most `spread`
+    # bits, and the cast to float64 rounds that sum once, to nearest even, as
+    # fsum does. A sum of 0 (whose sign fsum decides), one that overflows, or
+    # one too wide goes to _fmean value by value. A subnormal sum is exact: it
+    # is a multiple of 2**-1074, as every float is, below 2**-1022.
+    k = len(tables)
+    spread = 62 - 53 - (k - 1).bit_length()
+    means = {}
+    for name in ("metrics", "costs", "finals"):
+        means[name] = mean = np.empty_like(getattr(first, name))
+        for start in range(0, len(mean), 64):
+            values = np.stack([getattr(t, name)[start : start + 64] for t in tables])
+            fraction, exponent = np.frexp(values)
+            mantissa = np.ldexp(fraction, 53).astype(np.int64)
+            zero = mantissa == 0
+            low = np.where(zero, 1 << 11, exponent).min(axis=0)
+            shift = np.where(zero, 0, exponent - low)
+            total = (mantissa << np.minimum(shift, spread)).sum(axis=0)
+            with np.errstate(over="ignore"):
+                rounded = np.ldexp(total.astype(np.float64), low - 53)
+            mean[start : start + 64] = rounded / k
+            exact = (shift.max(axis=0) <= spread) & (total != 0) & np.isfinite(rounded)
+            for row, *unit in zip(*np.nonzero(~exact)):
+                try:
+                    mean[(start + row, *unit)] = _fmean(values[(slice(None), row, *unit)].tolist())
+                except OverflowError:
+                    what = f"{name[:-1]} at unit {unit[0] + 1}" if unit else "final metric"
+                    raise DataError(
+                        f"the sum of config {first.ids[start + row]}'s {what} overflows a float"
+                    ) from None
+    return replace(first, **means)
 
 
 class TraceEvent(NamedTuple):

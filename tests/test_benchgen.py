@@ -434,6 +434,44 @@ class TestCrossingReportOracle:
         assert crossing_report(table) == expected
 
 
+@st.composite
+def crossing_tables(draw):
+    """(table, shape, block): 1-40 configs, often few, x 1-9 units of metrics
+    in quarter steps, 2-9 of them, so ties abound, and a _CROSSING_BLOCK from
+    one row per block to one block for the whole table. The shape is "any";
+    "settled", every column a strictly increasing image of the last, so no
+    unit is disordered; or "churned", where the first two configs swap at
+    every unit but the last."""
+    n = draw(st.one_of(st.integers(1, 4), st.integers(1, 40)))
+    units = draw(st.integers(1, 9))
+    ids = draw(st.lists(st.integers(0, 10**6), min_size=n, max_size=n, unique=True))
+    level = st.integers(-4, draw(st.integers(-3, 4))).map(lambda q: q / 4)
+    rows = [draw(st.lists(level, min_size=units, max_size=units)) for _ in ids]
+    shape = draw(st.sampled_from(["any", "settled", "churned"]))
+    if shape == "settled":
+        rows = [[row[-1] * (u + 1) + u for u in range(units)] for row in rows]
+    elif shape == "churned" and n > 1:
+        rows[0] = [5.0] * (units - 1) + [-5.0]
+        rows[1] = [-5.0] * (units - 1) + [5.0]
+    table = table_from_rows(dict(zip(ids, rows)))
+    return table, shape, draw(st.integers(1, 2000))
+
+
+class TestCrossingReportProperty:
+    @settings(max_examples=300, deadline=None)
+    @given(case=crossing_tables())
+    def test_equals_the_pairwise_oracle(self, case):
+        table, shape, block = case
+        with mock.patch.object(benchgen, "_CROSSING_BLOCK", block):
+            report = crossing_report(table)
+        assert report == _oracle_crossings(table)
+        if shape == "settled":
+            assert report == []
+        swapped = tuple(table.ids[np.abs(table.metrics[:, -1]) == 5].tolist())
+        if shape == "churned" and len(swapped) == 2 and table.resource_units > 1:
+            assert (swapped, table.resource_units - 1) in report
+
+
 # Tokens the one-pass parser and the row-by-row reader must read alike: quoted
 # payloads (well formed or not), spellings float() and int() accept and numpy
 # may not, non-finite values, bad costs and ids, and whitespace.

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import dataclasses
 import os
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from tunesim import CurveModel, DataError, FormatError, generate, load, read_cells, save
@@ -226,6 +228,22 @@ class TestRunVerb:
         assert capsys.readouterr().err == "error: random_draws must be >= 1, got 0\n"
         assert not traces.exists()
 
+    def test_imputation_overflow_is_a_data_error_naming_the_input(self, tmp_path, capsys):
+        table = generate(12, 9, CurveModel(crossing_horizon=2, head_count=4), 0)
+        table = dataclasses.replace(table, costs=np.full_like(table.costs, 1.7e308))
+        for seed in (0, 1):
+            save(table, str(tmp_path / f"b-{seed}.csv"))
+        pattern = str(tmp_path / "b-{seed}.csv")
+        code = main(
+            ["run", "--benchmark", pattern, "--bench-seeds", "0,1,2", "--method", "random",
+             "--max-resource", "9", "--num-configs", "12"]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: cannot impute seeds [2] of {pattern!r} from the mean of seeds [0, 1]: "
+            f"the sum of config {table.ids[0]}'s cost at unit 1 overflows a float\n"
+        )
+
     def test_missing_benchmark_flag(self, capsys):
         code = main(["run", "--method", "asha", "--max-resource", "9",
                      "--num-configs", "12"])
@@ -314,6 +332,14 @@ class TestConfigFile:
         )
         assert main(["run", "--config", config]) == 0
         assert "| random |" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("draws", ["0", "x"])
+    def test_bad_random_draws_is_a_data_error_naming_the_section(
+        self, bench, tmp_path, capsys, draws
+    ):
+        config = self.write_config(tmp_path, bench, f"\n[method:random]\nrandom-draws = {draws}\n")
+        assert main(["run", "--config", config]) == 2
+        assert capsys.readouterr().err.startswith("error: config file [method:random]: ")
 
     def test_unknown_section_is_a_data_error(self, bench, tmp_path, capsys):
         config = self.write_config(tmp_path, bench, "\n[mystery]\nx = 1\n")

@@ -48,6 +48,8 @@ from tunesim.experiment import (
 )
 from tunesim.simulator import _speedup_factor
 
+from util import table_from_rows
+
 SMALL_MODEL = CurveModel(crossing_horizon=2, head_count=4)
 
 
@@ -228,6 +230,109 @@ class TestResolveTables:
         )
         with pytest.raises(DataError, match="cannot impute"):
             resolve_tables(spec)
+
+
+MAX = sys.float_info.max
+SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, MAX, -MAX, 1.0, -0.5]
+
+
+@st.composite
+def value_groups(draw, k):
+    """One value of k tables: any floats, special ones, or k 53-bit mantissas
+    at one exponent shifted 0-10 bits apart, around that of 1 or anywhere from
+    the subnormals to near float max; 10 bits is past the exact sum's reach."""
+    kind = draw(st.sampled_from(["any", "special", "near", "near"]))
+    if kind == "any":
+        return [draw(st.floats(allow_nan=False, allow_infinity=False)) for _ in range(k)]
+    if kind == "special":
+        return [draw(st.sampled_from(SPECIAL)) for _ in range(k)]
+    low = draw(st.one_of(st.integers(-60, -50), st.integers(-1100, 961)))
+    mantissa, shift = st.integers(-(2**53) + 1, 2**53 - 1), st.integers(0, 10)
+    return [math.ldexp(draw(mantissa), low + draw(shift)) for _ in range(k)]
+
+
+@st.composite
+def seed_tables(draw):
+    """1-5 tables of 1-70 configs (past one 64-row chunk) x 1-2 units, each
+    value one of 1-10 value_groups placed at random; costs take each value's
+    magnitude."""
+    k, n, units = draw(st.integers(1, 5)), draw(st.integers(1, 70)), draw(st.integers(1, 2))
+    groups = np.array(draw(st.lists(value_groups(k), min_size=1, max_size=10)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    values = groups[rng.integers(0, len(groups), n * (2 * units + 1))].T.reshape(k, n, -1)
+    costs = np.abs(values[:, :, units:-1])
+    costs[costs == 0] = 5e-324
+    return [
+        LearningCurveTable(ids=range(n), metrics=v[:, :units], costs=c, finals=v[:, -1])
+        for v, c in zip(values, costs)
+    ]
+
+
+def _fmean_or_exact(values):
+    """statistics.fmean, or where fsum refuses a finite sum whose partial sums
+    overflow, that sum rounded once over len(values); OverflowError if the sum
+    itself is beyond the float range."""
+    try:
+        return statistics.fmean(values)
+    except OverflowError:
+        return float(sum(map(Fraction, values))) / len(values)
+
+
+class TestAverageTables:
+    @settings(max_examples=300, deadline=None)
+    @given(tables=seed_tables())
+    def test_equals_fmean_per_value(self, tables):
+        expect = {}
+        try:
+            for name in ("metrics", "costs", "finals"):
+                columns = zip(*(getattr(t, name).ravel().tolist() for t in tables))
+                expect[name] = [_fmean_or_exact(v).hex() for v in columns]
+        except OverflowError:
+            with pytest.raises(DataError, match="overflows a float"):
+                experiment._average_tables(tables)
+            return
+        mean = experiment._average_tables(tables)
+        for name, values in expect.items():
+            assert [v.hex() for v in getattr(mean, name).ravel().tolist()] == values
+
+    @pytest.mark.parametrize("values", [[MAX, MAX, -MAX], [MAX, MAX, -MAX, 1.0]])
+    def test_a_finite_sum_fsum_refuses_is_still_averaged(self, values):
+        # the first sum is exact in int64; the second's exponents spread too wide
+        with pytest.raises(OverflowError):
+            math.fsum(values)
+        mean = experiment._average_tables([table_from_rows({0: [v]}) for v in values])
+        assert mean.metrics[0, 0] == float(sum(map(Fraction, values))) / len(values)
+
+    def test_overflow_names_the_value_and_config(self):
+        tables = [table_from_rows({4: [1.0, MAX]}) for _ in range(2)]
+        with pytest.raises(DataError, match="config 4's metric at unit 2 overflows a float"):
+            experiment._average_tables(tables)
+
+
+class TestFloatFacts:
+    """What _average_tables' exact sum takes from numpy, pinned so that each
+    supported Python and numpy checks it."""
+
+    def test_int64_to_float64_rounds_half_to_even(self):
+        ints = np.array([2**53 + 1, 2**53 + 3, -(2**53) - 1, -(2**53) - 3], dtype=np.int64)
+        expect = [2.0**53, 2.0**53 + 4, -(2.0**53), -(2.0**53) - 4]
+        assert ints.astype(np.float64).tolist() == expect
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(-(2**63), 2**63 - 1))
+    def test_int64_to_float64_rounds_as_python_int_to_float(self, value):
+        assert np.array([value], dtype=np.int64).astype(np.float64)[0] == float(value)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(allow_nan=False, allow_infinity=False))
+    def test_frexp_mantissa_round_trip_is_exact(self, value):
+        fraction, exponent = np.frexp(value)
+        mantissa = np.ldexp(fraction, 53).astype(np.int64)
+        assert abs(int(mantissa)) < 2**53 and mantissa == np.ldexp(fraction, 53)
+        assert np.ldexp(float(mantissa), exponent - 53) == value
+
+    def test_left_shift_of_a_negative_int64_is_multiplication(self):
+        assert (np.array([-(2**53) + 1], dtype=np.int64) << 9).tolist() == [(-(2**53) + 1) * 2**9]
 
 
 class TestRunCells:
