@@ -11,6 +11,8 @@ horizon) deliberately scramble the mid-field.
 from __future__ import annotations
 
 import csv
+import gc
+import io
 import math
 import mmap
 import os
@@ -178,6 +180,8 @@ def save(table: LearningCurveTable, path: str) -> None:
 
     Tables ingested from minimize-direction files are written back with their
     original direction and sign, so save followed by load is the identity.
+    The bytes are csv.writer's: each row is one joined line, and a non-empty
+    payload's field is the text csv.writer gives it.
     """
     sign = -1.0 if table.flipped else 1.0
     direction = "minimize" if table.flipped else "maximize"
@@ -189,11 +193,29 @@ def save(table: LearningCurveTable, path: str) -> None:
         handle.write(f"direction={direction}\n")
         handle.write(f"configs={len(table.ids)}\n")
         handle.write("\n")
-        writer = csv.writer(handle)
-        values = np.column_stack((sign * table.metrics, table.costs, sign * table.finals))
-        # one row of Python floats at a time: a whole-table tolist() raises peak memory
-        for config, payload, row in zip(table.config_ids(), table.payloads, values):
-            writer.writerow([config, payload, *map(repr, row.tolist())])
+        # one row of values and texts at a time: whole-table ones raise peak memory
+        units = table.resource_units
+        row = np.empty(2 * units + 1)
+        bits, new = row.view(np.int64), np.ones(row.size, dtype=bool)
+        rows = zip(table.config_ids(), table.payloads, table.metrics, table.costs, table.finals)
+        for config, payload, metrics, costs, final in rows:
+            np.multiply(metrics, sign, out=row[:units])
+            row[units:-1] = costs
+            row[-1] = sign * final
+            # a value bit-equal to its left neighbour takes that neighbour's
+            # text; repr is a function of the bits, so 0.0 and -0.0 stay apart
+            np.not_equal(bits[1:], bits[:-1], out=new[1:])
+            texts = ["", *map(repr, row[new].tolist())]  # a run's text at its 1-based number
+            fields = ",".join(map(texts.__getitem__, new.cumsum().tolist()))
+            handle.write(f"{config},{_csv_field(payload) if payload else ''},{fields}\r\n")
+
+
+def _csv_field(text: str) -> str:
+    """text as csv.writer writes it as one field of a row of several; csv
+    quotes what needs it and refuses what it cannot write."""
+    buffer = io.StringIO()
+    csv.writer(buffer).writerow([text, ""])  # csv quotes the line terminator's characters
+    return buffer.getvalue()[: -len(",\r\n")]
 
 
 def _parse_header(handle) -> tuple[dict[str, str], int]:
@@ -431,18 +453,25 @@ def crossing_report(table: LearningCurveTable) -> list[tuple[tuple[ConfigId, Con
         return report
     n, final = len(matrix), matrix[:, -1]
     height = max(1, _CROSSING_BLOCK // n)
-    for start in range(0, n - 1, height):
-        stop = min(n - 1, start + height)
-        # rows start..stop-1 against every later row; a block's own lower
-        # triangle is compared too and then dropped
-        rows, later = slice(start, stop), slice(start + 1, None)
-        order = _signs(final[rows, None], final[None, later])
-        last = np.zeros(order.shape, np.int32)
-        for u in units:  # ascending, so a later deviation overwrites
-            column = matrix[:, u]
-            last[_signs(column[rows, None], column[None, later]) != order] = u + 1
-        last[np.arange(stop - start)[:, None] > np.arange(n - start - 1)] = 0
-        i, j = np.nonzero(last)
-        pairs = zip(table.ids[i + start].tolist(), table.ids[j + start + 1].tolist())
-        report += zip(pairs, last[i, j].tolist())
+    # the report's tuples would set off collections that rescan the ones built
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for start in range(0, n - 1, height):
+            stop = min(n - 1, start + height)
+            # rows start..stop-1 against every later row; a block's own lower
+            # triangle is compared too and then dropped
+            rows, later = slice(start, stop), slice(start + 1, None)
+            order = _signs(final[rows, None], final[None, later])
+            last = np.zeros(order.shape, np.int32)
+            for u in units:  # ascending, so a later deviation overwrites
+                column = matrix[:, u]
+                last[_signs(column[rows, None], column[None, later]) != order] = u + 1
+            last[np.arange(stop - start)[:, None] > np.arange(n - start - 1)] = 0
+            i, j = np.nonzero(last)
+            pairs = zip(table.ids[i + start].tolist(), table.ids[j + start + 1].tolist())
+            report += zip(pairs, last[i, j].tolist())
+    finally:
+        if enabled:
+            gc.enable()
     return report

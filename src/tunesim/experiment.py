@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .benchgen import _array_pass, _csv_records, load
+from .benchgen import _array_pass, _csv_field, _csv_records, load
 from .core import DataError, ResourceSpec, TunesimError, UsageError
 from .ranking import RankingCriterion, _sqrt_of_frac
 from .scheduler import MODES, SchedulerConfig, _Mode
@@ -494,22 +494,21 @@ def emit_report(report: ExperimentReport, format: str = "markdown") -> str:
 
 
 def write_cells(cells: list[CellResult], path: str) -> None:
-    """Persist per-run results so reports can be re-derived later."""
+    """Persist per-run results so reports can be re-derived later.
+
+    The bytes are csv.writer's: each row is one f-string, and a method name's
+    field is the text csv.writer gives it, so a name holding a `,`, `"`, `\\r`
+    or `\\n` is quoted.
+    """
+    names: dict[str, str] = {}  # method name -> its field text
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(CELL_FIELDS)
-        for c in cells:
-            writer.writerow(
-                [
-                    c.method,
-                    c.scheduler_seed,
-                    c.benchmark_seed,
-                    repr(c.metric),
-                    repr(c.runtime),
-                    c.max_resources,
-                    c.units,
-                    c.jobs,
-                ]
+        handle.write(",".join(CELL_FIELDS) + "\r\n")
+        for method, ss, bs, metric, runtime, max_resources, units, jobs in cells:
+            name = names.get(method)
+            if name is None:
+                name = names[method] = _csv_field(method)
+            handle.write(
+                f"{name},{ss},{bs},{metric!r},{runtime!r},{max_resources},{units},{jobs}\r\n"
             )
 
 

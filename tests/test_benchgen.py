@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import gc
 import itertools
 import math
 import os
@@ -10,6 +12,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import types
 import warnings
 from unittest import mock
 
@@ -401,6 +404,50 @@ class TestCrossingReport:
             1: [0.2, 0.3, 0.3, 0.5],
         }
         assert crossing_report(table_from_rows(rows)) == [((0, 1), 3)]
+
+
+@contextlib.contextmanager
+def _collector(enabled: bool):
+    """The cyclic collector switched on or off for the block, and on after it."""
+    (gc.enable if enabled else gc.disable)()
+    try:
+        yield
+    finally:
+        gc.enable()
+
+
+class TestCrossingReportCollector:
+    """crossing_report pauses the cyclic collector while it builds the report,
+    and leaves it as it found it."""
+
+    CROSSING = {0: [0.5, 0.5, 0.6], 1: [0.4, 0.6, 0.5]}
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_state_is_kept_after_a_return(self, enabled):
+        with _collector(enabled):
+            assert crossing_report(table_from_rows(self.CROSSING)) == [((0, 1), 2)]
+            assert gc.isenabled() is enabled
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_state_is_kept_after_a_raise(self, enabled):
+        # ids that cannot be indexed fail while the report is built
+        broken = types.SimpleNamespace(metrics=table_from_rows(self.CROSSING).metrics, ids=None)
+        with _collector(enabled):
+            with pytest.raises(TypeError):
+                crossing_report(broken)
+            assert gc.isenabled() is enabled
+
+    def test_paused_while_pairs_are_compared(self):
+        seen, signs = [], benchgen._signs
+
+        def spy(a, b):
+            seen.append(gc.isenabled())
+            return signs(a, b)
+
+        with _collector(True), mock.patch.object(benchgen, "_signs", spy):
+            crossing_report(table_from_rows(self.CROSSING))
+        # the first call finds the disordered units, before the pause
+        assert seen == [True, False, False]
 
 
 def _oracle_crossings(table):

@@ -1,14 +1,20 @@
 """Shared builders for hand-constructed tables and rank-ordered rung entries,
-the brute-force soft-rank oracle the fast soft check is compared against, and
-the one-f-string-per-event trace formatter the trace writer is compared
+the brute-force soft-rank oracle the fast soft check is compared against, the
+one-f-string-per-event trace formatter the trace writer is compared against,
+and the row-by-row csv.writer writers the table and cells writers are compared
 against."""
 
 from __future__ import annotations
 
+import csv
 from dataclasses import dataclass
 
+import numpy as np
+
 from tunesim import CurveModel, LearningCurveTable, ResourceSpec, SchedulerConfig
+from tunesim.benchgen import FORMAT_MAGIC
 from tunesim.core import ConfigId, RungEntry
+from tunesim.experiment import CELL_FIELDS
 from tunesim.scheduler import Scheduler
 
 # readable config ids for ranking tests
@@ -104,3 +110,46 @@ def trace_text(events) -> str:
             f"{ev.resource}\t{metric}\t{ev.kind}\n"
         )
     return "".join(lines)
+
+
+def save_by_rows(table: LearningCurveTable, path: str) -> None:
+    """The bytes benchgen.save must produce, every row through csv.writer.
+
+    The table writer's original form, kept as the oracle for the writer in
+    tunesim.benchgen.
+    """
+    sign = -1.0 if table.flipped else 1.0
+    direction = "minimize" if table.flipped else "maximize"
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        handle.write(FORMAT_MAGIC + "\n")
+        handle.write(f"units={table.resource_units}\n")
+        handle.write(f"metric={table.metric_name}\n")
+        handle.write(f"unit_label={table.unit_label}\n")
+        handle.write(f"direction={direction}\n")
+        handle.write(f"configs={len(table.ids)}\n")
+        handle.write("\n")
+        writer = csv.writer(handle)
+        values = np.column_stack((sign * table.metrics, table.costs, sign * table.finals))
+        for config, payload, row in zip(table.config_ids(), table.payloads, values):
+            writer.writerow([config, payload, *map(repr, row.tolist())])
+
+
+def write_cells_by_rows(cells, path: str) -> None:
+    """The bytes experiment.write_cells must produce, every row through
+    csv.writer; the cells writer's original form, kept as its oracle."""
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(CELL_FIELDS)
+        for c in cells:
+            writer.writerow(
+                [
+                    c.method,
+                    c.scheduler_seed,
+                    c.benchmark_seed,
+                    repr(c.metric),
+                    repr(c.runtime),
+                    c.max_resources,
+                    c.units,
+                    c.jobs,
+                ]
+            )
