@@ -546,6 +546,24 @@ class TestReportVerb:
         assert "method 'pasha': the mean or std of its metric overflows a float" in err
         assert "Traceback" not in err
 
+    def test_metric_sum_within_float_range_is_reported_in_either_order(self, tmp_path, capsys):
+        """1e308 + 1e308 - 1e308 is 1e308 in any order, though a running sum
+        of the first order overflows: both orders give the same report."""
+        outs = []
+        for metrics in (("1e308", "1e308", "-1e308"), ("1e308", "-1e308", "1e308")):
+            path = tmp_path / "cells.csv"
+            path.write_text(
+                "method,scheduler_seed,benchmark_seed,metric,runtime_s,max_resources,units,jobs\n"
+                "asha,0,0,0.5,2.0,9,10,5\n"
+                + "".join(f"pasha,{i},0,{m},2.0,9,10,5\n" for i, m in enumerate(metrics))
+            )
+            assert main(["report", "--cells", str(path), "--format", "csv"]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
+        header, _, pasha = (line.split(",") for line in outs[0].splitlines())
+        row = dict(zip(header, pasha))
+        assert row["method"] == "pasha" and row["metric_mean"] == repr(1e308 / 3)
+
 
     def test_field_over_the_csv_limit_is_a_data_error_naming_its_line(self, tmp_path, capsys):
         """csv.reader refuses a field over its limit (131,072 characters by

@@ -800,8 +800,9 @@ def _cells_by_line_only(path):
 
 def _report_by_groups(cells):
     """aggregate's report worked out from a list of cells per method, the way
-    aggregate did before it folded columns: the oracle for the grouping. A
-    value or sum beyond float range is the DataError aggregate names it with."""
+    aggregate did before it folded columns, each mean from the exact rational
+    sum: the oracle for the grouping. A value or sum beyond float range is the
+    DataError aggregate names it with."""
     groups = {}
     for cell in cells:
         groups.setdefault(cell.method, []).append(cell)
@@ -812,7 +813,7 @@ def _report_by_groups(cells):
         except OverflowError:
             raise DataError(f"method {name!r} has a cell whose {field} overflows a float")
         try:
-            return math.fsum(floats) / len(floats), _spread(np.array(floats))
+            return float(sum(map(Fraction, floats))) / len(floats), _spread(np.array(floats))
         except OverflowError:
             raise DataError(f"method {name!r}: the mean or std of its {field} overflows a float")
 
