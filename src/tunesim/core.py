@@ -1,4 +1,4 @@
-"""Shared domain types: resource geometry, rung ladders, progressive cap growth."""
+"""Shared domain types: resource geometry, rung ladders, progressive cap growth, exact sums."""
 
 from __future__ import annotations
 
@@ -8,6 +8,8 @@ from dataclasses import dataclass, field
 from functools import reduce
 from operator import add
 from typing import Iterable, Sequence
+
+import numpy as np
 
 ConfigId = int  # dense non-negative ids, assigned in draw order starting at 0
 
@@ -19,6 +21,78 @@ def _left_sum(values: Iterable[float]) -> float:
     rounding, which would move simulated times and scores with the version.
     """
     return reduce(add, values, 0)
+
+
+# a column is summed _CHUNK values at a time: every weight np.bincount sums
+# below is an integer under 2**37, so each partial sum of a chunk is an
+# integer under 2**53, which float64 holds exactly
+_CHUNK = 1 << 16
+_LIMB = (1 << 18) - 1
+
+
+def _moments(values: np.ndarray | Sequence[float]) -> tuple[int, int, int, int]:
+    """The count n and the exact sums of finite floats: integers s1, s2 and low
+    with sum(x) = s1 * 2**low and sum(x*x) = s2 * 2**(2*low).
+
+    Each value is a signed integer m below 2**53 in magnitude times 2**(e-53),
+    with np.frexp's exponent e. |m| is split into three 18-bit limbs;
+    np.bincount sums the signed limbs and the limb products of each exponent,
+    and only those few per-exponent sums become Python ints.
+    """
+    mantissas, exps = np.frexp(values)
+    base = int(exps.min(initial=0))  # a zero's exponent is 0 too
+    bins = (exps - base).astype(np.intp)
+    counts = np.bincount(bins)
+    present = np.flatnonzero(counts)  # the exponents that occur, less base
+    with np.errstate(invalid="raise"):  # FloatingPointError on an inf or a nan
+        ints = np.ldexp(mantissas, 53).astype(np.int64)
+    signs, mags = np.sign(ints), np.abs(ints)
+    s1 = s2 = 0
+    for lo in range(0, len(values), _CHUNK):
+        chunk = slice(lo, lo + _CHUNK)
+        sign, mag = signs[chunk], mags[chunk]
+        l0, l1, l2 = mag & _LIMB, (mag >> 18) & _LIMB, mag >> 36
+        # |m| = l0 + l1 * 2**18 + l2 * 2**36, so m = t0 + t1 * 2**36 and
+        # m*m = q0 + q1 * 2**19 + q2 * 2**36 + q3 * 2**55 + q4 * 2**72
+        weights = (
+            sign * (l0 + (l1 << 18)), sign * l2,
+            l0 * l0, l0 * l1, l1 * l1 + 2 * l0 * l2, l1 * l2, l2 * l2,
+        )
+        sums = np.array(
+            [np.bincount(bins[chunk], w, len(counts))[present] for w in weights], dtype=np.int64
+        )
+        for e, (t0, t1, q0, q1, q2, q3, q4) in zip(present.tolist(), sums.T.tolist()):
+            s1 += (t0 + (t1 << 36)) << e
+            s2 += (q0 + (q1 << 19) + (q2 << 36) + (q3 << 55) + (q4 << 72)) << 2 * e
+    return len(values), s1, s2, base - 53
+
+
+def _rounded(s1: int, low: int) -> float:
+    """s1 * 2**low correctly rounded to a float; OverflowError beyond float range."""
+    return float(s1 << low) if low >= 0 else s1 / (1 << -low)
+
+
+def _std(n: int, s1: int, s2: int, low: int, ddof: int) -> float:
+    """The std over n - ddof of values with _moments n, s1, s2, low, correctly rounded
+    (statistics.pstdev for ddof 0, stdev for 1, on 3.11+); 0 under two values."""
+    if n < 2:
+        return 0.0
+    num, den = n * s2 - s1 * s1, n * (n - ddof)
+    return _sqrt_of_frac(num << 2 * low, den) if low >= 0 else _sqrt_of_frac(num, den << -2 * low)
+
+
+def _sqrt_of_frac(n: int, m: int) -> float:
+    """sqrt(n/m) correctly rounded, as statistics.pstdev rounds it on 3.11+.
+
+    The integer root keeps at least 55 bits (109 guard bits under the square
+    root) and rounds to odd, so the one rounding to a float that follows is
+    the correct one.
+    """
+    q = (n.bit_length() - m.bit_length() - 109) // 2
+    n, m = (n, m << 2 * q) if q >= 0 else (n << -2 * q, m)
+    root = math.isqrt(n // m)
+    root |= root * root * m != n  # round to odd: an inexact root gets its last bit set
+    return float(root << q) if q >= 0 else root / (1 << -q)
 
 
 class TunesimError(Exception):

@@ -21,8 +21,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .benchgen import _array_pass, _csv_field, _csv_records, load
-from .core import DataError, ResourceSpec, TunesimError, UsageError
-from .ranking import RankingCriterion, _sqrt_of_frac
+from .core import DataError, ResourceSpec, TunesimError, UsageError, _moments, _rounded, _std
+from .ranking import RankingCriterion
 from .scheduler import MODES, SchedulerConfig, _Mode
 from .simulator import LearningCurveTable, _average_tables, _speedup_factor, simulate, write_trace
 
@@ -281,70 +281,6 @@ def run_cells(
     return cells
 
 
-# a column is summed _CHUNK values at a time: every weight np.bincount sums
-# below is an integer under 2**37, so each partial sum of a chunk is an
-# integer under 2**53, which float64 holds exactly
-_CHUNK = 1 << 16
-_LIMB = (1 << 18) - 1
-
-
-def _moments(values: np.ndarray) -> tuple[int, int, int]:
-    """The exact sum and sum of squares of finite float64 values: integers s1,
-    s2 and low with sum(x) = s1 * 2**low and sum(x*x) = s2 * 2**(2*low).
-
-    Each value is a signed integer m below 2**53 in magnitude times 2**(e-53),
-    with np.frexp's exponent e. |m| is split into three 18-bit limbs;
-    np.bincount sums the signed limbs and the limb products of each exponent,
-    and only those few per-exponent sums become Python ints.
-    """
-    # ranking.epsilon_sigma's as_integer_ratio sums win on its short lists;
-    # here a column of thousands of values makes no Python object per value
-    mantissas, exps = np.frexp(values)
-    base = int(exps.min(initial=0))  # a zero's exponent is 0 too
-    bins = (exps - base).astype(np.intp)
-    counts = np.bincount(bins)
-    present = np.flatnonzero(counts)  # the exponents that occur, less base
-    ints = np.ldexp(mantissas, 53).astype(np.int64)
-    signs, mags = np.sign(ints), np.abs(ints)
-    s1 = s2 = 0
-    for lo in range(0, len(values), _CHUNK):
-        chunk = slice(lo, lo + _CHUNK)
-        sign, mag = signs[chunk], mags[chunk]
-        l0, l1, l2 = mag & _LIMB, (mag >> 18) & _LIMB, mag >> 36
-        # |m| = l0 + l1 * 2**18 + l2 * 2**36, so m = t0 + t1 * 2**36 and
-        # m*m = q0 + q1 * 2**19 + q2 * 2**36 + q3 * 2**55 + q4 * 2**72
-        weights = (
-            sign * (l0 + (l1 << 18)), sign * l2,
-            l0 * l0, l0 * l1, l1 * l1 + 2 * l0 * l2, l1 * l2, l2 * l2,
-        )
-        sums = np.array(
-            [np.bincount(bins[chunk], w, len(counts))[present] for w in weights], dtype=np.int64
-        )
-        for e, (t0, t1, q0, q1, q2, q3, q4) in zip(present.tolist(), sums.T.tolist()):
-            s1 += (t0 + (t1 << 36)) << e
-            s2 += (q0 + (q1 << 19) + (q2 << 36) + (q3 << 55) + (q4 << 72)) << 2 * e
-    return s1, s2, base - 53
-
-
-def _sample_std(n: int, s1: int, s2: int, low: int) -> float:
-    """The sample std, correctly rounded, of n values with _moments s1, s2,
-    low; 0 under two values."""
-    if n < 2:
-        return 0.0
-    num, den = n * s2 - s1 * s1, n * (n - 1)
-    return _sqrt_of_frac(num << 2 * low, den) if low >= 0 else _sqrt_of_frac(num, den << -2 * low)
-
-
-def _spread(values: np.ndarray) -> float:
-    """Sample standard deviation of finite values, 0 under two values.
-
-    Correctly rounded from the exact sums of _moments, so it equals
-    statistics.stdev bit for bit on Python 3.11+ and does not depend on the
-    order of the values.
-    """
-    return _sample_std(len(values), *_moments(values))
-
-
 def _mean_std(values: np.ndarray, method: str, field: str) -> tuple[float, float]:
     """Mean and sample std of one method's column, both from one exact sum
     per column (_moments). The mean is the sum rounded once, over n, as
@@ -358,11 +294,9 @@ def _mean_std(values: np.ndarray, method: str, field: str) -> tuple[float, float
         raise DataError(f"method {method!r} has a cell whose {field} overflows a float") from None
     if not np.isfinite(array).all():
         raise DataError(f"method {method!r} has a cell with a non-finite {field}")
-    n = len(array)
-    s1, s2, low = _moments(array)
+    n, s1, s2, low = _moments(array)
     try:
-        total = float(s1 << low) if low >= 0 else s1 / (1 << -low)  # both correctly rounded
-        return total / n, _sample_std(n, s1, s2, low)
+        return _rounded(s1, low) / n, _std(n, s1, s2, low, 1)
     except OverflowError:
         raise DataError(f"method {method!r}: the mean or std of its {field} overflows a float") from None
 

@@ -18,7 +18,9 @@ from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .core import ConfigId, DataError, InternalError, RungEntry, UsageError, _left_sum, _rank_key
+from .core import (
+    ConfigId, DataError, InternalError, RungEntry, UsageError, _left_sum, _moments, _rank_key, _std,
+)
 
 
 def project(below: Sequence[RungEntry], top: Sequence[RungEntry]) -> list[RungEntry]:
@@ -51,35 +53,11 @@ def _soft_positions_ok(
 
 
 def epsilon_sigma(metrics: Sequence[float], multiplier: int) -> float:
-    """multiplier times the population standard deviation of the metrics.
+    """multiplier times the population standard deviation of finite metrics.
 
     Fewer than two metrics carry no spread information, so the result is 0.
     """
-    n = len(metrics)
-    if n < 2:
-        return 0.0
-    # exact sums: each float is num/den with den a power of two, so all of them
-    # are integers over the largest den
-    ratios = [m.as_integer_ratio() for m in metrics]
-    scale = max(den for _, den in ratios)
-    xs = [num * (scale // den) for num, den in ratios]
-    total = sum(xs)
-    variance_num = n * sum(x * x for x in xs) - total * total
-    return multiplier * _sqrt_of_frac(variance_num, n * n * scale * scale)
-
-
-def _sqrt_of_frac(n: int, m: int) -> float:
-    """sqrt(n/m) correctly rounded, as statistics.pstdev rounds it on 3.11+.
-
-    The integer root keeps at least 55 bits (109 guard bits under the square
-    root) and rounds to odd, so the one rounding to a float that follows is
-    the correct one.
-    """
-    q = (n.bit_length() - m.bit_length() - 109) // 2
-    n, m = (n, m << 2 * q) if q >= 0 else (n << -2 * q, m)
-    root = math.isqrt(n // m)
-    root |= root * root * m != n  # round to odd: an inexact root gets its last bit set
-    return float(root << q) if q >= 0 else root / (1 << -q)
+    return multiplier * _std(*_moments(metrics), 0)
 
 
 def _gaps(metrics: Sequence[float]) -> list[float]:
@@ -230,22 +208,24 @@ def _rbo_ok(c: RankingCriterion, top: Sequence[RungEntry], below: list[RungEntry
     return rbo([e.config for e in top], [e.config for e in below], c.p) >= c.threshold
 
 
+def _refusing(c: RankingCriterion, compute: Callable[..., float], *args) -> float:
+    """compute(*args); a ValueError or OverflowError is a DataError naming c."""
+    try:
+        return compute(*args)
+    except (ValueError, OverflowError) as exc:
+        raise DataError(f"ranking criterion {c.spelling()!r}: {exc}") from exc
+
+
 def _regret_ok(absolute: bool):
     """The rrr (or, if absolute, arrr) test; a metric <= 0 is a DataError naming c."""
-
-    def stable(c: RankingCriterion, top: Sequence[RungEntry], below: list[RungEntry]) -> bool:
-        try:
-            score = _regret(top, [e.config for e in below], c.p, absolute)
-        except ValueError as exc:
-            raise DataError(f"ranking criterion {c.spelling()!r}: {exc}") from exc
-        return score <= c.threshold
-
-    return stable
+    return lambda c, top, below: (
+        _refusing(c, _regret, top, [e.config for e in below], c.p, absolute) <= c.threshold
+    )
 
 
 class _SigmaEpsilon:
-    """epsilon_sigma of the projected metrics, with its exact integer sums kept
-    as metrics arrive: a larger denominator rescales the sums to it."""
+    """epsilon_sigma of the projected metrics, through core._std from exact
+    integer sums kept as metrics arrive: a larger denominator rescales them."""
 
     def __init__(self, c: RankingCriterion, projected: list[RungEntry]) -> None:
         self.multiplier = c.multiplier
@@ -270,11 +250,8 @@ class _SigmaEpsilon:
         self.squares += x * x
 
     def value(self) -> float:
-        n, scale = self.n, self.scale
-        if n < 2:
-            return 0.0
-        variance_num = n * self.squares - self.total * self.total
-        return self.multiplier * _sqrt_of_frac(variance_num, n * n * scale * scale)
+        low = 1 - self.scale.bit_length()  # the scale is 2**-low
+        return self.multiplier * _std(self.n, self.total, self.squares, low, 0)
 
 
 @dataclass(frozen=True)
@@ -320,7 +297,7 @@ _KINDS = {
         adaptive=_SigmaEpsilon,
     ),
     "soft-mean-dist": _soft_kind(
-        _no_parameters, _BARE, lambda c, below: epsilon_mean_distance(_metrics(below))
+        _no_parameters, _BARE, lambda c, below: _refusing(c, epsilon_mean_distance, _metrics(below))
     ),
     "soft-median-dist": _soft_kind(
         _no_parameters, _BARE, lambda c, below: epsilon_median_distance(_metrics(below))
@@ -403,7 +380,8 @@ def is_stable(
     onto the top rung's configs first; adaptive epsilon statistics are
     computed on that projection. A top rung with fewer than two configs
     carries no ordering evidence, so every criterion reports stable for it.
-    A regret criterion on a metric <= 0 raises a DataError naming it.
+    A regret criterion on a metric <= 0, or soft-mean-dist on metric gaps
+    whose sum overflows a float, raises a DataError naming it.
     """
     below_projected = project(below, top)
     if len(top) <= 1:

@@ -193,8 +193,8 @@ def _first_bad_row(ids: np.ndarray, metrics, costs, finals) -> tuple[int, str] |
 
 
 def _fmean(values: list[float]) -> float:
-    """statistics.fmean(values): the sum rounded once, over len(values).
-    OverflowError when that sum is beyond the float range."""
+    """The exact sum rounded once, over len(values): statistics.fmean(values)
+    whenever fsum returns. OverflowError when that sum is beyond float range."""
     try:
         total = math.fsum(values)
     except OverflowError:  # fsum also refuses a finite sum whose partial sums overflow

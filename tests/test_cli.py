@@ -9,7 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tunesim import CurveModel, DataError, FormatError, generate, load, read_cells, save
+from tunesim import (
+    CurveModel, DataError, FormatError, LearningCurveTable, generate, load, read_cells, save,
+)
 from tunesim.benchgen import FORMAT_MAGIC
 from tunesim.cli import _parse_seeds, main
 
@@ -159,6 +161,22 @@ class TestRunVerb:
             "ranking criterion 'rrr:p=1,t=0.05': "
             "relative regret is undefined for metrics <= 0\n"
         )
+
+    def test_mean_distance_overflow_names_the_cell_and_criterion(self, tmp_path, capsys):
+        # one config at 1.7e308, one at 0 and the rest at -1.7e308: the
+        # consecutive gaps of a rung are finite, but their sum is not
+        metrics = [[1.7e308 if i == 5 else 0.0 if i == 11 else -1.7e308] * 27 for i in range(27)]
+        table = LearningCurveTable(range(27), metrics, np.ones((27, 27)), [m[-1] for m in metrics])
+        path = str(tmp_path / "extreme.csv")
+        save(table, path)
+        code = main(
+            ["run", "--benchmark", path, "--method", "pasha:soft-mean-dist", "--num-configs",
+             "27", "--max-resource", "27", "--workers", "1", "--seeds", "0..19"]
+        )
+        err = capsys.readouterr().err
+        assert code == 2 and "Traceback" not in err
+        assert err.startswith("error: cell (method 'pasha:soft-mean-dist', scheduler seed 0, ")
+        assert "ranking criterion 'soft-mean-dist': " in err
 
     @pytest.mark.parametrize(
         "extra, flag",

@@ -38,11 +38,11 @@ from tunesim import (
     write_cells,
 )
 from tunesim import experiment
+from tunesim.core import _moments, _std
 from tunesim.experiment import (
     CELL_FIELDS,
     ExperimentReport,
     MethodRow,
-    _spread,
     reference_method,
     resolve_tables,
 )
@@ -527,7 +527,7 @@ class TestSpread:
     @settings(max_examples=300, deadline=None)
     @given(values=st.lists(FLOATS, min_size=2, max_size=60))
     def test_equals_statistics_stdev(self, values):
-        assert _spread(np.array(values)) == statistics.stdev(values)
+        assert _std(*_moments(np.array(values)), 1) == statistics.stdev(values)
 
     @settings(max_examples=300, deadline=None)
     @given(values=st.lists(FLOATS, min_size=2, max_size=60))
@@ -537,7 +537,7 @@ class TestSpread:
         exact = [Fraction(v) for v in values]
         mean = sum(exact) / len(exact)
         variance = sum((x - mean) ** 2 for x in exact) / (len(exact) - 1)
-        s = _spread(np.array(values))
+        s = _std(*_moments(np.array(values)), 1)
         below = max(Fraction(0), (Fraction(s) + Fraction(math.nextafter(s, 0.0))) / 2)
         above = (Fraction(s) + Fraction(math.nextafter(s, math.inf))) / 2
         assert below**2 <= variance <= above**2
@@ -545,7 +545,7 @@ class TestSpread:
     @pytest.mark.parametrize("value", [0.1, -0.0, 5e-324, 1e300, -7.0])
     def test_constant_and_single_value_columns_have_no_spread(self, value):
         for n in (1, 2, 3, 57):
-            assert _spread(np.full(n, value)) == 0.0
+            assert _std(*_moments(np.full(n, value)), 1) == 0.0
 
     @pytest.mark.parametrize(
         "pair, expected",
@@ -556,7 +556,7 @@ class TestSpread:
         ],
     )
     def test_two_values(self, pair, expected):
-        assert _spread(np.array(pair)) == expected
+        assert _std(*_moments(np.array(pair)), 1) == expected
 
 
 class TestReportEmission:
@@ -813,7 +813,8 @@ def _report_by_groups(cells):
         except OverflowError:
             raise DataError(f"method {name!r} has a cell whose {field} overflows a float")
         try:
-            return float(sum(map(Fraction, floats))) / len(floats), _spread(np.array(floats))
+            mean = float(sum(map(Fraction, floats))) / len(floats)
+            return mean, _std(*_moments(np.array(floats)), 1)
         except OverflowError:
             raise DataError(f"method {name!r}: the mean or std of its {field} overflows a float")
 

@@ -194,6 +194,12 @@ class TestAdaptiveEpsilon:
     def test_sigma_under_two_entries_is_zero(self):
         assert epsilon_sigma([0.7], 2) == 0.0
 
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_sigma_refuses_a_non_finite_metric(self, bad):
+        """No non-finite metric reaches a rung; called directly, the exact sums refuse one."""
+        with pytest.raises((ArithmeticError, ValueError)):
+            epsilon_sigma([0.5, bad, 0.25], 1)
+
     @settings(max_examples=300, deadline=None)
     @given(
         metrics=st.lists(
@@ -447,6 +453,13 @@ class TestCriterionDispatch:
             criterion = RankingCriterion.parse(text)
             with pytest.raises(DataError, match=f"ranking criterion '{criterion}': relative"):
                 is_stable(criterion, top, below)
+
+    def test_mean_distance_over_gaps_past_float_range_is_a_data_error_naming_it(self):
+        """The gaps 1e308 and 1e308 are finite, but their sum is not."""
+        top = ranked((A, 0.8), (B, 0.7), (C, 0.6))
+        below = ranked((A, 1e308), (B, 0.0), (C, -1e308))
+        with pytest.raises(DataError, match="ranking criterion 'soft-mean-dist': "):
+            is_stable(RankingCriterion("soft-mean-dist"), top, below)
 
     def test_adaptive_epsilon_uses_projected_below_spread(self):
         # below's full spread is huge because of C, but C is not in the top

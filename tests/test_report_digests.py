@@ -30,7 +30,8 @@ from hypothesis import strategies as st
 
 from tunesim import CellResult, DataError, aggregate, emit_report, read_cells, write_cells
 from tunesim import experiment
-from tunesim.experiment import _mean_std, _spread, report_cells
+from tunesim.core import _moments, _std
+from tunesim.experiment import _mean_std, report_cells
 
 NAMES = ("asha", "pasha:rbo:p=0.9,t=0.5", 'say "hi"', "random", "a\r\nb", "pasha:soft:0.025")
 
@@ -161,7 +162,7 @@ class TestMoments:
     @settings(max_examples=100, deadline=None)
     @given(values=st.lists(FLOATS, min_size=2, max_size=50))
     def test_spread_equals_statistics_stdev(self, values):
-        assert _spread(np.array(values)).hex() == statistics.stdev(values).hex()
+        assert _std(*_moments(np.array(values)), 1).hex() == statistics.stdev(values).hex()
 
     @pytest.mark.skipif(
         sys.version_info < (3, 11), reason="stdev rounds twice before Python 3.11"
