@@ -244,8 +244,18 @@ def load(path: str) -> LearningCurveTable:
     parsed in one numpy pass; anything that pass refuses, and any row the
     table refuses, is read again row by row, so an error names its line.
     Lines end only where csv ends them, so a quoted payload keeps its line
-    breaks.
+    breaks. Every refusal names path in front of its message; one of a file
+    that is not UTF-8 names no line, as the decoder reads ahead.
     """
+    try:
+        return _load(path)
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+    except DataError as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
+
+
+def _load(path: str) -> LearningCurveTable:
     with open(path, "r", encoding="utf-8", newline="") as handle:
         header, header_lines = _parse_header(handle)
         for key in ("units", "configs", "direction"):

@@ -146,9 +146,11 @@ def _generate_command(args) -> int:
 def _read_experiment_file(path: str) -> tuple[dict[str, str], list[MethodSpec]]:
     parser = configparser.ConfigParser()
     try:
-        found = parser.read(path)
+        found = parser.read(path, encoding="utf-8")
     except configparser.Error as exc:
         raise DataError(f"config file {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:  # no line: the decoder reads ahead
+        raise DataError(f"config file {path}: not UTF-8 text ({exc.reason})") from exc
     if not found:
         raise DataError(f"config file {path!r} not found")
     settings: dict[str, str] = {}
@@ -178,7 +180,12 @@ def _read_experiment_file(path: str) -> tuple[dict[str, str], list[MethodSpec]]:
         except (ValueError, UsageError) as exc:
             raise DataError(f"config file [{section}]: {exc}") from exc
         ranking = options.get("ranking", fallback=None)
-        if ranking is not None and spec.criterion is None:
+        if ranking is not None:
+            if spec.criterion is not None:
+                raise DataError(
+                    f"config file [{section}]: the section names criterion "
+                    f"{spec.criterion.spelling()!r}, so it takes no ranking"
+                )
             spec = dataclasses.replace(spec, criterion=RankingCriterion.parse(ranking))
         methods.append(spec)
     return settings, methods

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import reduce
 from operator import add
@@ -139,13 +139,6 @@ class ResourceSpec:
             )
 
 
-def rung_resource(k: int, spec: ResourceSpec) -> int:
-    """Resource amount of rung k: min_resource * reduction_factor ** k."""
-    if k < 0:
-        raise ValueError(f"rung index must be >= 0, got {k}")
-    return spec.min_resource * spec.reduction_factor**k
-
-
 def max_rung_index(spec: ResourceSpec) -> int:
     """Largest k whose rung resource still fits under max_resource.
 
@@ -168,7 +161,7 @@ def rung_levels(spec: ResourceSpec) -> tuple[int, ...]:
     appended as the final level, so the ladder always tops out exactly at
     the cap.
     """
-    levels = [rung_resource(k, spec) for k in range(max_rung_index(spec) + 1)]
+    levels = [spec.min_resource * spec.reduction_factor**k for k in range(max_rung_index(spec) + 1)]
     if levels[-1] < spec.max_resource:
         levels.append(spec.max_resource)
     return tuple(levels)
@@ -186,11 +179,10 @@ def grow(cap: int, spec: ResourceSpec) -> int:
 
 @dataclass(slots=True)
 class RungEntry:
-    """One completed evaluation: config, observed metric, promotion mark."""
+    """One completed evaluation: config, observed metric, completion index."""
 
     config: ConfigId
     metric: float  # larger is better, minimization metrics are negated upstream
-    promoted: bool = False
     completion_index: int = 0  # global tie-break counter, unique per scheduler
 
 
@@ -198,63 +190,39 @@ def _rank_key(entry: RungEntry) -> tuple[float, int]:
     return (-entry.metric, entry.completion_index)
 
 
-class _RankOrder:
-    """A list of entries kept in rank order, with their rank keys alongside.
-
-    Bisecting the plain key list runs at C speed; a key= function would be
-    called at every probe. RungLadder.insert places each entry after its
-    equal keys, so among those, entries keep insertion order.
-    """
-
-    __slots__ = ("entries", "keys")
-
-    def __init__(self) -> None:
-        self.entries: list[RungEntry] = []
-        self.keys: list[tuple[float, int]] = []
-
-    def index(self, entry: RungEntry) -> int:
-        """Position of entry, found by identity."""
-        i = bisect_left(self.keys, _rank_key(entry))
-        while i < len(self.entries) and self.entries[i] is not entry:
-            i += 1
-        if i == len(self.entries):
-            raise InternalError(f"config {entry.config} is not in this rung")
-        return i
-
-    def remove(self, entry: RungEntry) -> None:
-        i = self.index(entry)
-        del self.keys[i]
-        del self.entries[i]
-
-
 @dataclass
 class RungLadder:
     """Rung table. Rung k holds entries evaluated at levels[k] resource units.
 
     Every rung is kept in rank order as results arrive: best metric first,
-    earlier completion_index first among ties (insertion order among exact
-    key ties). So rungs[k] is best-first, not completion order. The ladder
-    owns the promotion marks: promote() sets them, and an entry inserted
-    with promoted=True counts as promoted. Equality compares the levels and
-    every rung's entries, marks included; the lookup indexes are derived.
+    earlier completion_index first among ties. So rungs[k] is best-first, not
+    completion order. A rung's rank keys are unique: insert refuses a key the
+    rung already holds. The ladder alone holds the promotion marks:
+    _promoted[k] names the configs promoted from rung k, and promote() takes
+    the best of the rest. Equality compares the levels, every rung's entries
+    and the marks; the sorted key lists and the other indexes are derived.
     """
 
     levels: tuple[int, ...]
     rungs: list[list[RungEntry]] = field(init=False)
-    _order: list[_RankOrder] = field(init=False, repr=False, compare=False)
-    _waiting: list[_RankOrder] = field(init=False, repr=False, compare=False)
+    _promoted: list[set[ConfigId]] = field(init=False, repr=False)
+    # beside rungs[k] and _waiting[k], their rank keys: a plain list bisects at
+    # C speed, where a key= function would be called at every probe
+    _keys: list[list[tuple[float, int]]] = field(init=False, repr=False, compare=False)
+    _waiting: list[list[RungEntry]] = field(init=False, repr=False, compare=False)
+    _waiting_keys: list[list[tuple[float, int]]] = field(init=False, repr=False, compare=False)
     _configs: list[set[ConfigId]] = field(init=False, repr=False, compare=False)
-    _promoted: list[set[ConfigId]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.levels = tuple(self.levels)
         if not self.levels or any(b <= a for a, b in zip(self.levels, self.levels[1:])):
             raise ValueError(f"rung levels must be strictly increasing, got {self.levels}")
-        self._order = [_RankOrder() for _ in self.levels]
-        self.rungs = [order.entries for order in self._order]  # the same lists
-        self._waiting = [_RankOrder() for _ in self.levels]  # unpromoted entries
-        self._configs = [set() for _ in self.levels]
+        self.rungs = [[] for _ in self.levels]
         self._promoted = [set() for _ in self.levels]
+        self._keys = [[] for _ in self.levels]
+        self._waiting = [[] for _ in self.levels]  # unpromoted entries, in rank order
+        self._waiting_keys = [[] for _ in self.levels]
+        self._configs = [set() for _ in self.levels]
 
     def insert(self, k: int, entry: RungEntry) -> int:
         """Add a result to rung k; returns its position in the rung's rank order."""
@@ -275,49 +243,40 @@ class RungLadder:
                 f"config {entry.config} reached rung {k} without a promotion below"
             )
         key = (-entry.metric, entry.completion_index)  # _rank_key, inline
-        order = self._order[k]
-        i = bisect_right(order.keys, key)
-        order.keys.insert(i, key)
-        order.entries.insert(i, entry)
+        keys = self._keys[k]
+        i = bisect_right(keys, key)
+        if i and keys[i - 1] == key:
+            raise InternalError(f"config {entry.config} reuses rank key {key} at rung {k}")
+        keys.insert(i, key)
+        self.rungs[k].insert(i, entry)
         self._configs[k].add(entry.config)
-        if entry.promoted:
-            self._promoted[k].add(entry.config)
-        else:
-            waiting = self._waiting[k]
-            j = bisect_right(waiting.keys, key)
-            waiting.keys.insert(j, key)
-            waiting.entries.insert(j, entry)
+        j = bisect_right(self._waiting_keys[k], key)
+        self._waiting_keys[k].insert(j, key)
+        self._waiting[k].insert(j, entry)
         return i
 
-    def promote(self, k: int, entry: RungEntry) -> None:
-        """Mark an unpromoted entry of rung k as promoted."""
-        if entry.promoted:
-            raise InternalError(f"config {entry.config} already promoted from rung {k}")
-        waiting = self._waiting[k]
-        if waiting.entries and waiting.entries[0] is entry:  # always so from the scheduler
-            del waiting.keys[0]
-            del waiting.entries[0]
-        else:
-            waiting.remove(entry)
-        entry.promoted = True
+    def promote(self, k: int) -> RungEntry:
+        """Mark the best unpromoted entry of rung k as promoted and return it."""
+        if not self._waiting[k]:
+            raise InternalError(f"no unpromoted entry to promote at rung {k}")
+        del self._waiting_keys[k][0]
+        entry = self._waiting[k].pop(0)
         self._promoted[k].add(entry.config)
+        return entry
 
-    def promotion(self, top: int, eta: int) -> tuple[int, RungEntry] | None:
+    def promotion(self, top: int, eta: int) -> int | None:
         """Highest rung k below top whose best unpromoted entry ranks inside
-        the rung's top len // eta, with that entry; None if no rung has one.
+        the rung's top len // eta; None if no rung has one.
 
-        Only a rung's best unpromoted entry can qualify. Comparing its rank
-        key with the key at the last quota position decides, except on an
-        exact key tie (possible only in a ladder filled directly), where its
-        position is looked up.
+        Only a rung's best unpromoted entry can qualify, and it does when its
+        rank key is at most the key at the last quota position: keys are
+        unique, so an equal key is that entry itself.
         """
         for k in range(top - 1, -1, -1):
-            order, waiting = self._order[k], self._waiting[k]
-            quota = len(order.keys) // eta
-            if quota and waiting.keys:
-                key, bound = waiting.keys[0], order.keys[quota - 1]
-                if key < bound or (key == bound and order.index(waiting.entries[0]) < quota):
-                    return k, waiting.entries[0]
+            keys, waiting = self._keys[k], self._waiting_keys[k]
+            quota = len(keys) // eta
+            if quota and waiting and waiting[0] <= keys[quota - 1]:
+                return k
         return None
 
     def sorted_rung(self, k: int) -> list[RungEntry]:

@@ -528,19 +528,23 @@ def _cell_columns(path: str) -> tuple[list[str], np.ndarray, list[np.ndarray]]:
     that pass refuses, or that hold a non-finite metric or runtime, are read
     again by _cells_by_line, which names the bad line.
     """
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        try:
-            header = next(csv.reader([handle.readline()]), None)
-        except csv.Error as exc:
-            raise DataError(f"{path}:1: {exc}") from exc
-        if header != list(CELL_FIELDS):
-            raise DataError(f"{path}: not a per-run cells file (unexpected header)")
-        data = _array_pass(handle, _CELL_DTYPE)
-        if data is not None and all(np.isfinite(data[f]).all() for f in ("metric", "runtime_s")):
-            methods, columns = data["method"].tolist(), [data[f] for f in CELL_FIELDS[1:]]
-        else:
-            methods, *columns = zip(*_cells_by_line(handle, path))
-            columns = [np.array(column, dtype=object) for column in columns]
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as handle:
+            try:
+                header = next(csv.reader([handle.readline()]), None)
+            except csv.Error as exc:
+                raise DataError(f"{path}:1: {exc}") from exc
+            if header != list(CELL_FIELDS):
+                raise DataError(f"{path}: not a per-run cells file (unexpected header)")
+            data = _array_pass(handle, _CELL_DTYPE)
+            finite = ("metric", "runtime_s")
+            if data is not None and all(np.isfinite(data[f]).all() for f in finite):
+                methods, columns = data["method"].tolist(), [data[f] for f in CELL_FIELDS[1:]]
+            else:
+                methods, *columns = zip(*_cells_by_line(handle, path))
+                columns = [np.array(column, dtype=object) for column in columns]
+    except UnicodeDecodeError as exc:  # no line: the decoder reads ahead
+        raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from exc
     names, codes = _method_codes(methods)
     return names, codes, columns
 

@@ -14,8 +14,9 @@ from __future__ import annotations
 
 import math
 import statistics
+import string
 from bisect import bisect_left, bisect_right, insort
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Sequence
 
 from .core import (
@@ -322,8 +323,9 @@ class RankingCriterion:
     """A rank-stability rule plus its parameters.
 
     kind is one of CRITERION_KINDS. epsilon applies to "soft", multiplier to
-    "soft-sigma", p and threshold to "rbo", "rrr" and "arrr". An unset
-    threshold takes the kind's default: 0.05 for "rrr" and "arrr", 0.5
+    "soft-sigma", p and threshold to "rbo", "rrr" and "arrr"; a field set
+    away from its default under a kind that does not read it is refused. An
+    unset threshold takes the kind's default: 0.05 for "rrr" and "arrr", 0.5
     otherwise. "always-unstable" forces growth at every non-degenerate check
     and exists for diagnostics and equivalence testing.
     """
@@ -340,6 +342,12 @@ class RankingCriterion:
             raise _unknown_kind(self.kind)
         if self.threshold is None:
             object.__setattr__(self, "threshold", kind.threshold)
+        # the canonical spelling shows every field the kind reads
+        shown = {name for _, name, _, _ in string.Formatter().parse(kind.spelling)}
+        for f in fields(self)[1:]:
+            default = kind.threshold if f.name == "threshold" else f.default
+            if f"c.{f.name}" not in shown and getattr(self, f.name) != default:
+                raise UsageError(f"ranking criterion {self.kind!r} takes no {f.name}")
         if not math.isfinite(self.epsilon) or self.epsilon < 0:
             raise UsageError(f"epsilon must be finite and >= 0, got {self.epsilon}")
         if self.multiplier not in (1, 2, 3):

@@ -214,10 +214,9 @@ class Scheduler:
         Returns None when all configs are drawn and nothing is promotable
         right now; the worker should idle until the next completion.
         """
-        found = self.ladder.promotion(self.top_index, self._eta)
-        if found is not None:
-            k, entry = found
-            self.ladder.promote(k, entry)
+        k = self.ladder.promotion(self.top_index, self._eta)
+        if k is not None:
+            entry = self.ladder.promote(k)
             config, rung = entry.config, k + 1
         elif self.drawn < self.config.num_configs:
             config, rung, entry = self.searcher.draw(), 0, None
@@ -244,7 +243,7 @@ class Scheduler:
             raise InternalError(
                 f"report for a job that is not in flight: config {config} rung {rung}"
             ) from None
-        entry = RungEntry(config, metric, False, self._completions)
+        entry = RungEntry(config, metric, self._completions)
         self._completions += 1
         position = self.ladder.insert(rung, entry)
         if self.cap >= self.ceiling and not self.members:

@@ -333,6 +333,26 @@ class TestSaveLoad:
         with pytest.raises(FormatError, match="declares 3 configs but the file holds 1"):
             load(path)
 
+    @pytest.mark.parametrize(
+        "body, message",
+        [("0,,0.1,fast,1.0,1.0,0.2\n", "line 7: could not convert string to float: 'fast'"),
+         ("0,,0.1,inf,1.0,1.0,0.2\n", "line 7: non-finite"),
+         ("0,,0.1,0.2,1.0,1.0,0.2\n1,,0.1,0.2,1.0,1.0,0.2\n", "header declares 1 configs")],
+    )
+    def test_every_refusal_names_the_path_first(self, tmp_path, body, message):
+        path = self.write(tmp_path, body)
+        with pytest.raises(FormatError) as refused:
+            load(path)
+        assert str(refused.value).startswith(f"{path}: {message}")
+
+    def test_a_file_that_is_not_utf8_is_named_without_a_line(self, tmp_path):
+        path = self.write(tmp_path, "0,,0.1,0.2,1.0,1.0,0.2\n")
+        with open(path, "ab") as handle:
+            handle.write(b"1,\xff,0.1,0.2,1.0,1.0,0.2\n")
+        with pytest.raises(FormatError) as refused:
+            load(path)
+        assert str(refused.value) == f"{path}: not UTF-8 text (invalid start byte)"
+
 
 @st.composite
 def small_tables(draw):

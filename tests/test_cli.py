@@ -262,6 +262,24 @@ class TestRunVerb:
             f"the sum of config {table.ids[0]}'s cost at unit 1 overflows a float\n"
         )
 
+    def test_a_bad_line_names_its_benchmark_file(self, tmp_path, capsys):
+        pattern = str(tmp_path / "s-{seed}.csv")
+        for seed in (0, 1):
+            save(generate(12, 9, CurveModel(crossing_horizon=2, head_count=4), seed),
+                 pattern.replace("{seed}", str(seed)))
+        bad = Path(pattern.replace("{seed}", "1"))
+        lines = bad.read_text().split("\n")
+        fields = lines[11].split(",")  # file line 12
+        fields[2] = "x" + fields[2]
+        lines[11] = ",".join(fields)
+        bad.write_text("\n".join(lines))
+        code = main(["run", "--benchmark", pattern, "--bench-seeds", "0,1", "--method", "asha",
+                     "--max-resource", "9", "--num-configs", "12"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {bad}: line 12: could not convert string to float: {fields[2]!r}\n"
+        )
+
     def test_missing_benchmark_flag(self, capsys):
         code = main(["run", "--method", "asha", "--max-resource", "9",
                      "--num-configs", "12"])
@@ -502,6 +520,27 @@ class TestConfigFile:
         assert main(["run", "--config", config, *extra]) == 1
         assert f"error: {extra[0]} applies only to" in capsys.readouterr().err
 
+    def test_ranking_in_a_section_that_names_its_criterion_is_refused(
+        self, bench, tmp_path, capsys
+    ):
+        config = self.write_config(
+            tmp_path, bench, "\n[method:pasha:soft:0.025]\nranking = always-unstable\n"
+        )
+        assert main(["run", "--config", config]) == 2
+        assert capsys.readouterr().err == (
+            "error: config file [method:pasha:soft:0.025]: the section names criterion "
+            "'soft:0.025', so it takes no ranking\n"
+        )
+
+    def test_a_file_that_is_not_utf8_is_a_data_error_naming_it(self, bench, tmp_path, capsys):
+        config = self.write_config(tmp_path, bench)
+        with open(config, "ab") as handle:
+            handle.write(b"# caf\xe9\n")
+        assert main(["run", "--config", config]) == 2
+        assert capsys.readouterr().err == (
+            f"error: config file {config}: not UTF-8 text (invalid continuation byte)\n"
+        )
+
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["run", "--config", str(tmp_path / "ghost.ini")]) == 2
 
@@ -532,6 +571,17 @@ class TestReportVerb:
         assert main(["report", "--cells", str(path)]) == 2
         err = capsys.readouterr().err
         assert f"{path}:3: non-finite" in err and "Traceback" not in err
+
+    def test_a_file_that_is_not_utf8_is_a_data_error_naming_it(self, tmp_path, capsys):
+        path = tmp_path / "cells.csv"
+        path.write_bytes(
+            b"method,scheduler_seed,benchmark_seed,metric,runtime_s,max_resources,units,jobs\n"
+            b"asha,0,0,0.8,2.0,9,10,5\n\xff\n"
+        )
+        assert main(["report", "--cells", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {path}: not UTF-8 text (invalid start byte)\n"
+        with pytest.raises(DataError, match="not UTF-8 text"):
+            read_cells(str(path))
 
     def test_max_resources_beyond_float_range_is_a_data_error_naming_the_method(
         self, tmp_path, capsys
@@ -666,6 +716,13 @@ class TestCrossingsVerb:
         assert main(["crossings", "--benchmark", str(path)]) == 2
         err = capsys.readouterr().err
         assert "line 7: field larger than field limit" in err and "Traceback" not in err
+
+    def test_a_file_that_is_not_utf8_is_a_data_error_naming_it(self, bench, capsys):
+        data = bytearray(Path(bench).read_bytes())
+        data[300] = 0xFF
+        Path(bench).write_bytes(bytes(data))
+        assert main(["crossings", "--benchmark", bench]) == 2
+        assert capsys.readouterr().err == f"error: {bench}: not UTF-8 text (invalid start byte)\n"
 
     def test_missing_file(self, tmp_path):
         assert main(["crossings", "--benchmark", str(tmp_path / "ghost.csv")]) == 2

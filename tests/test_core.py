@@ -17,7 +17,6 @@ from tunesim.core import (
     grow,
     max_rung_index,
     rung_levels,
-    rung_resource,
 )
 from tunesim.scheduler import Scheduler
 from util import pasha_scheduler
@@ -55,19 +54,17 @@ class TestResourceSpec:
 
 
 class TestRungResource:
+    """The resource of rung k is rung_levels(spec)[k]."""
+
     def test_rung_zero_is_min_resource(self):
-        assert rung_resource(0, spec()) == 1
+        assert rung_levels(spec())[0] == 1
 
     def test_power_growth(self):
-        assert rung_resource(2, spec()) == 9
-        assert rung_resource(3, ResourceSpec(2, 4, 128)) == 128
+        assert rung_levels(spec())[2] == 9
+        assert rung_levels(ResourceSpec(2, 4, 128))[3] == 128
 
     def test_scales_with_min_resource(self):
-        assert rung_resource(2, spec(r=5)) == 45
-
-    def test_negative_rung_rejected(self):
-        with pytest.raises(ValueError):
-            rung_resource(-1, spec())
+        assert rung_levels(spec(r=5))[2] == 45
 
 
 class TestMaxRungIndex:
@@ -172,18 +169,29 @@ class TestRungLadder:
         with pytest.raises(InternalError):
             ladder.insert(0, RungEntry(0, 0.6))
 
+    def test_insert_rejects_a_reused_rank_key(self):
+        ladder = RungLadder((1, 3, 9))
+        ladder.insert(0, RungEntry(0, 0.5, completion_index=4))
+        before = copy.deepcopy(vars(ladder))
+        with pytest.raises(InternalError, match=r"config 1 reuses rank key \(-0.5, 4\) at rung 0"):
+            ladder.insert(0, RungEntry(1, 0.5, completion_index=4))
+        assert vars(ladder) == before
+        ladder.insert(0, RungEntry(1, 0.5, completion_index=5))  # an equal metric alone is fine
+
     def test_upper_rung_requires_promotion_below(self):
         ladder = RungLadder((1, 3, 9))
         with pytest.raises(InternalError):
             ladder.insert(1, RungEntry(0, 0.5))
-        ladder.insert(0, RungEntry(0, 0.5, promoted=True))
+        ladder.insert(0, RungEntry(0, 0.5))
+        ladder.promote(0)
         ladder.insert(1, RungEntry(0, 0.55))  # now legal
         assert [len(r) for r in ladder.rungs] == [1, 1, 0]
 
     def test_occupied_rungs_form_a_prefix(self):
         ladder = RungLadder((1, 3, 9, 27))
         for k in range(3):
-            ladder.insert(k, RungEntry(7, 0.5 + k / 10, promoted=True))
+            ladder.insert(k, RungEntry(7, 0.5 + k / 10))
+            ladder.promote(k)
         occupied = [k for k, rung in enumerate(ladder.rungs) if rung]
         assert occupied == list(range(len(occupied)))
 
@@ -197,8 +205,9 @@ class TestRungLadder:
     def test_highest_nonempty(self):
         ladder = RungLadder((1, 3, 9))
         assert ladder.highest_nonempty() is None
-        ladder.insert(0, RungEntry(0, 0.5, promoted=True))
+        ladder.insert(0, RungEntry(0, 0.5))
         assert ladder.highest_nonempty() == 0
+        ladder.promote(0)
         ladder.insert(1, RungEntry(0, 0.6))
         assert ladder.highest_nonempty() == 1
 
@@ -213,19 +222,27 @@ class TestRungLadder:
         entry = RungEntry(0, 0.5)
         ladder.insert(0, entry)
         # eta 1 puts the whole rung inside the quota: the best unpromoted entry
-        assert_same_promotion(ladder.promotion(1, 1), (0, entry))
-        ladder.promote(0, entry)
-        assert entry.promoted and ladder.promotion(1, 1) is None
-        with pytest.raises(InternalError, match="already promoted"):
-            ladder.promote(0, entry)
+        assert ladder.promotion(1, 1) == 0
+        assert ladder.promote(0) is entry
+        assert ladder.promotion(1, 1) is None
+        with pytest.raises(InternalError, match="no unpromoted entry to promote at rung 0"):
+            ladder.promote(0)
         ladder.insert(1, RungEntry(0, 0.6))  # the mark is what insert checks
+
+    def test_promote_takes_the_best_unpromoted_entry(self):
+        ladder = RungLadder((1, 3, 9))
+        with pytest.raises(InternalError, match="no unpromoted entry to promote at rung 0"):
+            ladder.promote(0)
+        for config, (metric, completion) in enumerate(((0.5, 2), (0.9, 3), (0.5, 1))):
+            ladder.insert(0, RungEntry(config, metric, completion))
+        assert [ladder.promote(0).config for _ in range(3)] == [1, 2, 0]
 
     def test_equality_includes_promotion_marks(self):
         a, b = RungLadder((1, 3, 9)), RungLadder((1, 3, 9))
         for ladder in (a, b):
             ladder.insert(0, RungEntry(0, 0.5))
         assert a == b
-        a.promote(0, a.rungs[0][0])
+        a.promote(0)
         assert a != b
 
 
@@ -233,59 +250,63 @@ def rank_key(entry):
     return (-entry.metric, entry.completion_index)
 
 
-def brute_force_promotion(inserted, top_index, eta):
-    """First unpromoted entry in the sorted top quota, highest rung first."""
+def brute_force_promotion(inserted, promoted, top_index, eta):
+    """Highest rung below top_index with an unpromoted entry in its sorted top
+    quota, or None."""
     for k in range(top_index - 1, -1, -1):
         ordered = sorted(inserted[k], key=rank_key)
-        for entry in ordered[: len(ordered) // eta]:
-            if not entry.promoted:
-                return k, entry
+        if any(e.config not in promoted[k] for e in ordered[: len(ordered) // eta]):
+            return k
     return None
 
 
-def assert_same_promotion(found, expected):
-    """The same rung and the same entry object, or both None."""
-    if expected is None:
-        assert found is None
-    else:
-        assert found is not None and found[0] == expected[0] and found[1] is expected[1]
-
-
-# few distinct values, so exact metric and completion-index ties are common
+# few distinct values, so equal metrics are common; completion indexes are
+# unique, as the scheduler's are, and drawn out of insertion order
 METRICS = st.sampled_from((0.1, 0.3, 0.5, 0.7, 0.9))
-COMPLETIONS = st.integers(0, 4)
+COMPLETIONS = 200
 
 
-def random_step(data, ladder, inserted, fresh):
-    """Promote a waiting entry or insert a new one, as data chooses.
+class _Filled:
+    """What a ladder filled step by step holds, kept by brute force: each
+    rung's entries in insertion order and the configs promoted from it."""
 
-    Entries are inserted directly, with drawn metrics, promotion marks and
-    completion indices, so exact rank-key ties occur. inserted keeps each
-    rung's entries in insertion order; returns the next fresh config id.
-    """
-    waiting = [(k, e) for k, rung in enumerate(inserted) for e in rung if not e.promoted]
-    if waiting and data.draw(st.booleans(), label="promote"):
-        k, entry = data.draw(st.sampled_from(waiting), label="promoted")
-        ladder.promote(k, entry)
-        return fresh
-    climbs = [
-        (k + 1, e.config)
-        for k, rung in enumerate(inserted[:-1])
-        for e in rung
-        if e.promoted and all(x.config != e.config for x in inserted[k + 1])
-    ]
-    k, config = data.draw(st.sampled_from([(0, None)] + climbs), label="slot")
-    if config is None:
-        config, fresh = fresh, fresh + 1
-    entry = RungEntry(
-        config,
-        data.draw(METRICS, label="metric"),
-        promoted=data.draw(st.booleans(), label="inserted promoted"),
-        completion_index=data.draw(COMPLETIONS, label="completion"),
-    )
-    ladder.insert(k, entry)
-    inserted[k].append(entry)
-    return fresh
+    def __init__(self, ladder):
+        self.ladder = ladder
+        self.inserted = [[] for _ in ladder.levels]
+        self.promoted = [set() for _ in ladder.levels]
+        self.unused = list(range(COMPLETIONS))  # completion indexes not yet drawn
+        self.fresh = 0  # the next config id never inserted
+
+    def waiting(self, k):
+        return [e for e in self.inserted[k] if e.config not in self.promoted[k]]
+
+    def climbs(self):
+        """(rung, config) of each promoted config its next rung does not hold yet."""
+        return [
+            (k + 1, config)
+            for k, promoted in enumerate(self.promoted[:-1])
+            for config in sorted(promoted)
+            if all(e.config != config for e in self.inserted[k + 1])
+        ]
+
+    def step(self, data):
+        """Promote from a rung with a waiting entry, checking that promote
+        takes its best one, or insert a new entry, as data chooses."""
+        rungs = [k for k in range(len(self.inserted)) if self.waiting(k)]
+        if rungs and data.draw(st.booleans(), label="promote"):
+            k = data.draw(st.sampled_from(rungs), label="promoted from")
+            best = min(self.waiting(k), key=rank_key)
+            assert self.ladder.promote(k) is best
+            self.promoted[k].add(best.config)
+            return
+        k, config = data.draw(st.sampled_from([(0, None)] + self.climbs()), label="slot")
+        if config is None:
+            config, self.fresh = self.fresh, self.fresh + 1
+        completion = data.draw(st.sampled_from(self.unused), label="completion")
+        self.unused.remove(completion)
+        entry = RungEntry(config, data.draw(METRICS, label="metric"), completion)
+        self.ladder.insert(k, entry)
+        self.inserted[k].append(entry)
 
 
 class TestIncrementalLadderProperties:
@@ -295,16 +316,16 @@ class TestIncrementalLadderProperties:
         config = SchedulerConfig(ResourceSpec(1, eta, eta**3), num_configs=1, mode="asha")
         sched = Scheduler(config, [0])
         ladder = sched.ladder
-        inserted = [[] for _ in ladder.levels]  # insertion order, per rung
-        fresh = 0
+        filled = _Filled(ladder)
         for _ in range(data.draw(st.integers(0, 50), label="steps")):
-            fresh = random_step(data, ladder, inserted, fresh)
-            for k, rung in enumerate(inserted):
+            filled.step(data)
+            for k, rung in enumerate(filled.inserted):
                 assert ladder.sorted_rung(k) == sorted(rung, key=rank_key)
-            expected = brute_force_promotion(inserted, sched.top_index, eta)
-            assert_same_promotion(ladder.promotion(sched.top_index, eta), expected)
+            expected = brute_force_promotion(filled.inserted, filled.promoted, sched.top_index, eta)
+            assert ladder.promotion(sched.top_index, eta) == expected
 
-        before = copy.deepcopy(ladder)
+        fresh = filled.fresh
+        before = copy.deepcopy(vars(ladder))
         bad = [
             (len(ladder.levels), RungEntry(fresh, 0.5), "outside ladder"),
             (-1, RungEntry(fresh, 0.5), "outside ladder"),
@@ -313,28 +334,37 @@ class TestIncrementalLadderProperties:
             (0, RungEntry(fresh, -math.inf), "non-finite"),
             (1, RungEntry(fresh, 0.5), "without a promotion below"),
         ]
-        for k, rung in enumerate(inserted):
+        climbs = dict(filled.climbs())  # rung -> a config it may take
+        for k, rung in enumerate(filled.inserted):
             for entry in rung:
                 bad.append((k, RungEntry(entry.config, 0.5), "duplicate result"))
-                if k + 1 < len(inserted) and not entry.promoted:
+                if k + 1 < len(filled.inserted) and entry.config not in filled.promoted[k]:
                     bad.append((k + 1, RungEntry(entry.config, 0.5), "without a promotion"))
+                # an entry the rung could take, but for its key
+                taker = fresh if k == 0 else climbs.get(k)
+                if taker is not None:
+                    reused = RungEntry(taker, entry.metric, entry.completion_index)
+                    bad.append((k, reused, "reuses rank key"))
         for k, entry, message in bad:
             with pytest.raises(InternalError, match=message):
                 ladder.insert(k, entry)
-        assert ladder == before
+        for k in range(len(ladder.levels)):
+            if not filled.waiting(k):
+                with pytest.raises(InternalError, match="no unpromoted entry"):
+                    ladder.promote(k)
+        assert vars(ladder) == before
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
     def test_promotable_matches_a_brute_force_scan(self, data):
         ladder = RungLadder((1, 2, 4, 8))
-        inserted = [[] for _ in ladder.levels]
-        fresh = 0
+        filled = _Filled(ladder)
         for _ in range(data.draw(st.integers(0, 60), label="steps")):
-            fresh = random_step(data, ladder, inserted, fresh)
+            filled.step(data)
             for top in range(len(ladder.levels) + 1):
                 for eta in (1, 2, 3, 4):
-                    expected = brute_force_promotion(inserted, top, eta)
-                    assert_same_promotion(ladder.promotion(top, eta), expected)
+                    expected = brute_force_promotion(filled.inserted, filled.promoted, top, eta)
+                    assert ladder.promotion(top, eta) == expected
 
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False, width=64)

@@ -1,6 +1,7 @@
 """Rank-stability criteria: frozen example values, brute-force oracles,
 and randomized property checks."""
 
+import dataclasses
 import itertools
 import math
 import random
@@ -524,6 +525,30 @@ class TestCriterionSpelling:
                 RankingCriterion.parse(text)
         with pytest.raises(UsageError, match="got nan"):
             RankingCriterion("soft", epsilon=math.nan)
+
+    # the fields each kind reads, from RankingCriterion's docstring
+    READS = {
+        "soft": {"epsilon"}, "soft-sigma": {"multiplier"},
+        "rbo": {"p", "threshold"}, "rrr": {"p", "threshold"}, "arrr": {"p", "threshold"},
+    }
+    NEEDS = {"soft": {"epsilon": 0.025}, "soft-sigma": {"multiplier": 2}}
+
+    @pytest.mark.parametrize("kind", CRITERION_KINDS)
+    @pytest.mark.parametrize(
+        "field, value", [("epsilon", 0.05), ("multiplier", 3), ("p", 0.5), ("threshold", 0.2)]
+    )
+    def test_a_field_the_kind_does_not_read_is_refused(self, kind, field, value):
+        base = RankingCriterion(kind, **self.NEEDS.get(kind, {}))
+        if field in self.READS.get(kind, ()):
+            criterion = dataclasses.replace(base, **{field: value})
+            assert RankingCriterion.parse(criterion.spelling()) == criterion
+        else:
+            with pytest.raises(UsageError, match=f"^ranking criterion '{kind}' takes no {field}$"):
+                RankingCriterion(kind, **self.NEEDS.get(kind, {}), **{field: value})
+        # at its default every field is accepted, so replace keeps working
+        default = getattr(base, field)
+        assert RankingCriterion(kind, **{**self.NEEDS.get(kind, {}), field: default}) == base
+        assert dataclasses.replace(base) == base
 
     def test_constructor_validation(self):
         with pytest.raises(UsageError):

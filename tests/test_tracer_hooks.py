@@ -9,10 +9,12 @@ from __future__ import annotations
 
 import importlib.util
 import inspect
+import json
 import os
 import sys
 
 TRACER = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "tracer.py")
+BENCHMARK = os.path.join(os.path.dirname(__file__), os.pardir, "BENCHMARK.json")
 
 
 def _load_tracer():
@@ -35,3 +37,13 @@ def test_every_patched_method_resolves_to_a_function_on_its_class():
         assert inspect.isfunction(vars(owner).get(attr)), f"{layer}: {cls}.{attr}"
         assert targets[layer] == (owner, attr)
 
+
+
+def test_every_benchmark_layer_is_one_the_tracer_wraps():
+    """A per_layer name is a traced layer and one of its measures: core.RungLadder.insert.s
+    is the .s of layer core.RungLadder.insert."""
+    with open(BENCHMARK, encoding="utf-8") as handle:
+        names = [layer["name"] for layer in json.load(handle)["per_layer"]]
+    targets, _ = _load_tracer().tunesim_targets()
+    assert names
+    assert [name for name in names if name.rpartition(".")[0] not in targets] == []
