@@ -224,12 +224,13 @@ class RungLadder:
         self._waiting_keys = [[] for _ in self.levels]
         self._configs = [set() for _ in self.levels]
 
+    def _check_rung(self, k: int) -> None:
+        if not 0 <= k < len(self.rungs):
+            raise InternalError(f"rung index {k} outside ladder of {len(self.rungs)} levels")
+
     def insert(self, k: int, entry: RungEntry) -> int:
         """Add a result to rung k; returns its position in the rung's rank order."""
-        if not 0 <= k < len(self.rungs):
-            raise InternalError(
-                f"rung index {k} outside ladder of {len(self.rungs)} levels"
-            )
+        self._check_rung(k)
         if not math.isfinite(entry.metric):
             raise InternalError(
                 f"non-finite metric for config {entry.config} at rung {k}"
@@ -257,6 +258,7 @@ class RungLadder:
 
     def promote(self, k: int) -> RungEntry:
         """Mark the best unpromoted entry of rung k as promoted and return it."""
+        self._check_rung(k)
         if not self._waiting[k]:
             raise InternalError(f"no unpromoted entry to promote at rung {k}")
         del self._waiting_keys[k][0]
@@ -284,6 +286,7 @@ class RungLadder:
 
         This is the ladder's own rank-ordered list; callers must not modify it.
         """
+        self._check_rung(k)
         return self.rungs[k]
 
     def highest_nonempty(self) -> int | None:

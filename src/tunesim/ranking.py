@@ -37,20 +37,16 @@ def project(below: Sequence[RungEntry], top: Sequence[RungEntry]) -> list[RungEn
     return projected
 
 
-def _soft_positions_ok(
-    top: Sequence[RungEntry], below_projected: Sequence[RungEntry], epsilon: float
-) -> bool:
-    """True iff each top config i has a below metric within epsilon of below rank i's.
-
-    That is membership of top config i in the soft position i of the
-    projected below list (every config within epsilon of rank i's metric),
-    tested in O(n) without building the positions.
-    """
-    below_metric = {e.config: e.metric for e in below_projected}
-    return all(
-        abs(anchor.metric - below_metric[t.config]) <= epsilon
-        for anchor, t in zip(below_projected, top)
-    )
+def _deviations(
+    top: Sequence[RungEntry], projected: Sequence[RungEntry],
+    below_metric: dict[ConfigId, float], lo: int, hi: int,
+) -> list[float]:
+    """|deviation| at positions lo..hi: below's metric of top config i against
+    the metric of below's projected rank i. Top config i is in the soft
+    position i of the projected below list (every config within epsilon of
+    rank i's metric) iff its deviation is at most epsilon, so the soft test is
+    max(deviations) <= epsilon, in O(n) without building the positions."""
+    return [abs(projected[i].metric - below_metric[top[i].config]) for i in range(lo, hi + 1)]
 
 
 def epsilon_sigma(metrics: Sequence[float], multiplier: int) -> float:
@@ -202,7 +198,9 @@ def _metrics(entries: Sequence[RungEntry]) -> list[float]:
 
 def _soft(epsilon: Callable[[RankingCriterion, list[RungEntry]], float]):
     """The soft test, with epsilon taken from the criterion and the projected below rung."""
-    return lambda c, top, below: _soft_positions_ok(top, below, epsilon(c, below))
+    return lambda c, top, below: max(
+        _deviations(top, below, {e.config: e.metric for e in below}, 0, len(top) - 1)
+    ) <= epsilon(c, below)
 
 
 def _rbo_ok(c: RankingCriterion, top: Sequence[RungEntry], below: list[RungEntry]) -> bool:
@@ -430,18 +428,10 @@ class _PairCheck:
         self._below_metric = {e.config: e.metric for e in projected}
         if kind.adaptive is not None:
             self._epsilon = kind.adaptive(criterion, projected)
-            self._deviations = self._window(0, len(top) - 1)
+            self._deviations = _deviations(top, projected, self._below_metric, 0, len(top) - 1)
             self._ordered = sorted(self._deviations)
         elif kind.fixed:
             self._epsilon = kind.epsilon(criterion, projected)
-
-    def _window(self, lo: int, hi: int) -> list[float]:
-        """|deviation| at positions lo..hi: below's metric of top config i
-        against the metric of below's projected rank i."""
-        top, projected, below_metric = self._top, self._projected, self._below_metric
-        return [
-            abs(projected[i].metric - below_metric[top[i].config]) for i in range(lo, hi + 1)
-        ]
 
     def add(self, p: int, below_entry: RungEntry) -> bool:
         """The verdict after the ladder placed a new entry at position p of the
@@ -460,7 +450,7 @@ class _PairCheck:
         if kind.adaptive is None and not kind.fixed:
             return kind.stable(self._criterion, top, self._projected)
         lo, hi = (p, q) if p < q else (q, p)
-        window = self._window(lo, hi)
+        window = _deviations(top, self._projected, self._below_metric, lo, hi)
         if kind.adaptive is None:
             return max(window) <= self._epsilon  # outside the window, all were within it
         self._epsilon.add(self._projected, q)

@@ -310,11 +310,15 @@ def simulate(
     """Run one scheduler against one benchmark with the given worker count.
 
     Whenever a worker is free it asks the scheduler for a job; the job's
-    duration is the sum of per-unit costs between the config's previous
-    checkpoint and the job's target (pause and resume are free). Simultaneous
+    duration is the sum of per-unit costs from the level the config was
+    promoted at to the job's target (pause and resume are free): a job at
+    rung k resumes from levels[k - 1], and one at rung 0 from 0. Simultaneous
     completions are ordered by worker index. Every completion polls the idle
     workers in index order until one finds nothing to do, so a cap growth can
-    wake workers that found nothing earlier.
+    wake workers that found nothing earlier. Every issued job completes into
+    the ladder before the run ends, so the run's job and unit totals are read
+    from the final ladder: each entry of rung k is one job that trained from
+    its resume point to levels[k].
 
     also lists further configs to run in the same event loop (see
     Scheduler): each leaves it at its first growth decision that differs
@@ -339,16 +343,13 @@ def simulate(
     get_job, report = sched.get_job, sched.report
     metric_at, incremental_cost = table.metric, table.incremental_cost
     heappush, heappop = heapq.heappush, heapq.heappop
-    checkpoint: dict[ConfigId, int] = {}
-    heap: list[tuple[float, int]] = []
-    running: dict[int, Job] = {}
+    resume = (0, *sched.levels)  # resume[k]: the units a job at rung k starts from
+    heap: list[tuple[float, int, Job]] = []  # no two entries share a worker: jobs never compare
     # ascending worker index; each config has at most one job in flight, so a
     # worker at index num_configs or above would never get one
     idle = list(range(min(workers, config.num_configs)))
     trace: list[TraceEvent] = []
     record, event = trace.append, tuple.__new__
-    jobs_executed = 0
-    units_consumed = 0
     now = 0.0
     while True:
         # Poll the idle workers in index order until one finds no job. get_job
@@ -360,23 +361,17 @@ def simulate(
             if job is None:
                 break
             config, rung, target = job
-            done = checkpoint.get(config, 0)
-            units_consumed += target - done
-            heappush(heap, (now + incremental_cost(config, done, target), worker))
-            running[worker] = job
+            heappush(heap, (now + incremental_cost(config, resume[rung], target), worker, job))
             if collect_trace:
                 # tuple.__new__ skips the named tuple's Python-level argument binding
                 record(event(TraceEvent, (now, worker, config, rung, target, None, "assign")))
             assigned += 1
-        jobs_executed += assigned
         del idle[:assigned]
         if not heap:
             break
-        now, worker = heappop(heap)
-        job = running.pop(worker)
+        now, worker, job = heappop(heap)
         config, rung, target = job
         metric = metric_at(config, target)
-        checkpoint[config] = target
         report(job, metric)
         if collect_trace:
             record(event(TraceEvent, (now, worker, config, rung, target, metric, "complete")))
@@ -386,13 +381,14 @@ def simulate(
             "simulation drained its event queue before the scheduler was finished"
         )
     chosen, _, max_resources = sched.best_config()
+    jobs = [len(entries) for entries in sched.ladder.rungs]
     return SimResult(
         wall_clock=now,  # the last completion's time
         chosen=chosen,
         chosen_metric_full=table.final_metric(chosen),
         max_resources=max_resources,
-        jobs_executed=jobs_executed,
-        units_consumed=units_consumed,
+        jobs_executed=sum(jobs),
+        units_consumed=sum(n * (b - a) for n, a, b in zip(jobs, resume, sched.levels)),
         ladder=sched.ladder,
         trace=trace if collect_trace else None,
         same=tuple(m.index for m in sched.members),
@@ -425,28 +421,32 @@ def write_trace(events: Iterable[TraceEvent], path: str) -> None:
 
 
 def read_trace(path: str) -> list[TraceEvent]:
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            lines = handle.readlines()
+    except UnicodeDecodeError as exc:  # no line: the decoder reads ahead
+        raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from exc
     events: list[TraceEvent] = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for number, line in enumerate(handle, start=1):
-            parts = line.rstrip("\n").split("\t")
-            if len(parts) != 7:
-                raise DataError(f"{path}:{number}: expected 7 trace fields, got {len(parts)}")
-            try:
-                events.append(
-                    TraceEvent(
-                        time=float(parts[0]),
-                        worker=int(parts[1]),
-                        config=int(parts[2]),
-                        rung=int(parts[3]),
-                        resource=int(parts[4]),
-                        metric=None if parts[5] == "-" else float(parts[5]),
-                        kind=parts[6],
-                    )
+    for number, line in enumerate(lines, start=1):
+        parts = line.rstrip("\n").split("\t")
+        if len(parts) != 7:
+            raise DataError(f"{path}:{number}: expected 7 trace fields, got {len(parts)}")
+        try:
+            events.append(
+                TraceEvent(
+                    time=float(parts[0]),
+                    worker=int(parts[1]),
+                    config=int(parts[2]),
+                    rung=int(parts[3]),
+                    resource=int(parts[4]),
+                    metric=None if parts[5] == "-" else float(parts[5]),
+                    kind=parts[6],
                 )
-            except ValueError as exc:
-                raise DataError(f"{path}:{number}: {exc}") from exc
-            if events[-1].kind not in ("assign", "complete"):
-                raise DataError(f"{path}:{number}: unknown event kind {parts[6]!r}")
+            )
+        except ValueError as exc:
+            raise DataError(f"{path}:{number}: {exc}") from exc
+        if events[-1].kind not in ("assign", "complete"):
+            raise DataError(f"{path}:{number}: unknown event kind {parts[6]!r}")
     return events
 
 

@@ -237,6 +237,19 @@ class TestRungLadder:
             ladder.insert(0, RungEntry(config, metric, completion))
         assert [ladder.promote(0).config for _ in range(3)] == [1, 2, 0]
 
+    @pytest.mark.parametrize("k", [-1, 2])
+    def test_promote_and_sorted_rung_refuse_a_rung_outside_the_ladder(self, k):
+        ladder = RungLadder((1, 3))
+        ladder.insert(0, RungEntry(7, 0.5))
+        ladder.promote(0)
+        ladder.insert(1, RungEntry(7, 0.6, completion_index=1))
+        ladder.insert(0, RungEntry(8, 0.4, completion_index=2))
+        before = copy.deepcopy(vars(ladder))
+        for method in (ladder.promote, ladder.sorted_rung):
+            with pytest.raises(InternalError, match=f"^rung index {k} outside ladder of 2 levels$"):
+                method(k)
+        assert vars(ladder) == before
+
     def test_equality_includes_promotion_marks(self):
         a, b = RungLadder((1, 3, 9)), RungLadder((1, 3, 9))
         for ladder in (a, b):

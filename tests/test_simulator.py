@@ -514,6 +514,14 @@ class TestTraceIO:
         with pytest.raises(DataError, match="unknown event kind 'launch'"):
             read_trace(str(path))
 
+    def test_a_file_that_is_not_utf8_is_refused_naming_the_file(self, tmp_path):
+        # no line number: the decoder reads ahead of the line it fails on
+        path = tmp_path / "bad.trace"
+        path.write_bytes(b"0.0\t0\t3\t0\t1\t-\tassign\n\xff\n")
+        with pytest.raises(DataError) as caught:
+            read_trace(str(path))
+        assert str(caught.value) == f"{path}: not UTF-8 text (invalid start byte)"
+
 
 SIGNED_ZEROS = st.sampled_from((0.0, -0.0))
 FINITE = st.one_of(SIGNED_ZEROS, st.floats(allow_nan=False, allow_infinity=False))
@@ -697,3 +705,88 @@ class TestReplayProperty:
             expected.units_consumed,
             expected.wall_clock,
         )
+
+
+# pasha criteria that stop early and that grow; soft:0 decides as direct does
+ACCOUNTING_CRITERIA = ("soft:0.025", "soft:0", "soft-sigma:1", "rbo:p=0.9,t=0.5")
+
+
+@st.composite
+def accounting_setups(draw):
+    """A config, the configs grouped with it, a fresh table and a worker count;
+    the ceiling is a power of eta or lies between two."""
+    eta = draw(st.integers(2, 4))
+    r = draw(st.integers(1, 2))
+    power = r * eta ** draw(st.integers(2, 3))
+    between = power + draw(st.integers(1, min(power * (eta - 1) - 1, 20)))
+    cap = draw(st.sampled_from((power, between)))
+    n = draw(st.integers(1, 30))
+    seed = draw(st.integers(0, 2**16))
+
+    def config(mode):
+        options = {}
+        if mode == "pasha":
+            criterion = draw(st.sampled_from(ACCOUNTING_CRITERIA))
+            options["criterion"] = RankingCriterion.parse(criterion)
+            options["pair_below_cap"] = draw(st.booleans())
+        return SchedulerConfig(ResourceSpec(r, eta, cap), n, mode=mode, seed=seed, **options)
+
+    mode = draw(st.sampled_from(("asha", "pasha", "one-epoch", "no-increase")))
+    also = []
+    if mode in ("pasha", "no-increase"):  # they start at one cap, so they may share jobs
+        modes = draw(st.lists(st.sampled_from(("pasha", "no-increase")), max_size=3))
+        also = [config(m) for m in modes]
+    # tenths make metric ties common; halves make simultaneous completions
+    # common, and spread costs make a sum's order show in its last bit
+    rng = random.Random(draw(st.integers(0, 2**16)))
+    steady = draw(st.booleans())  # one metric per config at every unit: pasha stops
+    rows = {}
+    for c in range(n):
+        base = round(rng.uniform(0.1, 1.0), 1)
+        rows[c] = [base if steady else round(rng.uniform(0.1, 1.0), 1) for _ in range(cap)]
+    if draw(st.booleans()):
+        costs = {c: [rng.choice((0.5, 1.0, 1.5)) for _ in range(cap)] for c in range(n)}
+    else:
+        costs = {c: [rng.uniform(1e-3, 1e3) for _ in range(cap)] for c in range(n)}
+    return config(mode), also, table_from_rows(rows, costs), draw(st.integers(1, 6))
+
+
+class TestTraceAccountingOracle:
+    """Totals recomputed from the trace alone: no ladder, no rung levels and no
+    table cache, only the events and the per-unit costs."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(setup=accounting_setups())
+    def test_times_and_totals_follow_from_the_trace(self, setup):
+        config, also, table, workers = setup
+        res = simulate(config, table, workers, collect_trace=True, also=also)
+        costs = {c: table.costs[i].tolist() for i, c in enumerate(table.config_ids())}
+        done: dict[int, int] = {}  # config -> its last completed resource
+        running = {}  # worker -> (assign event, resource the job resumes from)
+        ranges = set()
+        jobs = units = 0
+        for ev in res.trace:
+            if ev.kind == "assign":
+                assert ev.worker not in running
+                running[ev.worker] = (ev, done.get(ev.config, 0))
+                continue
+            assigned, previous = running.pop(ev.worker)
+            assert (ev.config, ev.rung, ev.resource) == (
+                assigned.config, assigned.rung, assigned.resource)
+            seconds = 0
+            for unit_cost in costs[ev.config][previous : ev.resource]:
+                seconds = seconds + unit_cost
+            assert ev.time == assigned.time + seconds
+            done[ev.config] = ev.resource
+            ranges.add((previous, ev.resource))
+            jobs += 1
+            units += ev.resource - previous
+        assert not running
+        totals = (jobs, units, res.trace[-1].time)  # the last event is a completion
+        assert (res.jobs_executed, res.units_consumed, res.wall_clock) == totals
+        # one cost range per target level, and the table summed no other
+        assert len({target for _, target in ranges}) == len(ranges)
+        assert set(table._segments) == ranges
+        for i in res.same:
+            alone = simulate(also[i], table, workers)
+            assert (alone.jobs_executed, alone.units_consumed, alone.wall_clock) == totals
