@@ -196,13 +196,6 @@ def _metrics(entries: Sequence[RungEntry]) -> list[float]:
     return [e.metric for e in entries]
 
 
-def _soft(epsilon: Callable[[RankingCriterion, list[RungEntry]], float]):
-    """The soft test, with epsilon taken from the criterion and the projected below rung."""
-    return lambda c, top, below: max(
-        _deviations(top, below, {e.config: e.metric for e in below}, 0, len(top) - 1)
-    ) <= epsilon(c, below)
-
-
 def _rbo_ok(c: RankingCriterion, top: Sequence[RungEntry], below: list[RungEntry]) -> bool:
     return rbo([e.config for e in top], [e.config for e in below], c.p) >= c.threshold
 
@@ -223,20 +216,18 @@ def _regret_ok(absolute: bool):
 
 
 class _SigmaEpsilon:
-    """epsilon_sigma of the projected metrics, through core._std from exact
-    integer sums kept as metrics arrive: a larger denominator rescales them."""
+    """epsilon_sigma of a projection's metrics, kept as add(metric) counts each
+    one that arrives: core._std of exact integer sums, which a metric with a
+    larger denominator rescales."""
 
     def __init__(self, c: RankingCriterion, projected: list[RungEntry]) -> None:
         self.multiplier = c.multiplier
         self.n = self.total = self.squares = 0
         self.scale = 1
         for e in projected:
-            self._count(e.metric)
+            self.add(e.metric)
 
-    def add(self, projected: list[RungEntry], q: int) -> None:
-        self._count(projected[q].metric)
-
-    def _count(self, metric: float) -> None:
+    def add(self, metric: float) -> None:
         num, den = metric.as_integer_ratio()
         if den > self.scale:
             factor = den // self.scale
@@ -257,49 +248,44 @@ class _SigmaEpsilon:
 class _Kind:
     """One criterion kind: how it is spelled, its default threshold, its test.
 
-    stable(criterion, top, below) sees a top rung of two or more entries and
-    the below rung already projected onto the top rung's configs. A kind of
-    the soft family is built by _soft_kind from its epsilon(criterion,
-    below). If that epsilon ignores the below rung (fixed), _PairCheck
-    computes it once; adaptive(criterion, projected) builds an object that
-    keeps it as the projection grows. Any other kind is rescored in full.
+    A soft kind has no stable but an epsilon(criterion, below) of the below
+    rung projected onto the top rung's configs: the pair is stable iff no
+    deviation (see _deviations) exceeds it. kept(criterion, projected), if
+    set, keeps that epsilon as the projection grows. Any other kind has
+    stable(criterion, top, below), which sees a top rung of two or more
+    entries and the projected below rung.
     """
 
     parse: Callable[[str, str], dict]
     spelling: str  # canonical form, formatted with c=the criterion
-    stable: Callable[[RankingCriterion, Sequence[RungEntry], list[RungEntry]], bool]
+    stable: Callable[[RankingCriterion, Sequence[RungEntry], list[RungEntry]], bool] | None = None
     threshold: float = 0.5
     epsilon: Callable[[RankingCriterion, list[RungEntry]], float] | None = None
-    fixed: bool = False
-    adaptive: Callable[[RankingCriterion, list[RungEntry]], object] | None = None
-
-
-def _soft_kind(parse, spelling, epsilon, fixed=False, adaptive=None) -> _Kind:
-    return _Kind(parse, spelling, _soft(epsilon), epsilon=epsilon, fixed=fixed, adaptive=adaptive)
+    kept: Callable[[RankingCriterion, list[RungEntry]], _SigmaEpsilon] | None = None
 
 
 _BARE = "{c.kind}"
 _P_T = "{c.kind}:p={c.p:g},t={c.threshold:g}"
 
 _KINDS = {
-    "direct": _soft_kind(_no_parameters, _BARE, lambda c, below: 0.0, fixed=True),
-    "soft": _soft_kind(
+    "direct": _Kind(_no_parameters, _BARE, epsilon=lambda c, below: 0.0),
+    "soft": _Kind(
         _one_parameter("epsilon", float, "an epsilon, e.g. soft:0.025"),
         "{c.kind}:{c.epsilon:g}",
-        lambda c, below: c.epsilon,
-        fixed=True,
+        epsilon=lambda c, below: c.epsilon,
     ),
-    "soft-sigma": _soft_kind(
+    "soft-sigma": _Kind(
         _one_parameter("multiplier", int, "a multiplier, e.g. soft-sigma:2"),
         "{c.kind}:{c.multiplier}",
-        lambda c, below: epsilon_sigma(_metrics(below), c.multiplier),
-        adaptive=_SigmaEpsilon,
+        epsilon=lambda c, below: epsilon_sigma(_metrics(below), c.multiplier),
+        kept=_SigmaEpsilon,
     ),
-    "soft-mean-dist": _soft_kind(
-        _no_parameters, _BARE, lambda c, below: _refusing(c, epsilon_mean_distance, _metrics(below))
+    "soft-mean-dist": _Kind(
+        _no_parameters, _BARE,
+        epsilon=lambda c, below: _refusing(c, epsilon_mean_distance, _metrics(below)),
     ),
-    "soft-median-dist": _soft_kind(
-        _no_parameters, _BARE, lambda c, below: epsilon_median_distance(_metrics(below))
+    "soft-median-dist": _Kind(
+        _no_parameters, _BARE, epsilon=lambda c, below: epsilon_median_distance(_metrics(below))
     ),
     "rbo": _Kind(_p_and_t, _P_T, _rbo_ok),
     "rrr": _Kind(_p_and_t, _P_T, _regret_ok(absolute=False), threshold=0.05),
@@ -389,10 +375,15 @@ def is_stable(
     A regret criterion on a metric <= 0, or soft-mean-dist on metric gaps
     whose sum overflows a float, raises a DataError naming it.
     """
-    below_projected = project(below, top)
+    projected = project(below, top)
     if len(top) <= 1:
         return True
-    return _KINDS[criterion.kind].stable(criterion, top, below_projected)
+    kind = _KINDS[criterion.kind]
+    if kind.stable is not None:
+        return kind.stable(criterion, top, projected)
+    below_metric = {e.config: e.metric for e in projected}
+    deviations = _deviations(top, projected, below_metric, 0, len(top) - 1)
+    return max(deviations) <= kind.epsilon(criterion, projected)
 
 
 class _PairCheck:
@@ -408,14 +399,12 @@ class _PairCheck:
 
     A config inserted at top position p and projection position q changes
     only the compared pairs at positions min(p, q)..max(p, q); every other
-    position compares the same two entries as before. With a fixed epsilon
-    (soft, direct) the previous verdict was stable, or the cap would have
-    grown and the pair moved on, so the window's deviations decide. The
-    sigma epsilon moves with every insertion, so every position's deviation
-    is kept in an ordered list and the largest is compared with the new
-    epsilon. rbo, rrr and arrr weight positions by depth, which every
-    insertion shifts, so they rescore the maintained projection in full;
-    so, for now, do soft-mean-dist and soft-median-dist.
+    position compares the same two entries as before. So a soft kind keeps
+    every position's deviation in an ordered list, replaces that window's,
+    and compares the largest with the epsilon: the kept one for soft-sigma,
+    for every other soft kind its epsilon on the projection. rbo, rrr and
+    arrr weight positions by depth, which every insertion shifts, so they
+    rescore the maintained projection in full.
     """
 
     def __init__(
@@ -426,12 +415,10 @@ class _PairCheck:
         projected = self._projected = project(below, top)
         self._keys = [_rank_key(e) for e in projected]
         self._below_metric = {e.config: e.metric for e in projected}
-        if kind.adaptive is not None:
-            self._epsilon = kind.adaptive(criterion, projected)
+        if kind.stable is None:
+            self._kept = kind.kept and kind.kept(criterion, projected)
             self._deviations = _deviations(top, projected, self._below_metric, 0, len(top) - 1)
             self._ordered = sorted(self._deviations)
-        elif kind.fixed:
-            self._epsilon = kind.epsilon(criterion, projected)
 
     def add(self, p: int, below_entry: RungEntry) -> bool:
         """The verdict after the ladder placed a new entry at position p of the
@@ -447,17 +434,17 @@ class _PairCheck:
                 f"the stability pair projects {len(self._projected)} entries for "
                 f"{len(top)} in its top rung; a top-rung result went unchecked"
             )
-        if kind.adaptive is None and not kind.fixed:
+        if kind.stable is not None:
             return kind.stable(self._criterion, top, self._projected)
         lo, hi = (p, q) if p < q else (q, p)
         window = _deviations(top, self._projected, self._below_metric, lo, hi)
-        if kind.adaptive is None:
-            return max(window) <= self._epsilon  # outside the window, all were within it
-        self._epsilon.add(self._projected, q)
         ordered = self._ordered
         for d in self._deviations[lo:hi]:  # the old window, one position shorter
             del ordered[bisect_left(ordered, d)]
         self._deviations[lo:hi] = window
         for d in window:
             insort(ordered, d)
-        return ordered[-1] <= self._epsilon.value()
+        if self._kept is None:
+            return ordered[-1] <= kind.epsilon(self._criterion, self._projected)
+        self._kept.add(below_entry.metric)
+        return ordered[-1] <= self._kept.value()

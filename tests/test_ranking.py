@@ -275,7 +275,7 @@ class TestKeptEpsilon:
         for entry in entries[start:]:
             q = bisect_right([_rank_key(e) for e in projected], _rank_key(entry))
             projected.insert(q, entry)
-            epsilon.add(projected, q)
+            epsilon.add(entry.metric)
             full = epsilon_sigma([e.metric for e in projected], multiplier)
             assert epsilon.value().hex() == full.hex()
         assert epsilon.value().hex() == epsilon_sigma([e.metric for e in projected], multiplier).hex()
