@@ -182,13 +182,16 @@ def _one_parameter(field: str, convert: Callable[[str], object], needs: str):
 
 
 def _p_and_t(head: str, rest: str) -> dict:
-    """Syntax kind[:p=P][,t=T]; a missing key keeps its default."""
+    """Syntax kind[:p=P][,t=T]; a missing key keeps its default, a repeated one is refused."""
     fields = {}
     for item in rest.split(",") if rest else ():
         key, _, value = item.partition("=")
         if key not in ("p", "t"):
             raise UsageError(f"unknown {head} parameter {key!r}; use p= and t=")
-        fields["p" if key == "p" else "threshold"] = float(value)
+        field = "p" if key == "p" else "threshold"
+        if field in fields:
+            raise UsageError(f"{head} parameter {key!r} given twice")
+        fields[field] = float(value)
     return fields
 
 
@@ -257,21 +260,32 @@ class _Kind:
     """
 
     parse: Callable[[str, str], dict]
-    spelling: str  # canonical form, formatted with c=the criterion
+    spelling: str  # canonical form, formatted by _SPELLING with c=the criterion
     stable: Callable[[RankingCriterion, Sequence[RungEntry], list[RungEntry]], bool] | None = None
     threshold: float = 0.5
     epsilon: Callable[[RankingCriterion, list[RungEntry]], float] | None = None
     kept: Callable[[RankingCriterion, list[RungEntry]], _SigmaEpsilon] | None = None
 
 
+class _Spelling(string.Formatter):
+    """Spells a float field as its shortest round-trip decimal less a trailing
+    .0, so that parse reads back the very float: soft:0.025, rbo:p=1,t=0.5."""
+
+    def format_field(self, value: object, format_spec: str) -> str:
+        if isinstance(value, float):
+            return repr(value).removesuffix(".0")
+        return super().format_field(value, format_spec)
+
+
+_SPELLING = _Spelling()
 _BARE = "{c.kind}"
-_P_T = "{c.kind}:p={c.p:g},t={c.threshold:g}"
+_P_T = "{c.kind}:p={c.p},t={c.threshold}"
 
 _KINDS = {
     "direct": _Kind(_no_parameters, _BARE, epsilon=lambda c, below: 0.0),
     "soft": _Kind(
         _one_parameter("epsilon", float, "an epsilon, e.g. soft:0.025"),
-        "{c.kind}:{c.epsilon:g}",
+        "{c.kind}:{c.epsilon}",
         epsilon=lambda c, below: c.epsilon,
     ),
     "soft-sigma": _Kind(
@@ -327,14 +341,14 @@ class RankingCriterion:
         if self.threshold is None:
             object.__setattr__(self, "threshold", kind.threshold)
         # the canonical spelling shows every field the kind reads
-        shown = {name for _, name, _, _ in string.Formatter().parse(kind.spelling)}
+        shown = {name for _, name, _, _ in _SPELLING.parse(kind.spelling)}
         for f in fields(self)[1:]:
             default = kind.threshold if f.name == "threshold" else f.default
             if f"c.{f.name}" not in shown and getattr(self, f.name) != default:
                 raise UsageError(f"ranking criterion {self.kind!r} takes no {f.name}")
         if not math.isfinite(self.epsilon) or self.epsilon < 0:
             raise UsageError(f"epsilon must be finite and >= 0, got {self.epsilon}")
-        if self.multiplier not in (1, 2, 3):
+        if type(self.multiplier) is not int or self.multiplier not in (1, 2, 3):
             raise UsageError(
                 f"sigma multiplier must be 1, 2 or 3, got {self.multiplier}"
             )
@@ -357,7 +371,7 @@ class RankingCriterion:
 
     def spelling(self) -> str:
         """Canonical text form, the inverse of parse."""
-        return _KINDS[self.kind].spelling.format(c=self)
+        return _SPELLING.format(_KINDS[self.kind].spelling, c=self)
 
     def __str__(self) -> str:
         return self.spelling()

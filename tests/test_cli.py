@@ -145,6 +145,14 @@ class TestRunVerb:
         assert code == 1
         assert "epsilon must be finite" in capsys.readouterr().err
 
+    def test_repeated_criterion_key_is_a_usage_error(self, bench, capsys):
+        code = main(
+            ["run", "--benchmark", bench, "--method", "pasha:rbo:p=0.9,p=0.5",
+             "--max-resource", "9", "--num-configs", "12"]
+        )
+        assert code == 1
+        assert "rbo parameter 'p' given twice" in capsys.readouterr().err
+
     def test_regret_on_a_minimize_table_names_the_cell(self, tmp_path, capsys):
         # metrics of a minimize table are negated on load, so relative regret
         # is undefined for them; the error must name the cell and criterion

@@ -513,6 +513,8 @@ class TestCriterionSpelling:
             "rbo:p=0",
             "rbo:p=1.5",
             "rbo:t=1.5",
+            "rbo:p=0.9,p=0.5",
+            "rbo:t=0.2,t=0.7",
             "direct:0.1",
             "nonsense",
         ):
@@ -550,11 +552,34 @@ class TestCriterionSpelling:
         assert RankingCriterion(kind, **{**self.NEEDS.get(kind, {}), field: default}) == base
         assert dataclasses.replace(base) == base
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        kind=st.sampled_from(CRITERION_KINDS),
+        epsilon=st.floats(0.0, 1.0) | st.floats(0.0, 1e300),
+        multiplier=st.integers(1, 3),
+        p=st.floats(0.0, 1.0, exclude_min=True),
+        threshold=st.floats(0.0, 1.0),
+    )
+    def test_spelling_is_the_inverse_of_parse(self, kind, **values):
+        """parse reads every criterion back from its spelling, and one float
+        step in any field it reads changes the spelling: two criteria that
+        spell the same compare equal."""
+        c = RankingCriterion(kind, **{f: values[f] for f in self.READS.get(kind, ())})
+        assert RankingCriterion.parse(c.spelling()) == c
+        for field in self.READS.get(kind, ()):
+            value = getattr(c, field)
+            if isinstance(value, float) and value != 0.5:
+                near = dataclasses.replace(c, **{field: math.nextafter(value, 0.5)})
+                assert near != c and near.spelling() != c.spelling()
+
     def test_constructor_validation(self):
         with pytest.raises(UsageError):
             RankingCriterion("soft", epsilon=-0.1)
         with pytest.raises(UsageError):
             RankingCriterion("soft-sigma", multiplier=5)
+        for multiplier in (2.0, True):  # parse would refuse the spelling soft-sigma:2.0
+            with pytest.raises(UsageError, match=f"must be 1, 2 or 3, got {multiplier}$"):
+                RankingCriterion("soft-sigma", multiplier=multiplier)
         with pytest.raises(UsageError):
             RankingCriterion("soft", multiplier=5)
         with pytest.raises(UsageError):
