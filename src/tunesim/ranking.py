@@ -272,9 +272,7 @@ class _Spelling(string.Formatter):
     .0, so that parse reads back the very float: soft:0.025, rbo:p=1,t=0.5."""
 
     def format_field(self, value: object, format_spec: str) -> str:
-        if isinstance(value, float):
-            return repr(value).removesuffix(".0")
-        return super().format_field(value, format_spec)
+        return repr(value).removesuffix(".0") if isinstance(value, float) else str(value)
 
 
 _SPELLING = _Spelling()
