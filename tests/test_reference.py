@@ -9,7 +9,9 @@ the top for an unpromoted entry among a rung's top len // eta. The cap grows
 as in PASHA (arXiv 2207.06940), with a full stability check of the pair at
 every result that reaches the pair's upper rung. Free workers are served in
 index order and completions in (time, index) order, the event model of Syne
-Tune's simulated backend (arXiv 2207.05294).
+Tune's simulated backend (arXiv 2207.05294). Only the check, not the
+reference, drives a Scheduler: through the reference's events, to compare
+the cap after each completion.
 """
 
 from __future__ import annotations
@@ -23,10 +25,10 @@ from hypothesis import strategies as st
 
 from tunesim import DataError, RankingCriterion, SchedulerConfig, generate, simulate
 from tunesim.core import ResourceSpec
-from tunesim.scheduler import Scheduler
 from tunesim.ranking import (
     arrr, epsilon_mean_distance, epsilon_median_distance, epsilon_sigma, rbo, rrr,
 )
+from tunesim.scheduler import Scheduler
 
 from util import TOP_CHURN, soft_rank, table_from_rows
 
