@@ -6,8 +6,9 @@ earlier completion first among ties. The below rung is first projected onto
 the configs present in the top rung (promotion guarantees they exist below),
 because positional comparison is only well defined over a common config set.
 
-is_stable is the full check. The scheduler keeps each pair's check with a
-_PairCheck instead, which re-checks only what a new top-rung result moved.
+Every criterion is a score held against a bound (_Kind). is_stable is the
+full check; the scheduler keeps each pair's check with a _PairCheck instead,
+which re-scores only what a new top-rung result moved.
 """
 
 from __future__ import annotations
@@ -199,8 +200,9 @@ def _metrics(entries: Sequence[RungEntry]) -> list[float]:
     return [e.metric for e in entries]
 
 
-def _rbo_ok(c: RankingCriterion, top: Sequence[RungEntry], below: list[RungEntry]) -> bool:
-    return rbo([e.config for e in top], [e.config for e in below], c.p) >= c.threshold
+def _rbo_score(c: RankingCriterion, top: Sequence[RungEntry], below: list[RungEntry]) -> float:
+    """rbo negated, held against the negated threshold: negation is exact."""
+    return -rbo([e.config for e in top], [e.config for e in below], c.p)
 
 
 def _refusing(c: RankingCriterion, compute: Callable[..., float], *args) -> float:
@@ -211,10 +213,10 @@ def _refusing(c: RankingCriterion, compute: Callable[..., float], *args) -> floa
         raise DataError(f"ranking criterion {c.spelling()!r}: {exc}") from exc
 
 
-def _regret_ok(absolute: bool):
-    """The rrr (or, if absolute, arrr) test; a metric <= 0 is a DataError naming c."""
+def _regret_score(absolute: bool):
+    """The rrr (or, if absolute, arrr) score; a metric <= 0 is a DataError naming c."""
     return lambda c, top, below: (
-        _refusing(c, _regret, top, [e.config for e in below], c.p, absolute) <= c.threshold
+        _refusing(c, _regret, top, [e.config for e in below], c.p, absolute)
     )
 
 
@@ -249,21 +251,22 @@ class _SigmaEpsilon:
 
 @dataclass(frozen=True)
 class _Kind:
-    """One criterion kind: how it is spelled, its default threshold, its test.
+    """One criterion kind: how it is spelled, its default threshold, and the
+    score and bound of its test: the pair is stable iff score <= bound.
 
-    A soft kind has no stable but an epsilon(criterion, below) of the below
-    rung projected onto the top rung's configs: the pair is stable iff no
-    deviation (see _deviations) exceeds it. kept(criterion, projected), if
-    set, keeps that epsilon as the projection grows. Any other kind has
-    stable(criterion, top, below), which sees a top rung of two or more
-    entries and the projected below rung.
+    bound(criterion, projected) sees the below rung projected onto the top
+    rung's configs; a soft kind sets its epsilon there. A soft kind has no
+    score: its score is the largest deviation (see _deviations), which the
+    pair keeps; kept(criterion, projected), if set, keeps its bound as the
+    projection grows. score(criterion, top, projected) sees a top rung of
+    two or more entries.
     """
 
     parse: Callable[[str, str], dict]
     spelling: str  # canonical form, formatted by _SPELLING with c=the criterion
-    stable: Callable[[RankingCriterion, Sequence[RungEntry], list[RungEntry]], bool] | None = None
     threshold: float = 0.5
-    epsilon: Callable[[RankingCriterion, list[RungEntry]], float] | None = None
+    bound: Callable[[RankingCriterion, list[RungEntry]], float] = lambda c, below: c.threshold
+    score: Callable[[RankingCriterion, Sequence[RungEntry], list[RungEntry]], float] | None = None
     kept: Callable[[RankingCriterion, list[RungEntry]], _SigmaEpsilon] | None = None
 
 
@@ -280,29 +283,28 @@ _BARE = "{c.kind}"
 _P_T = "{c.kind}:p={c.p},t={c.threshold}"
 
 _KINDS = {
-    "direct": _Kind(_no_parameters, _BARE, epsilon=lambda c, below: 0.0),
+    "direct": _Kind(_no_parameters, _BARE, bound=lambda c, below: 0.0),
     "soft": _Kind(
         _one_parameter("epsilon", float, "an epsilon, e.g. soft:0.025"),
         "{c.kind}:{c.epsilon}",
-        epsilon=lambda c, below: c.epsilon,
+        bound=lambda c, below: c.epsilon,
     ),
     "soft-sigma": _Kind(
         _one_parameter("multiplier", int, "a multiplier, e.g. soft-sigma:2"),
         "{c.kind}:{c.multiplier}",
-        epsilon=lambda c, below: epsilon_sigma(_metrics(below), c.multiplier),
-        kept=_SigmaEpsilon,
+        kept=_SigmaEpsilon,  # epsilon_sigma of the projection's metrics
     ),
     "soft-mean-dist": _Kind(
         _no_parameters, _BARE,
-        epsilon=lambda c, below: _refusing(c, epsilon_mean_distance, _metrics(below)),
+        bound=lambda c, below: _refusing(c, epsilon_mean_distance, _metrics(below)),
     ),
     "soft-median-dist": _Kind(
-        _no_parameters, _BARE, epsilon=lambda c, below: epsilon_median_distance(_metrics(below))
+        _no_parameters, _BARE, bound=lambda c, below: epsilon_median_distance(_metrics(below))
     ),
-    "rbo": _Kind(_p_and_t, _P_T, _rbo_ok),
-    "rrr": _Kind(_p_and_t, _P_T, _regret_ok(absolute=False), threshold=0.05),
-    "arrr": _Kind(_p_and_t, _P_T, _regret_ok(absolute=True), threshold=0.05),
-    "always-unstable": _Kind(_no_parameters, _BARE, lambda c, top, below: False),
+    "rbo": _Kind(_p_and_t, _P_T, bound=lambda c, below: -c.threshold, score=_rbo_score),
+    "rrr": _Kind(_p_and_t, _P_T, 0.05, score=_regret_score(absolute=False)),
+    "arrr": _Kind(_p_and_t, _P_T, 0.05, score=_regret_score(absolute=True)),
+    "always-unstable": _Kind(_no_parameters, _BARE, score=lambda c, top, below: math.inf),
 }
 
 CRITERION_KINDS = tuple(_KINDS)
@@ -378,7 +380,7 @@ class RankingCriterion:
 def is_stable(
     criterion: RankingCriterion, top: Sequence[RungEntry], below: Sequence[RungEntry]
 ) -> bool:
-    """Whether the criterion finds the (top rung, below rung) pair stable.
+    """Whether the criterion's score on the (top rung, below rung) pair is at most its bound.
 
     Both rungs are in the ladder's rank order. The below rung is projected
     onto the top rung's configs first; adaptive epsilon statistics are
@@ -387,50 +389,49 @@ def is_stable(
     A regret criterion on a metric <= 0, or soft-mean-dist on metric gaps
     whose sum overflows a float, raises a DataError naming it.
     """
-    projected = project(below, top)
-    if len(top) <= 1:
-        return True
-    kind = _KINDS[criterion.kind]
-    if kind.stable is not None:
-        return kind.stable(criterion, top, projected)
-    below_metric = {e.config: e.metric for e in projected}
-    deviations = _deviations(top, projected, below_metric, 0, len(top) - 1)
-    return max(deviations) <= kind.epsilon(criterion, projected)
+    return _PairCheck(criterion, top, below).stable()
 
 
 class _PairCheck:
     """Pasha's stability verdict on one (top rung, below rung) pair, kept up to
-    date as results reach the top rung.
+    date as results reach the top rung. stable() holds the pair's score
+    against its bound; it is the one stability comparison.
 
-    It is built from the ladder's own rank-ordered lists once is_stable has
-    found the pair stable in full; that first check must be a full one, as
-    the top rung may hold configs that no check has compared (after a growth
-    with pair_below_cap it does). The below rung is projected once; after
-    that, add() places each new top config's below entry in the projection
-    with one bisect on rank keys.
+    The scheduler builds it from the ladder's own rank-ordered lists once
+    is_stable has found the pair stable in full; that first check must be a
+    full one, as the top rung may hold configs that no check has compared
+    (after a growth with pair_below_cap it does). The below rung is
+    projected once; after that, add() places each new top config's below
+    entry in the projection with one bisect on rank keys.
 
     A config inserted at top position p and projection position q changes
     only the compared pairs at positions min(p, q)..max(p, q); every other
     position compares the same two entries as before. So a soft kind keeps
     every position's deviation in an ordered list, replaces that window's,
-    and compares the largest with the epsilon: the kept one for soft-sigma,
-    for every other soft kind its epsilon on the projection. rbo, rrr and
-    arrr weight positions by depth, which every insertion shifts, so they
-    rescore the maintained projection in full.
+    and scores the largest. rbo, rrr and arrr weight positions by depth,
+    which every insertion shifts, so they rescore the projection in full.
     """
 
     def __init__(
-        self, criterion: RankingCriterion, top: list[RungEntry], below: list[RungEntry]
+        self, criterion: RankingCriterion, top: Sequence[RungEntry], below: Sequence[RungEntry]
     ) -> None:
         kind = _KINDS[criterion.kind]
         self._criterion, self._kind, self._top = criterion, kind, top
         projected = self._projected = project(below, top)
         self._keys = [_rank_key(e) for e in projected]
         self._below_metric = {e.config: e.metric for e in projected}
-        if kind.stable is None:
+        if kind.score is None:
             self._kept = kind.kept and kind.kept(criterion, projected)
             self._deviations = _deviations(top, projected, self._below_metric, 0, len(top) - 1)
             self._ordered = sorted(self._deviations)
+
+    def stable(self) -> bool:
+        """score <= bound; true under two top entries, which carry no ordering."""
+        if len(self._top) <= 1:
+            return True
+        c, kind, projected = self._criterion, self._kind, self._projected
+        score = self._ordered[-1] if kind.score is None else kind.score(c, self._top, projected)
+        return score <= (kind.bound(c, projected) if kind.kept is None else self._kept.value())
 
     def add(self, p: int, below_entry: RungEntry) -> bool:
         """The verdict after the ladder placed a new entry at position p of the
@@ -440,23 +441,21 @@ class _PairCheck:
         self._keys.insert(q, key)
         self._projected.insert(q, below_entry)
         self._below_metric[below_entry.config] = below_entry.metric
-        top, kind = self._top, self._kind
+        top = self._top
         if len(self._projected) != len(top):
             raise InternalError(
                 f"the stability pair projects {len(self._projected)} entries for "
                 f"{len(top)} in its top rung; a top-rung result went unchecked"
             )
-        if kind.stable is not None:
-            return kind.stable(self._criterion, top, self._projected)
-        lo, hi = (p, q) if p < q else (q, p)
-        window = _deviations(top, self._projected, self._below_metric, lo, hi)
-        ordered = self._ordered
-        for d in self._deviations[lo:hi]:  # the old window, one position shorter
-            del ordered[bisect_left(ordered, d)]
-        self._deviations[lo:hi] = window
-        for d in window:
-            insort(ordered, d)
-        if self._kept is None:
-            return ordered[-1] <= kind.epsilon(self._criterion, self._projected)
-        self._kept.add(below_entry.metric)
-        return ordered[-1] <= self._kept.value()
+        if self._kind.score is None:
+            lo, hi = (p, q) if p < q else (q, p)
+            window = _deviations(top, self._projected, self._below_metric, lo, hi)
+            ordered = self._ordered
+            for d in self._deviations[lo:hi]:  # the old window, one position shorter
+                del ordered[bisect_left(ordered, d)]
+            self._deviations[lo:hi] = window
+            for d in window:
+                insort(ordered, d)
+            if self._kept is not None:
+                self._kept.add(below_entry.metric)
+        return self.stable()

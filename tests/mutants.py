@@ -135,8 +135,8 @@ CATALOGUE = (
     ),
     Mutant(
         "only-the-window-scored", "ranking.py",
-        "return ordered[-1] <= kind.epsilon(self._criterion, self._projected)",
-        "return max(window) <= kind.epsilon(self._criterion, self._projected)",
+        "insort(ordered, d)",
+        "ordered[:] = sorted(window)",
         (INCREMENTAL,),
     ),
     Mutant(
@@ -144,6 +144,16 @@ CATALOGUE = (
         "self._kept.add(below_entry.metric)",
         "self._kept.value()",
         (INCREMENTAL,),
+    ),
+    # every criterion is a score against a bound, compared in one place
+    Mutant(
+        "stable-iff-score-strictly-below-bound", "ranking.py",
+        "return score <= (",
+        "return score < (",
+        (
+            "tests/test_ranking.py::TestSoftStability::test_identical_orders_stable",
+            "tests/test_ranking.py::TestRbo::test_stability_thresholds",
+        ),
     ),
 )
 
