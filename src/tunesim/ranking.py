@@ -322,10 +322,10 @@ class RankingCriterion:
 
     kind is one of CRITERION_KINDS. epsilon applies to "soft", multiplier to
     "soft-sigma", p and threshold to "rbo", "rrr" and "arrr"; a field set
-    away from its default under a kind that does not read it is refused. An
-    unset threshold takes the kind's default: 0.05 for "rrr" and "arrr", 0.5
-    otherwise. "always-unstable" forces growth at every non-degenerate check
-    and exists for diagnostics and equivalence testing.
+    away from its default under a kind that does not read it, or a bool, is
+    refused. An unset threshold takes the kind's default: 0.05 for "rrr"
+    and "arrr", 0.5 otherwise. "always-unstable" forces growth at every
+    non-degenerate check and exists for diagnostics and equivalence testing.
     """
 
     kind: str
@@ -346,15 +346,15 @@ class RankingCriterion:
             default = kind.threshold if f.name == "threshold" else f.default
             if f"c.{f.name}" not in shown and getattr(self, f.name) != default:
                 raise UsageError(f"ranking criterion {self.kind!r} takes no {f.name}")
-        if not math.isfinite(self.epsilon) or self.epsilon < 0:
+        if isinstance(self.epsilon, bool) or not math.isfinite(self.epsilon) or self.epsilon < 0:
             raise UsageError(f"epsilon must be finite and >= 0, got {self.epsilon}")
         if type(self.multiplier) is not int or self.multiplier not in (1, 2, 3):
             raise UsageError(
                 f"sigma multiplier must be 1, 2 or 3, got {self.multiplier}"
             )
-        if not 0.0 < self.p <= 1.0:
+        if isinstance(self.p, bool) or not 0.0 < self.p <= 1.0:
             raise UsageError(f"p must be in (0, 1], got {self.p}")
-        if not 0.0 <= self.threshold <= 1.0:
+        if isinstance(self.threshold, bool) or not 0.0 <= self.threshold <= 1.0:
             raise UsageError(f"threshold must be in [0, 1], got {self.threshold}")
 
     @classmethod

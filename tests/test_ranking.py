@@ -555,16 +555,22 @@ class TestCriterionSpelling:
     @settings(max_examples=200, deadline=None)
     @given(
         kind=st.sampled_from(CRITERION_KINDS),
-        epsilon=st.floats(0.0, 1.0) | st.floats(0.0, 1e300),
-        multiplier=st.integers(1, 3),
-        p=st.floats(0.0, 1.0, exclude_min=True),
-        threshold=st.floats(0.0, 1.0),
+        epsilon=st.floats(0.0, 1.0) | st.floats(0.0, 1e300) | st.booleans(),
+        multiplier=st.integers(1, 3) | st.booleans(),
+        p=st.floats(0.0, 1.0, exclude_min=True) | st.booleans(),
+        threshold=st.floats(0.0, 1.0) | st.booleans(),
     )
     def test_spelling_is_the_inverse_of_parse(self, kind, **values):
         """parse reads every criterion back from its spelling, and one float
         step in any field it reads changes the spelling: two criteria that
-        spell the same compare equal."""
-        c = RankingCriterion(kind, **{f: values[f] for f in self.READS.get(kind, ())})
+        spell the same compare equal. A bool, which would be spelled True or
+        False, is refused."""
+        read = {f: values[f] for f in self.READS.get(kind, ())}
+        if any(isinstance(v, bool) for v in read.values()):
+            with pytest.raises(UsageError, match="got (True|False)$"):
+                RankingCriterion(kind, **read)
+            return
+        c = RankingCriterion(kind, **read)
         assert RankingCriterion.parse(c.spelling()) == c
         for field in self.READS.get(kind, ()):
             value = getattr(c, field)
@@ -580,6 +586,13 @@ class TestCriterionSpelling:
         for multiplier in (2.0, True):  # parse would refuse the spelling soft-sigma:2.0
             with pytest.raises(UsageError, match=f"must be 1, 2 or 3, got {multiplier}$"):
                 RankingCriterion("soft-sigma", multiplier=multiplier)
+        # parse would refuse the spelling rbo:p=True,t=0.5
+        for kind, field in (("soft", "epsilon"), ("rbo", "p"), ("rrr", "threshold")):
+            for value in (True, False):
+                with pytest.raises(UsageError, match=f"^{field} must be .*, got {value}$"):
+                    RankingCriterion(kind, **{field: value})
+        with pytest.raises(UsageError, match="^p must be .*, got True$"):
+            RankingCriterion("soft", p=True)  # equal to the default p that soft does not read
         with pytest.raises(UsageError):
             RankingCriterion("soft", multiplier=5)
         with pytest.raises(UsageError):
