@@ -205,7 +205,9 @@ def run_cells(
     """Simulate every (method, scheduler seed, benchmark seed) cell.
 
     Any simulation failure is re-raised with the offending cell named. With
-    traces_dir set, each cell's event trace is written there as well.
+    traces_dir set, each cell's event trace is written there as well; two
+    methods whose names _trace_name maps to the same file name are then a
+    UsageError, before any cell runs.
 
     A pasha or no-increase cell is simulated together with the later pasha
     and no-increase cells of its seeds (simulate's also). The cells whose
@@ -217,6 +219,13 @@ def run_cells(
     if tables is None:
         tables = resolve_tables(spec)
     if traces_dir is not None:
+        first: dict[str, str] = {}  # trace file name at seed 0 -> the first method named
+        for method in spec.methods:
+            other = first.setdefault(_trace_name(method.name, 0, 0), method.name)
+            if other != method.name:
+                raise UsageError(
+                    f"methods {other!r} and {method.name!r} write the same trace files"
+                )
         os.makedirs(traces_dir, exist_ok=True)
 
     def config(method: MethodSpec, ss: int) -> SchedulerConfig:
@@ -224,24 +233,19 @@ def run_cells(
         return SchedulerConfig(spec.resources, spec.num_configs, seed=ss, **options)
 
     # (method index, ss, bs) of a cell not yet reached that shares an earlier
-    # cell's result -> (its result fields, that earlier cell, its trace file)
-    shared: dict[tuple[int, int, int], tuple[tuple, tuple[int, int, int], str | None]] = {}
-    # trace file -> the simulated cell whose trace it holds
-    written: dict[str, tuple[int, int, int]] = {}
+    # cell's result -> (its result fields, that earlier cell's trace file)
+    shared: dict[tuple[int, int, int], tuple[tuple, str | None]] = {}
     cells: list[CellResult] = []
     for i, method in enumerate(spec.methods):
         for ss in spec.scheduler_seeds:
             for bs in spec.benchmark_seeds:
-                key = (i, ss, bs)
                 path = None
                 if traces_dir is not None:
                     path = os.path.join(traces_dir, _trace_name(method.name, ss, bs))
-                fields, source, source_path = shared.pop(key, (None, None, None))
-                # a later cell may have overwritten the trace file to copy
-                if fields is not None and (path is None or written.get(source_path) == source):
-                    if path != source_path:
+                fields, source_path = shared.pop((i, ss, bs), (None, None))
+                if fields is not None:
+                    if path is not None:
                         shutil.copyfile(source_path, path)
-                        written[path] = source
                     cells.append(CellResult(method.name, ss, bs, *fields))
                     continue
                 group = []  # the later methods whose cells here may share this one's result
@@ -267,7 +271,6 @@ def run_cells(
                     ) from exc
                 if path is not None:
                     write_trace(result.trace, path)
-                    written[path] = key
                 fields = (
                     table.display_metric(result.chosen_metric_full),
                     result.wall_clock,
@@ -276,7 +279,7 @@ def run_cells(
                     result.jobs_executed,
                 )
                 for index in result.same:
-                    shared[group[index], ss, bs] = (fields, key, path)
+                    shared[group[index], ss, bs] = (fields, path)
                 cells.append(CellResult(method.name, ss, bs, *fields))
     return cells
 

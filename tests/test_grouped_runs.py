@@ -195,21 +195,27 @@ class TestRunCellsMatchesOneSimulatePerCell:
             run_cells(spec, tables)
         assert counted.call_count == 2 * len(spec.scheduler_seeds)
 
-    def test_a_trace_file_overwritten_before_its_copy_is_simulated_again(self):
-        """Method names "p:q" and "p_q" share a trace file, which the asha cell
-        overwrites between the pasha cell and the no-increase cell grouped with
-        it; that cell is simulated on its own instead of copying the file."""
-        soft = MethodSpec.parse("pasha:soft:0.025")
+    def test_methods_that_would_share_trace_files_are_refused(self):
+        """Method names "p:q" and "p_q" map to the same trace file names. With
+        traces_dir set, run_cells refuses them, naming both, before any cell
+        runs or any trace file is written; without it both run."""
         methods = (
-            dataclasses.replace(soft, name="p:q"),
+            dataclasses.replace(MethodSpec.parse("pasha:soft:0.025"), name="p:q"),
             MethodSpec("p_q", mode="asha"),
-            dataclasses.replace(MethodSpec.parse("no-increase"), name="z"),
         )
-        spec = ExperimentSpec(methods=methods, resources=RESOURCES, num_configs=20)
+        spec = ExperimentSpec(
+            methods=methods, resources=RESOURCES, num_configs=20, scheduler_seeds=(0, 1)
+        )
         tables = {0: table("default", 20, 0)}
-        with tempfile.TemporaryDirectory() as grouped, tempfile.TemporaryDirectory() as each:
-            assert outcome(run_cells, spec, tables, grouped) == outcome(
-                run_each, spec, tables, each)
+        with tempfile.TemporaryDirectory() as parent:
+            with mock.patch.object(experiment, "simulate", wraps=simulate) as counted:
+                with pytest.raises(
+                    UsageError, match="^methods 'p:q' and 'p_q' write the same trace files$"
+                ):
+                    run_cells(spec, tables, os.path.join(parent, "traces"))
+            assert counted.call_count == 0
+            assert os.listdir(parent) == []
+        assert [c.method for c in run_cells(spec, tables)] == ["p:q", "p:q", "p_q", "p_q"]
 
 
 POOLED = [p for p in POOL if p[0].startswith("pasha") or p[0] == "no-increase"]
