@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import os
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,7 +14,9 @@ from tunesim import (
     CurveModel, DataError, FormatError, LearningCurveTable, generate, load, read_cells, save,
 )
 from tunesim.benchgen import FORMAT_MAGIC
+from tunesim import cli
 from tunesim.cli import _parse_seeds, main
+from tunesim.core import InternalError
 
 
 @pytest.fixture
@@ -288,6 +291,13 @@ class TestRunVerb:
             f"error: {bad}: line 12: could not convert string to float: {fields[2]!r}\n"
         )
 
+    def test_no_method_anywhere_is_a_usage_error(self, bench, capsys):
+        code = main(["run", "--benchmark", bench, "--max-resource", "9", "--num-configs", "12"])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: give at least one --method or a config file with methods\n"
+        )
+
     def test_missing_benchmark_flag(self, capsys):
         code = main(["run", "--method", "asha", "--max-resource", "9",
                      "--num-configs", "12"])
@@ -549,6 +559,23 @@ class TestConfigFile:
             f"error: config file {config}: not UTF-8 text (invalid continuation byte)\n"
         )
 
+    def test_a_file_without_method_sections_and_no_method_flag_is_a_usage_error(
+        self, bench, tmp_path, capsys
+    ):
+        path = tmp_path / "experiment.ini"
+        path.write_text(f"[experiment]\nbenchmark = {bench}\nmax-resource = 9\nnum-configs = 12\n")
+        assert main(["run", "--config", str(path)]) == 1
+        assert capsys.readouterr().err == (
+            "error: give at least one --method or a config file with methods\n"
+        )
+
+    def test_a_file_configparser_refuses_is_a_data_error_naming_it(self, bench, tmp_path, capsys):
+        config = self.write_config(tmp_path, bench, "[experiment]\nworkers = 2\n")
+        assert main(["run", "--config", config]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config file {config}: While reading from {config!r}")
+        assert "section 'experiment' already exists" in err
+
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["run", "--config", str(tmp_path / "ghost.ini")]) == 2
 
@@ -674,6 +701,15 @@ class TestReportVerb:
         err = capsys.readouterr().err
         assert f"{path}:3: field larger than field limit" in err and "Traceback" not in err
 
+    def test_a_header_over_the_csv_limit_is_a_data_error_naming_line_1(self, tmp_path, capsys):
+        path = tmp_path / "cells.csv"
+        path.write_text(f"{'m' * 200_000}\nasha,0,0,0.8,2.0,9,10,5\n")
+        assert main(["report", "--cells", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}:1: field larger than field limit")
+        assert "Traceback" not in err
+
+
 class TestCrossingsVerb:
     def test_reports_pairs_to_stdout(self, bench, capsys):
         assert main(["crossings", "--benchmark", bench]) == 0
@@ -734,3 +770,23 @@ class TestCrossingsVerb:
 
     def test_missing_file(self, tmp_path):
         assert main(["crossings", "--benchmark", str(tmp_path / "ghost.csv")]) == 2
+
+    def test_a_header_of_zero_units_is_a_data_error_naming_the_file(self, bench, capsys):
+        text = Path(bench).read_text()
+        assert "\nunits=9\n" in text
+        Path(bench).write_text(text.replace("\nunits=9\n", "\nunits=0\n"))
+        assert main(["crossings", "--benchmark", bench]) == 2
+        assert capsys.readouterr().err == f"error: {bench}: header: units must be >= 1, got 0\n"
+
+
+class TestInternalErrors:
+    def test_an_internal_error_is_exit_3_with_its_own_prefix(self, bench, capsys):
+        """An InternalError is a bug, not bad input: exit 3, and the callee's
+        message after "internal error:" instead of "error:"."""
+        bug = InternalError("configs [3] present in the top rung but missing below")
+        with mock.patch.object(cli, "crossing_report", side_effect=bug) as called:
+            assert main(["crossings", "--benchmark", bench]) == 3
+        assert called.call_count == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"internal error: {bug}\n"
