@@ -50,10 +50,15 @@ REFERENCE_BELOW = (
     "tests/test_reference.py::TestReferenceSimulator::"
     "test_growth_with_the_pair_below_the_cap_matches_the_reference"
 )
-INCREMENTAL = "tests/test_scheduler.py::TestIncrementalStability::test_every_verdict_is_the_full_checks"
-KEPT = "tests/test_ranking.py::TestKeptEpsilon::test_each_insertion_keeps_epsilon_sigma_bit_for_bit"
+INCREMENTAL = (
+    "tests/test_scheduler.py::TestIncrementalStability::test_every_verdict_is_the_full_checks"
+)
+KEPT = (
+    "tests/test_ranking.py::TestKeptEpsilon::test_each_insertion_keeps_epsilon_sigma_bit_for_bit"
+)
 ACCOUNTING = (
-    "tests/test_simulator.py::TestTraceAccountingOracle::test_times_and_totals_follow_from_the_trace"
+    "tests/test_simulator.py::TestTraceAccountingOracle::"
+    "test_times_and_totals_follow_from_the_trace"
 )
 
 CATALOGUE = (
@@ -153,6 +158,22 @@ CATALOGUE = (
         (
             "tests/test_ranking.py::TestSoftStability::test_identical_orders_stable",
             "tests/test_ranking.py::TestRbo::test_stability_thresholds",
+        ),
+    ),
+    # refusals: a bool in a criterion's float field, methods sharing trace files
+    Mutant(
+        "bool-accepted-as-p", "ranking.py",
+        "if isinstance(self.p, bool) or not",
+        "if not",
+        ("tests/test_ranking.py::TestCriterionSpelling::test_constructor_validation",),
+    ),
+    Mutant(
+        "methods-allowed-to-share-trace-files", "experiment.py",
+        "if other != method.name:",
+        "if False:",
+        (
+            "tests/test_grouped_runs.py::TestRunCellsMatchesOneSimulatePerCell::"
+            "test_methods_that_would_share_trace_files_are_refused",
         ),
     ),
 )
