@@ -6,6 +6,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import reduce
+from heapq import heappop, heappush
 from operator import add
 from typing import Iterable, Sequence
 
@@ -198,19 +199,20 @@ class RungLadder:
     earlier completion_index first among ties. So rungs[k] is best-first, not
     completion order. A rung's rank keys are unique: insert refuses a key the
     rung already holds. The ladder alone holds the promotion marks:
-    _promoted[k] names the configs promoted from rung k, and promote() takes
-    the best of the rest. Equality compares the levels, every rung's entries
-    and the marks; the sorted key lists and the other indexes are derived.
+    _promoted[k] names the configs promoted from rung k, and promote() pops
+    the best of the rest from _waiting[k], a heap of (rank key, entry) pairs.
+    Equality compares the levels, every rung's entries and the marks; the
+    key lists, the heaps and the config sets are derived.
     """
 
     levels: tuple[int, ...]
     rungs: list[list[RungEntry]] = field(init=False)
     _promoted: list[set[ConfigId]] = field(init=False, repr=False)
-    # beside rungs[k] and _waiting[k], their rank keys: a plain list bisects at
-    # C speed, where a key= function would be called at every probe
+    # beside rungs[k], its rank keys: a plain list bisects at C speed, where a
+    # key= function would be called at every probe
     _keys: list[list[tuple[float, int]]] = field(init=False, repr=False, compare=False)
-    _waiting: list[list[RungEntry]] = field(init=False, repr=False, compare=False)
-    _waiting_keys: list[list[tuple[float, int]]] = field(init=False, repr=False, compare=False)
+    # keys are unique per rung, so the heap never compares two entries
+    _waiting: list[list[tuple]] = field(init=False, repr=False, compare=False)
     _configs: list[set[ConfigId]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -220,8 +222,7 @@ class RungLadder:
         self.rungs = [[] for _ in self.levels]
         self._promoted = [set() for _ in self.levels]
         self._keys = [[] for _ in self.levels]
-        self._waiting = [[] for _ in self.levels]  # unpromoted entries, in rank order
-        self._waiting_keys = [[] for _ in self.levels]
+        self._waiting = [[] for _ in self.levels]  # unpromoted entries, best at [0]
         self._configs = [set() for _ in self.levels]
 
     def _check_rung(self, k: int) -> None:
@@ -251,9 +252,7 @@ class RungLadder:
         keys.insert(i, key)
         self.rungs[k].insert(i, entry)
         self._configs[k].add(entry.config)
-        j = bisect_right(self._waiting_keys[k], key)
-        self._waiting_keys[k].insert(j, key)
-        self._waiting[k].insert(j, entry)
+        heappush(self._waiting[k], (key, entry))
         return i
 
     def promote(self, k: int) -> RungEntry:
@@ -261,8 +260,7 @@ class RungLadder:
         self._check_rung(k)
         if not self._waiting[k]:
             raise InternalError(f"no unpromoted entry to promote at rung {k}")
-        del self._waiting_keys[k][0]
-        entry = self._waiting[k].pop(0)
+        _, entry = heappop(self._waiting[k])
         self._promoted[k].add(entry.config)
         return entry
 
@@ -275,9 +273,9 @@ class RungLadder:
         unique, so an equal key is that entry itself.
         """
         for k in range(top - 1, -1, -1):
-            keys, waiting = self._keys[k], self._waiting_keys[k]
+            keys, waiting = self._keys[k], self._waiting[k]
             quota = len(keys) // eta
-            if quota and waiting and waiting[0] <= keys[quota - 1]:
+            if quota and waiting and waiting[0][0] <= keys[quota - 1]:
                 return k
         return None
 

@@ -60,6 +60,10 @@ ACCOUNTING = (
     "tests/test_simulator.py::TestTraceAccountingOracle::"
     "test_times_and_totals_follow_from_the_trace"
 )
+LADDER = (
+    "tests/test_core.py::TestIncrementalLadderProperties",
+    "tests/test_core.py::TestRungLadder",
+)
 
 CATALOGUE = (
     # the incremental stability check (CHANGES.md, the entry that added _PairCheck)
@@ -105,6 +109,25 @@ CATALOGUE = (
         "jobs_executed=sum(jobs),",
         "jobs_executed=jobs[0],",
         (ACCOUNTING,),
+    ),
+    # each rung's unpromoted entries in one heap
+    Mutant(
+        "promote-takes-the-heaps-last-item", "core.py",
+        "_, entry = heappop(self._waiting[k])",
+        "_, entry = self._waiting[k].pop()",
+        LADDER,
+    ),
+    Mutant(
+        "promotion-reads-the-heaps-last-key", "core.py",
+        "waiting[0][0] <= keys[quota - 1]",
+        "waiting[-1][0] <= keys[quota - 1]",
+        LADDER,
+    ),
+    Mutant(
+        "insert-appends-to-the-heap", "core.py",
+        "heappush(self._waiting[k], (key, entry))",
+        "self._waiting[k].append((key, entry))",
+        LADDER,
     ),
     # the reference simulator's mutants
     Mutant(

@@ -229,6 +229,16 @@ class TestRungLadder:
             ladder.promote(0)
         ladder.insert(1, RungEntry(0, 0.6))  # the mark is what insert checks
 
+    def test_promotion_compares_the_best_unpromoted_entry_with_the_quota(self):
+        ladder = RungLadder((1, 3, 9))
+        for config, metric in enumerate((0.9, 0.5, 0.1)):
+            ladder.insert(0, RungEntry(config, metric, completion_index=config))
+        assert ladder.promotion(1, 3) == 0  # the best of three is in the top third
+        assert ladder.promote(0).config == 0
+        assert ladder.promotion(1, 3) is None  # the next best is not
+        ladder.insert(0, RungEntry(3, 0.7, completion_index=3))
+        assert ladder.promotion(1, 2) == 0  # the top half of four holds 0.7
+
     def test_promote_takes_the_best_unpromoted_entry(self):
         ladder = RungLadder((1, 3, 9))
         with pytest.raises(InternalError, match="no unpromoted entry to promote at rung 0"):
@@ -378,6 +388,28 @@ class TestIncrementalLadderProperties:
                 for eta in (1, 2, 3, 4):
                     expected = brute_force_promotion(filled.inserted, filled.promoted, top, eta)
                     assert ladder.promotion(top, eta) == expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_a_deep_copy_promotes_its_own_entries_as_the_original_does(self, data):
+        # a forked run copies its ladder whole; the copy's promotions must
+        # hand out the copy's own entries, never the original's
+        ladder = RungLadder((1, 2, 4, 8))
+        filled = _Filled(ladder)
+        for _ in range(data.draw(st.integers(0, 60), label="steps")):
+            filled.step(data)
+        twin = copy.deepcopy(ladder)
+        assert twin == ladder
+        for k in range(len(ladder.levels)):
+            for _ in filled.waiting(k):
+                original, copied = ladder.promote(k), twin.promote(k)
+                assert copied.config == original.config
+                assert any(copied is e for e in twin.rungs[k])
+                assert not any(copied is e for e in ladder.rungs[k])
+            for either in (ladder, twin):
+                with pytest.raises(InternalError, match="no unpromoted entry"):
+                    either.promote(k)
+        assert twin == ladder
 
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False, width=64)
