@@ -49,16 +49,12 @@ class MethodSpec(_Mode):
     name: str
 
     @classmethod
-    def parse(
-        cls,
-        token: str,
-        pair_below_cap: bool = False,
-        random_draws: int | None = None,
-    ) -> "MethodSpec":
+    def parse(cls, token: str) -> "MethodSpec":
         """Build from a method token such as "asha" or "pasha:soft:0.025".
 
         Everything after the first colon is a ranking criterion spelling and
-        is only meaningful for the progressive mode.
+        is only meaningful for the progressive mode. Set the mode's options
+        with dataclasses.replace, which checks them as the constructor does.
         """
         mode, sep, rest = token.partition(":")
         if mode not in MODES:
@@ -70,13 +66,7 @@ class MethodSpec(_Mode):
             if mode != "pasha":
                 raise UsageError(f"method {mode!r} takes no ranking criterion")
             criterion = RankingCriterion.parse(rest)
-        return cls(
-            name=token,
-            mode=mode,
-            criterion=criterion,
-            pair_below_cap=pair_below_cap,
-            random_draws=random_draws,
-        )
+        return cls(name=token, mode=mode, criterion=criterion)
 
 
 @dataclass(frozen=True)

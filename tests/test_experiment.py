@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import math
 import os
@@ -106,9 +107,9 @@ class TestMethodSpec:
             MethodSpec.parse("pasha:bogus")
 
     def test_options_plumb_through(self):
-        spec = MethodSpec.parse("pasha", pair_below_cap=True)
+        spec = dataclasses.replace(MethodSpec.parse("pasha"), pair_below_cap=True)
         assert spec.pair_below_cap
-        spec = MethodSpec.parse("random", random_draws=7)
+        spec = dataclasses.replace(MethodSpec.parse("random"), random_draws=7)
         assert spec.random_draws == 7
 
     @pytest.mark.parametrize(
@@ -122,7 +123,7 @@ class TestMethodSpec:
     )
     def test_options_outside_their_mode_are_refused(self, token, options, name):
         with pytest.raises(UsageError, match=f"{name} applies only to mode"):
-            MethodSpec.parse(token, **options)
+            dataclasses.replace(MethodSpec.parse(token), **options)
         with pytest.raises(UsageError, match=f"{name} applies only to mode"):
             MethodSpec(name=token, mode=token.partition(":")[0], **options)
 

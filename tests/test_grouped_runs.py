@@ -51,8 +51,8 @@ TABLE_KINDS = ("default", "churn", "minimize", "short")
 
 
 def method(token: str, below: bool) -> MethodSpec:
-    spec = MethodSpec.parse(token, pair_below_cap=below)
-    return dataclasses.replace(spec, name=token + "@below") if below else spec
+    spec = MethodSpec.parse(token)
+    return dataclasses.replace(spec, name=token + "@below", pair_below_cap=True) if below else spec
 
 
 def table(kind: str, n: int, seed: int) -> LearningCurveTable:
