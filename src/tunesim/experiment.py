@@ -76,6 +76,7 @@ class ExperimentSpec:
     The benchmark is a file path: a literal "{seed}" expands to each
     benchmark seed, and missing seed files are imputed by averaging the
     available ones elementwise. Without one, pass the tables to run_cells.
+    Each seed list names a seed at most once.
     """
 
     methods: tuple[MethodSpec, ...]
@@ -97,6 +98,11 @@ class ExperimentSpec:
             raise UsageError(f"workers must be >= 1, got {self.workers}")
         if not self.scheduler_seeds or not self.benchmark_seeds:
             raise UsageError("need at least one scheduler seed and one benchmark seed")
+        for what, seeds in (("scheduler", self.scheduler_seeds), ("benchmark", self.benchmark_seeds)):
+            ordered = sorted(seeds)  # a repeated seed would weight its cells twice in the report
+            repeated = [a for a, b in zip(ordered, ordered[1:]) if a == b]
+            if repeated:
+                raise UsageError(f"seed {repeated[0]} is listed more than once in the {what} seeds")
         if self.format not in REPORT_FORMATS:
             raise UsageError(
                 f"unknown report format {self.format!r}; expected one of "

@@ -156,6 +156,25 @@ class TestRunVerb:
         assert code == 1
         assert "rbo parameter 'p' given twice" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag, seeds, message",
+        [
+            ("--seeds", "0,0,1", "seed 0 is listed more than once in the scheduler seeds"),
+            ("--seeds", "0..2,1", "seed 1 is listed more than once in the scheduler seeds"),
+            ("--bench-seeds", "2,2", "seed 2 is listed more than once in the benchmark seeds"),
+        ],
+    )
+    def test_repeated_seed_is_a_usage_error_before_any_table_loads(
+        self, tmp_path, capsys, flag, seeds, message
+    ):
+        # the benchmark does not exist: loading it would be exit 2, not 1
+        code = main(
+            ["run", "--benchmark", str(tmp_path / "absent-{seed}.csv"), "--method", "asha",
+             "--method", "random", "--max-resource", "9", "--num-configs", "12", flag, seeds]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_regret_on_a_minimize_table_names_the_cell(self, tmp_path, capsys):
         # metrics of a minimize table are negated on load, so relative regret
         # is undefined for them; the error must name the cell and criterion
@@ -441,6 +460,22 @@ class TestConfigFile:
         path.write_text(path.read_text().replace("seeds = 0,1", "seeds = zero"))
         assert main(["run", "--config", config]) == 2
         assert "config file seeds:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("seeds = 0..2,1", "seed 1 is listed more than once in the scheduler seeds"),
+            ("bench-seeds = 0,0", "seed 0 is listed more than once in the benchmark seeds"),
+        ],
+    )
+    def test_repeated_seed_in_the_file_is_a_usage_error(
+        self, bench, tmp_path, capsys, line, message
+    ):
+        config = self.write_config(tmp_path, bench)
+        path = tmp_path / "experiment.ini"
+        path.write_text(path.read_text().replace("seeds = 0,1\n", line + "\n"))
+        assert main(["run", "--config", config]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_required_setting_missing_from_flag_and_file(self, bench, tmp_path, capsys):
         config = self.write_config(tmp_path, bench)

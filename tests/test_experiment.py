@@ -152,6 +152,20 @@ class TestExperimentSpec:
         with pytest.raises(UsageError, match="seed"):
             small_spec(benchmark_seeds=())
 
+    @pytest.mark.parametrize(
+        "field, seeds, seed, what",
+        [
+            ("scheduler_seeds", (0, 0, 1), 0, "scheduler"),
+            ("scheduler_seeds", (3, 1, 2, 3, 1), 1, "scheduler"),
+            ("benchmark_seeds", (2, 2), 2, "benchmark"),
+        ],
+    )
+    def test_rejects_a_repeated_seed(self, field, seeds, seed, what):
+        with pytest.raises(
+            UsageError, match=f"^seed {seed} is listed more than once in the {what} seeds$"
+        ):
+            small_spec(**{field: seeds})
+
     def test_rejects_unknown_report_format(self):
         with pytest.raises(UsageError, match="format"):
             small_spec(format="html")
