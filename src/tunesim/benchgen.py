@@ -485,3 +485,10 @@ def crossing_report(table: LearningCurveTable) -> list[tuple[tuple[ConfigId, Con
         if enabled:
             gc.enable()
     return report
+
+
+def crossings_csv(report: list[tuple[tuple[ConfigId, ConfigId], int]]) -> str:
+    """crossing_report's pairs as csv text: a header line, then one
+    config_a,config_b,last_crossing line per pair, in the report's order."""
+    rows = [f"{a},{b},{level}" for (a, b), level in report]
+    return "\n".join(["config_a,config_b,last_crossing", *rows]) + "\n"

@@ -13,7 +13,7 @@ import configparser
 import dataclasses
 import sys
 
-from .benchgen import FAMILIES, CurveModel, crossing_report, generate, load, save
+from .benchgen import FAMILIES, CurveModel, crossing_report, crossings_csv, generate, load, save
 from .core import DataError, InternalError, ResourceSpec, UsageError
 from .experiment import (
     REPORT_FORMATS,
@@ -143,12 +143,24 @@ def _generate_command(args) -> int:
     return 0
 
 
+def _refusal(exc: configparser.Error) -> str:
+    """A refusal of configparser's read as one line that names the line, not
+    the file, which configparser's own text names."""
+    if isinstance(exc, configparser.MissingSectionHeaderError):
+        return f"line {exc.lineno}: {exc.line.strip()!r} comes before any [section] header"
+    if isinstance(exc, configparser.ParsingError):
+        return f"line {exc.errors[0][0]}: not a [section] header or a key = value line"
+    if isinstance(exc, configparser.DuplicateSectionError):
+        return f"line {exc.lineno}: section {exc.section!r} already exists"
+    return f"line {exc.lineno}: option {exc.option!r} in section {exc.section!r} already exists"
+
+
 def _read_experiment_file(path: str) -> tuple[dict[str, str], list[MethodSpec]]:
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)  # a value's % is a literal %
     try:
         found = parser.read(path, encoding="utf-8")
     except configparser.Error as exc:
-        raise DataError(f"config file {path}: {exc}") from exc
+        raise DataError(f"config file {path}: {_refusal(exc)}") from exc
     except UnicodeDecodeError as exc:  # no line: the decoder reads ahead
         raise DataError(f"config file {path}: not UTF-8 text ({exc.reason})") from exc
     if not found:
@@ -270,8 +282,7 @@ def _report_command(args) -> int:
 
 
 def _crossings_command(args) -> int:
-    rows = [f"{a},{b},{level}" for (a, b), level in crossing_report(load(args.benchmark))]
-    return _write_output("\n".join(["config_a,config_b,last_crossing", *rows]) + "\n", args.out)
+    return _write_output(crossings_csv(crossing_report(load(args.benchmark))), args.out)
 
 
 def main(argv=None) -> int:

@@ -30,15 +30,14 @@ SEED_PLACEHOLDER = "{seed}"
 
 REPORT_FORMATS = ("markdown", "csv")
 
-CELL_FIELDS = (
-    "method",
-    "scheduler_seed",
-    "benchmark_seed",
-    "metric",
-    "runtime_s",
-    "max_resources",
-    "units",
-    "jobs",
+# the cells file's columns in CellResult order: (header name, the type its text parses to)
+_CELL_COLUMNS = (
+    ("method", str), ("scheduler_seed", int), ("benchmark_seed", int), ("metric", float),
+    ("runtime_s", float), ("max_resources", int), ("units", int), ("jobs", int),
+)
+CELL_FIELDS = tuple(name for name, _ in _CELL_COLUMNS)
+_CELL_DTYPE = np.dtype(
+    [(name, {str: object, int: np.int64}.get(kind, kind)) for name, kind in _CELL_COLUMNS]
 )
 
 
@@ -417,6 +416,22 @@ def _speedup_text(factor: float) -> str:
     return f"{factor:.1f}x" if math.isfinite(factor) else "--"
 
 
+# the csv report's columns: header name -> the field text of a MethodRow
+_CSV_COLUMNS = {
+    "method": lambda row: row.name,
+    "repetitions": lambda row: row.repetitions,
+    "metric_mean": lambda row: repr(row.metric_mean),
+    "metric_std": lambda row: repr(row.metric_std),
+    "runtime_mean_s": lambda row: repr(row.runtime_mean),
+    "runtime_std_s": lambda row: repr(row.runtime_std),
+    "runtime_display": lambda row: _runtime_text(row.runtime_mean, row.runtime_std).replace(" ", ""),
+    "speedup": lambda row: repr(row.speedup),
+    "speedup_display": lambda row: _speedup_text(row.speedup),
+    "max_resources_mean": lambda row: repr(row.max_resources_mean),
+    "max_resources_std": lambda row: repr(row.max_resources_std),
+}
+
+
 def emit_report(report: ExperimentReport, format: str = "markdown") -> str:
     """Render the report; both formats carry the same numbers.
 
@@ -444,37 +459,8 @@ def emit_report(report: ExperimentReport, format: str = "markdown") -> str:
         return "\n".join(lines) + "\n"
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(
-        [
-            "method",
-            "repetitions",
-            "metric_mean",
-            "metric_std",
-            "runtime_mean_s",
-            "runtime_std_s",
-            "runtime_display",
-            "speedup",
-            "speedup_display",
-            "max_resources_mean",
-            "max_resources_std",
-        ]
-    )
-    for row in report.rows:
-        writer.writerow(
-            [
-                row.name,
-                row.repetitions,
-                repr(row.metric_mean),
-                repr(row.metric_std),
-                repr(row.runtime_mean),
-                repr(row.runtime_std),
-                _runtime_text(row.runtime_mean, row.runtime_std).replace(" ", ""),
-                repr(row.speedup),
-                _speedup_text(row.speedup),
-                repr(row.max_resources_mean),
-                repr(row.max_resources_std),
-            ]
-        )
+    writer.writerow(_CSV_COLUMNS)
+    writer.writerows([cell(row) for cell in _CSV_COLUMNS.values()] for row in report.rows)
     return buffer.getvalue()
 
 
@@ -548,11 +534,6 @@ def _cell_columns(path: str) -> tuple[list[str], np.ndarray, list[np.ndarray]]:
     return names, codes, columns
 
 
-_CELL_DTYPE = np.dtype(
-    list(zip(CELL_FIELDS, (object, np.int64, np.int64, float, float, np.int64, np.int64, np.int64)))
-)
-
-
 def _cells_by_line(handle, path: str) -> list[CellResult]:
     """The data rows parsed one at a time from handle, which starts after the
     header line; a bad row, or a non-finite metric or runtime, is a DataError
@@ -563,14 +544,11 @@ def _cells_by_line(handle, path: str) -> list[CellResult]:
 
     cells = []
     for number, row in _csv_records(handle, 1, len(CELL_FIELDS), error):
-        method, ss, bs, metric, runtime, max_resources, units, jobs = row
         try:
-            metric, runtime = float(metric), float(runtime)
-            cell = CellResult(
-                method, int(ss), int(bs), metric, runtime, int(max_resources), int(units), int(jobs)
-            )
+            cell = CellResult(*(kind(text) for (_, kind), text in zip(_CELL_COLUMNS, row)))
         except ValueError as exc:
             raise error(number, exc) from exc
+        metric, runtime = cell.metric, cell.runtime
         if not (math.isfinite(metric) and math.isfinite(runtime)):
             raise error(number, f"non-finite {'runtime' if math.isfinite(metric) else 'metric'}")
         cells.append(cell)

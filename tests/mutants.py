@@ -199,6 +199,27 @@ CATALOGUE = (
             "test_methods_that_would_share_trace_files_are_refused",
         ),
     ),
+    # each csv format stated once, in the library; INI values read literally
+    Mutant(
+        "csv-report-columns-swapped", "experiment.py",
+        '    "metric_mean": lambda row: repr(row.metric_mean),\n'
+        '    "metric_std": lambda row: repr(row.metric_std),\n',
+        '    "metric_std": lambda row: repr(row.metric_std),\n'
+        '    "metric_mean": lambda row: repr(row.metric_mean),\n',
+        ("tests/test_report_digests.py::TestReportDigests::test_report_bytes_are_pinned",),
+    ),
+    Mutant(
+        "crossings-csv-without-its-header", "benchgen.py",
+        '["config_a,config_b,last_crossing", *rows]',
+        "rows",
+        ("tests/test_cli.py::TestCrossingsVerb",),
+    ),
+    Mutant(
+        "config-values-interpolated", "cli.py",
+        "configparser.ConfigParser(interpolation=None)",
+        "configparser.ConfigParser()",
+        ("tests/test_cli.py::TestConfigFile::test_a_percent_in_a_value_is_read_literally",),
+    ),
 )
 
 

@@ -607,9 +607,56 @@ class TestConfigFile:
     def test_a_file_configparser_refuses_is_a_data_error_naming_it(self, bench, tmp_path, capsys):
         config = self.write_config(tmp_path, bench, "[experiment]\nworkers = 2\n")
         assert main(["run", "--config", config]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: config file {config}: While reading from {config!r}")
-        assert "section 'experiment' already exists" in err
+        assert capsys.readouterr().err == (
+            f"error: config file {config}: line 11: section 'experiment' already exists\n"
+        )
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (
+                "[experiment]\nseeds = 0\nseeds = 1\n",
+                "line 3: option 'seeds' in section 'experiment' already exists",
+            ),
+            (
+                "[experiment]\nseeds = 0\n\nworkers\n",
+                "line 4: not a [section] header or a key = value line",
+            ),
+            (
+                "# no section\n\nseeds = 0\n[experiment]\n",
+                "line 3: 'seeds = 0' comes before any [section] header",
+            ),
+        ],
+        ids=["repeated-option", "line-without-equals", "no-section-header"],
+    )
+    def test_each_configparser_refusal_is_one_line_naming_the_file_once(
+        self, tmp_path, capsys, text, message
+    ):
+        path = tmp_path / "bad.ini"
+        path.write_text(text)
+        assert main(["run", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: config file {path}: {message}\n"
+
+    @pytest.mark.parametrize("name", ["r%.md", "%(num-configs)s.md"])
+    def test_a_percent_in_a_value_is_read_literally(self, bench, tmp_path, capsys, name):
+        out = tmp_path / name
+        config = self.write_config(tmp_path, bench)
+        path = tmp_path / "experiment.ini"
+        path.write_text(path.read_text().replace("[experiment]\n", f"[experiment]\nout = {out}\n"))
+        assert main(["run", "--config", config]) == 0
+        assert capsys.readouterr().out == f"wrote {out}\n"
+        assert "| pasha |" in out.read_text()
+        assert sorted(os.listdir(tmp_path)) == sorted(["bench.csv", "experiment.ini", name])
+
+    def test_a_percent_in_a_method_value_reaches_its_parser(self, bench, tmp_path, capsys):
+        config = self.write_config(tmp_path, bench)
+        path = tmp_path / "experiment.ini"
+        path.write_text(path.read_text().replace("soft:0.05", "soft:0.1%"))
+        assert main(["run", "--config", config]) == 1
+        assert capsys.readouterr().err == (
+            "error: bad criterion spelling 'soft:0.1%': could not convert string to float: "
+            "'0.1%'\n"
+        )
 
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["run", "--config", str(tmp_path / "ghost.ini")]) == 2
@@ -762,6 +809,12 @@ class TestCrossingsVerb:
         out = str(tmp_path / "crossings.csv")
         assert main(["crossings", "--benchmark", bench, "--out", out]) == 0
         assert Path(out).read_text().startswith("config_a,")
+
+    def test_a_table_with_no_crossing_writes_only_the_header(self, tmp_path, capsys):
+        path = str(tmp_path / "ordered.csv")
+        save(generate(12, 9, CurveModel(crossing_horizon=1, head_count=4), 0), path)
+        assert main(["crossings", "--benchmark", path]) == 0
+        assert capsys.readouterr().out == "config_a,config_b,last_crossing\n"
 
 
     def test_field_over_the_csv_limit_on_the_row_reader_names_its_line(self, tmp_path, capsys):

@@ -620,6 +620,13 @@ class TestReportEmission:
         rows = list(csv.reader(io.StringIO(emit_report(report, "csv"))))
         assert rows[1][0] == "pasha:rbo:p=0.9,t=0.99"
 
+    def test_csv_of_no_rows_is_the_header_line_alone(self):
+        report = ExperimentReport(rows=(), metric_name="accuracy", reference="asha")
+        assert emit_report(report, "csv") == (
+            "method,repetitions,metric_mean,metric_std,runtime_mean_s,runtime_std_s,"
+            "runtime_display,speedup,speedup_display,max_resources_mean,max_resources_std\n"
+        )
+
     def test_unknown_format_is_refused(self):
         with pytest.raises(UsageError, match="format"):
             emit_report(self.report(), "html")
@@ -749,6 +756,16 @@ class TestCellsIO:
         path.write_text(header + "\nasha,zero,0,0.9,1.0,9,10,5\n")
         with pytest.raises(DataError, match=r"cells\.csv:2"):
             read_cells(str(path))
+
+    def test_a_row_with_two_unparseable_fields_names_the_first_in_file_order(self, tmp_path):
+        """As load does: the fields convert in column order, so the bad
+        scheduler seed is named, not the bad metric after it."""
+        path = tmp_path / "cells.csv"
+        rows = ["asha,0,0,0.9,1.0,9,10,5", "asha,one,0,x,1.0,9,10,5"]
+        path.write_text("\n".join([",".join(CELL_FIELDS), *rows]) + "\n")
+        with pytest.raises(DataError) as raised:
+            read_cells(str(path))
+        assert str(raised.value) == f"{path}:3: invalid literal for int() with base 10: 'one'"
 
     def test_empty_file_is_an_error(self, tmp_path):
         path = str(tmp_path / "cells.csv")
