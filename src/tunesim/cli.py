@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import dataclasses
+import itertools
 import sys
 
 from .benchgen import FAMILIES, CurveModel, crossing_report, crossings_csv, generate, load, save
@@ -143,9 +144,17 @@ def _generate_command(args) -> int:
     return 0
 
 
-def _refusal(exc: configparser.Error) -> str:
-    """A refusal of configparser's read as one line that names the line, not
-    the file, which configparser's own text names."""
+def _refusal(exc: configparser.Error, path: str) -> str:
+    """A refusal of configparser's read of path as one line that names the
+    first bad line, not the file, which configparser's own text names."""
+    if isinstance(exc, (configparser.DuplicateSectionError, configparser.DuplicateOptionError)):
+        # raised at once, while unparsable lines are held to the end: look above it
+        with open(path, encoding="utf-8") as handle:
+            above = list(itertools.islice(handle, exc.lineno - 1))
+        try:
+            configparser.RawConfigParser().read_file(above)
+        except configparser.Error as earlier:
+            exc = earlier
     if isinstance(exc, configparser.MissingSectionHeaderError):
         return f"line {exc.lineno}: {exc.line.strip()!r} comes before any [section] header"
     if isinstance(exc, configparser.ParsingError):
@@ -160,7 +169,7 @@ def _read_experiment_file(path: str) -> tuple[dict[str, str], list[MethodSpec]]:
     try:
         found = parser.read(path, encoding="utf-8")
     except configparser.Error as exc:
-        raise DataError(f"config file {path}: {_refusal(exc)}") from exc
+        raise DataError(f"config file {path}: {_refusal(exc, path)}") from exc
     except UnicodeDecodeError as exc:  # no line: the decoder reads ahead
         raise DataError(f"config file {path}: not UTF-8 text ({exc.reason})") from exc
     if not found:
@@ -175,30 +184,26 @@ def _read_experiment_file(path: str) -> tuple[dict[str, str], list[MethodSpec]]:
         else:
             raise DataError(f"config file: unknown section [{section}]")
         options = parser[section]
-        for key in options:
-            if key not in known:
-                raise DataError(f"config file [{section}]: unknown key {key!r}")
-        if section == "experiment":
-            settings = dict(options)
-            continue
-        spec = MethodSpec.parse(section[len("method:"):].strip())
-        for key in options:
-            if _METHOD_KEYS[key] != spec.mode:
-                raise DataError(f"config file [{section}]: {spec.mode!r} takes no {key}")
-        try:
-            below = options.getboolean("pair-below-cap", fallback=False)
-            draws = options.getint("random-draws", fallback=None)
+        try:  # every refusal inside a section names the section
+            for key in options:
+                if key not in known:
+                    raise ValueError(f"unknown key {key!r}")
+            if section == "experiment":
+                settings = dict(options)
+                continue
+            spec = MethodSpec.parse(section[len("method:"):].strip())
+            for key in options:
+                if _METHOD_KEYS[key] != spec.mode:
+                    raise ValueError(f"{spec.mode!r} takes no {key}")
+            below, draws = options.getboolean("pair-below-cap", False), options.getint("random-draws")
             spec = dataclasses.replace(spec, pair_below_cap=below, random_draws=draws)
-        except (ValueError, UsageError) as exc:
+            if "ranking" in options:
+                if spec.criterion is not None:
+                    named = spec.criterion.spelling()
+                    raise ValueError(f"the section names criterion {named!r}, so it takes no ranking")
+                spec = dataclasses.replace(spec, criterion=RankingCriterion.parse(options["ranking"]))
+        except (UsageError, ValueError) as exc:
             raise DataError(f"config file [{section}]: {exc}") from exc
-        ranking = options.get("ranking", fallback=None)
-        if ranking is not None:
-            if spec.criterion is not None:
-                raise DataError(
-                    f"config file [{section}]: the section names criterion "
-                    f"{spec.criterion.spelling()!r}, so it takes no ranking"
-                )
-            spec = dataclasses.replace(spec, criterion=RankingCriterion.parse(ranking))
         methods.append(spec)
     return settings, methods
 
@@ -216,6 +221,8 @@ def _run_command(args) -> int:
         if value is None and key in settings:
             try:
                 value = cast(settings[key])
+                if key == "ranking":  # a bad spelling is the file's, like a bad int
+                    RankingCriterion.parse(value)
             except (ValueError, UsageError) as exc:
                 raise DataError(f"config file {key}: {exc}") from exc
         values[key] = default if value is None else value

@@ -314,11 +314,11 @@ def aggregate(
     """Fold per-run cells into one row per method.
 
     Methods appear in method_order, or in first-appearance order when it is
-    omitted. Each mean and std comes from one exact sum per column
-    (_moments), rounded once, so neither the result nor a DataError refusing
-    a mean or std beyond the float range depends on the order the cells
-    arrived in. A non-finite metric, runtime or max resource is a DataError
-    naming the method.
+    omitted; a name listed twice in it is a UsageError. Each mean and std
+    comes from one exact sum per column (_moments), rounded once, so neither
+    the result nor a DataError refusing a mean or std beyond the float range
+    depends on the order the cells arrived in. A non-finite metric, runtime
+    or max resource is a DataError naming the method.
     """
     if not cells:
         raise DataError("no cells to aggregate")
@@ -346,34 +346,34 @@ def _fold(
     """aggregate's report from columns: each cell's method as a code into
     names, and its metric, runtime and max resource.
 
-    One stable argsort groups the cells by method. The sums are exact, so the
-    grouping order cannot move a bit of the result.
+    Each method's cells are one mask over the codes. The sums are exact, so
+    the order of the cells cannot move a bit of the result.
     """
     if method_order is None:
         method_order = names
-    slots = {name: k for k, name in enumerate(dict.fromkeys(method_order))}
+    slots = {name: k for k, name in enumerate(method_order)}
+    if len(slots) != len(method_order):  # a repeated name would print its row twice
+        repeated = next(name for k, name in enumerate(method_order) if slots[name] != k)
+        raise UsageError(f"method {repeated!r} is listed more than once in the method order")
     for name in names:
         if name not in slots:
             raise DataError(f"cell names unknown method {name!r}")
     codes = np.array([slots[name] for name in names], dtype=np.intp)[codes]
-    order = np.argsort(codes, kind="stable")
-    columns = [column[order] for column in columns]
-    counts = np.bincount(codes, minlength=len(slots)).tolist()
     stats = {}
-    lo = 0
-    for name, count in zip(slots, counts):
+    for slot, name in enumerate(slots):
+        mask = codes == slot
+        count = int(np.count_nonzero(mask))
         if not count:
             raise DataError(f"method {name!r} has no cells")
-        stats[name] = [
-            _mean_std(column[lo : lo + count], name, field)
+        stats[name] = count, *(
+            _mean_std(column[mask], name, field)
             for column, field in zip(columns, ("metric", "runtime", "max resource"))
-        ]
-        lo += count
+        )
     reference = reference_method(method_order)
-    reference_runtime = stats[reference][1][0]
+    reference_runtime = stats[reference][2][0]
     rows = []
     for name in method_order:
-        (metric_mean, metric_std), (runtime_mean, runtime_std), (max_mean, max_std) = stats[name]
+        count, (metric_mean, metric_std), (runtime_mean, runtime_std), (max_mean, max_std) = stats[name]
         factor = 1.0 if name == reference else _speedup_factor(reference_runtime, runtime_mean)
         rows.append(
             MethodRow(
@@ -385,7 +385,7 @@ def _fold(
                 speedup=factor,
                 max_resources_mean=max_mean,
                 max_resources_std=max_std,
-                repetitions=counts[slots[name]],
+                repetitions=count,
             )
         )
     return ExperimentReport(rows=tuple(rows), metric_name=metric_name, reference=reference)

@@ -220,6 +220,32 @@ CATALOGUE = (
         "configparser.ConfigParser()",
         ("tests/test_cli.py::TestConfigFile::test_a_percent_in_a_value_is_read_literally",),
     ),
+    # one refusal wrapper per config-file section, the first bad line named,
+    # and one mask per method in the report fold
+    Mutant(
+        "section-wrapper-catches-value-errors-only", "cli.py",
+        "except (UsageError, ValueError) as exc:\n            raise DataError(f\"config file [",
+        "except ValueError as exc:\n            raise DataError(f\"config file [",
+        (
+            "tests/test_cli.py::TestConfigFile::"
+            "test_a_bad_method_token_in_a_section_name_is_a_data_error_naming_it",
+        ),
+    ),
+    Mutant(
+        "duplicate-refusal-names-its-own-line", "cli.py",
+        "if isinstance(exc, (configparser.DuplicateSectionError, configparser.DuplicateOptionError)):",
+        "if False:",
+        (
+            "tests/test_cli.py::TestConfigFile::"
+            "test_each_configparser_refusal_is_one_line_naming_the_file_once",
+        ),
+    ),
+    Mutant(
+        "fold-mask-takes-later-methods-too", "experiment.py",
+        "mask = codes == slot",
+        "mask = codes >= slot",
+        ("tests/test_report_digests.py::TestReportDigests::test_report_bytes_are_pinned",),
+    ),
 )
 
 

@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 from tunesim import (
-    CurveModel, DataError, FormatError, LearningCurveTable, generate, load, read_cells, save,
+    CurveModel, DataError, FormatError, LearningCurveTable, MethodSpec, UsageError, generate, load,
+    read_cells, save,
 )
 from tunesim.benchgen import FORMAT_MAGIC
 from tunesim import cli
@@ -626,8 +627,19 @@ class TestConfigFile:
                 "# no section\n\nseeds = 0\n[experiment]\n",
                 "line 3: 'seeds = 0' comes before any [section] header",
             ),
+            (
+                "[experiment]\nbad line\n[experiment]\n",
+                "line 2: not a [section] header or a key = value line",
+            ),
+            (
+                "[experiment]\nbad line\nseeds = 0\nseeds = 1\n",
+                "line 2: not a [section] header or a key = value line",
+            ),
         ],
-        ids=["repeated-option", "line-without-equals", "no-section-header"],
+        ids=[
+            "repeated-option", "line-without-equals", "no-section-header",
+            "bad-line-before-a-repeated-section", "bad-line-before-a-repeated-option",
+        ],
     )
     def test_each_configparser_refusal_is_one_line_naming_the_file_once(
         self, tmp_path, capsys, text, message
@@ -652,11 +664,33 @@ class TestConfigFile:
         config = self.write_config(tmp_path, bench)
         path = tmp_path / "experiment.ini"
         path.write_text(path.read_text().replace("soft:0.05", "soft:0.1%"))
-        assert main(["run", "--config", config]) == 1
+        assert main(["run", "--config", config]) == 2
         assert capsys.readouterr().err == (
-            "error: bad criterion spelling 'soft:0.1%': could not convert string to float: "
-            "'0.1%'\n"
+            "error: config file [method:pasha]: bad criterion spelling 'soft:0.1%': "
+            "could not convert string to float: '0.1%'\n"
         )
+
+    @pytest.mark.parametrize("section", ["method:bogus", "method:pasha:bogus"])
+    def test_a_bad_method_token_in_a_section_name_is_a_data_error_naming_it(
+        self, bench, tmp_path, capsys, section
+    ):
+        config = self.write_config(tmp_path, bench, f"\n[{section}]\n")
+        with pytest.raises(UsageError) as parsed:
+            MethodSpec.parse(section[len("method:"):])
+        assert main(["run", "--config", config]) == 2
+        assert capsys.readouterr().err == f"error: config file [{section}]: {parsed.value}\n"
+
+    def test_a_bad_experiment_ranking_is_the_files_refusal(self, bench, tmp_path, capsys):
+        config = self.write_config(tmp_path, bench)
+        path = tmp_path / "experiment.ini"
+        text = path.read_text().replace("ranking = soft:0.05\n", "")
+        path.write_text(text.replace("[experiment]\n", "[experiment]\nranking = soft:0.1%\n"))
+        spelling = "bad criterion spelling 'soft:0.1%': could not convert string to float: '0.1%'"
+        assert main(["run", "--config", config]) == 2
+        assert capsys.readouterr().err == f"error: config file ranking: {spelling}\n"
+        # the flag beats the file's value, and a bad flag stays a usage error
+        assert main(["run", "--config", config, "--ranking", "soft:0.1%"]) == 1
+        assert capsys.readouterr().err == f"error: {spelling}\n"
 
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["run", "--config", str(tmp_path / "ghost.ini")]) == 2

@@ -475,6 +475,9 @@ class TestAggregate:
             aggregate([self.cell("asha", 0, 0, 0.9, 1.0)], method_order=["pasha"])
         with pytest.raises(DataError, match="has no cells"):
             aggregate([self.cell("asha", 0, 0, 0.9, 1.0)], method_order=["asha", "pasha"])
+        cells = [self.cell("asha", 0, 0, 0.9, 1.0), self.cell("pasha", 0, 0, 0.8, 0.5)]
+        with pytest.raises(UsageError, match="^method 'pasha' is listed more than once in the"):
+            aggregate(cells, method_order=["pasha", "asha", "pasha"])
 
     @pytest.mark.parametrize(
         "bad, field",
