@@ -241,8 +241,8 @@ def load(path: str) -> LearningCurveTable:
     """Read a benchmark file, normalizing the metric direction to maximize.
 
     Values load bit for bit as Python's float() reads them. The rows are
-    parsed in one numpy pass; anything that pass refuses, and any row the
-    table refuses, is read again row by row, so an error names its line.
+    read by _read_records, so an error names the line of the first bad row
+    or unparsable record in file order.
     Lines end only where csv ends them, so a quoted payload keeps its line
     breaks. Every refusal names path in front of its message; one of a file
     that is not UTF-8 names no line, as the decoder reads ahead.
@@ -273,29 +273,76 @@ def _load(path: str) -> LearningCurveTable:
             raise FormatError(
                 f"header: direction must be maximize or minimize, got {direction!r}"
             )
-        sign = -1.0 if direction == "minimize" else 1.0
-
-        def table(ids, payloads, values: np.ndarray) -> LearningCurveTable:
-            return LearningCurveTable(
-                ids, sign * values[:, :units], values[:, units:-1], sign * values[:, -1], payloads,
-                metric_name=header.get("metric", "metric"),
-                unit_label=header.get("unit_label", "unit"),
-                flipped=(direction == "minimize"),
-            )
-
-        dtype = np.dtype(
-            [("id", np.int64), ("payload", object), ("values", np.float64, (2 * units + 1,))]
+        columns = (("id", int, 1), ("payload", str, 1), ("values", float, 2 * units + 1))
+        ids, payloads, values = _read_records(
+            handle, header_lines, columns,
+            lambda ids, _, values: _first_bad_row(
+                ids, values[:, :units], values[:, units:-1], values[:, -1]
+            ),
+            lambda line, message: FormatError(f"line {line}: {message}"),
         )
-        data = _array_pass(handle, dtype)
-        if data is not None and len(data) == declared:
-            try:
-                return table(data["id"], data["payload"].tolist(), data["values"])
-            except DataError:
-                pass  # a row the table refuses: the row-by-row reader names its line
-        ids, payloads, values = _rows_by_line(handle, header_lines, units)
     if len(ids) != declared:
         raise FormatError(f"header declares {declared} configs but the file holds {len(ids)}")
-    return table(ids, payloads, values)
+    sign = -1.0 if direction == "minimize" else 1.0
+    return LearningCurveTable(
+        ids, sign * values[:, :units], values[:, units:-1], sign * values[:, -1], payloads.tolist(),
+        metric_name=header.get("metric", "metric"),
+        unit_label=header.get("unit_label", "unit"),
+        flipped=(direction == "minimize"),
+    )
+
+
+# the numpy type of a column of each Python type
+_DTYPES = {int: np.int64, float: np.float64, str: object}
+
+
+def _read_records(handle, lines_before: int, columns, first_bad, error) -> list[np.ndarray]:
+    """The csv records from handle's position to the end (lines_before file
+    lines lie ahead of it), one array per column. columns lists (name, type,
+    count) in field order, the type int, float or str; a count above 1 is
+    one 2-D block of that many fields.
+
+    The records are parsed in one numpy pass. If that pass refuses them, or
+    first_bad(*arrays) names a row as (index, reason), they are read again
+    row by row with int(), float() and str themselves, and error(line,
+    reason) is raised for the first bad record in file order: a row
+    first_bad names, or a record that does not parse. An int column read
+    that way is int64 unless it holds an int beyond int64.
+    """
+    dtype = np.dtype(
+        [(name, _DTYPES[kind], (count,) if count > 1 else ()) for name, kind, count in columns]
+    )
+    data = _array_pass(handle, dtype)
+    if data is not None:
+        arrays = [data[name] for name, _, _ in columns]
+        if first_bad(*arrays) is None:
+            return arrays
+    kinds = [kind for _, kind, count in columns for _ in range(count)]
+    lines, rows, unparsed = [], [], None
+    try:
+        for number, fields in _csv_records(handle, lines_before, len(kinds), error):
+            try:
+                rows.append([kind(text) for kind, text in zip(kinds, fields)])
+            except ValueError as exc:
+                raise error(number, exc) from exc
+            lines.append(number)
+    except DataError as exc:
+        unparsed = exc  # a bad row read before it is named first
+    table = np.array(rows, dtype=object).reshape(len(rows), len(kinds))
+    arrays, start = [], 0
+    for _, kind, count in columns:
+        block = table[:, start] if count == 1 else table[:, start : start + count]
+        start += count
+        try:
+            arrays.append(block.astype(_DTYPES[kind]))
+        except OverflowError:  # an int beyond int64 stays a Python int
+            arrays.append(block)
+    bad = first_bad(*arrays)
+    if bad is not None:
+        raise error(lines[bad[0]], bad[1])
+    if unparsed is not None:
+        raise unparsed
+    return arrays
 
 
 def _array_pass(handle, dtype: np.dtype) -> np.ndarray | None:
@@ -308,7 +355,7 @@ def _array_pass(handle, dtype: np.dtype) -> np.ndarray | None:
     few spellings Python accepts (`1_0`, non-ASCII digits, ints beyond int64),
     and any warning, such as the one for no rows, is turned into a refusal.
     numpy has no field limit, so a field that could exceed csv's is refused as
-    well (see _fields_fit_csv); the row-by-row readers decide those.
+    well (see _fields_fit_csv); _read_records' row-by-row path decides those.
     """
     start = handle.tell()
     if _fields_fit_csv(handle):
@@ -399,39 +446,6 @@ def _quotes_fit_csv(text: np.ndarray, limit: int, block: int = 1 << 20) -> bool:
     first = np.concatenate(([True], opens[1:] != closes[:-1] + 1))  # not an escape
     last = np.concatenate((first[1:], [True]))
     return bool((closes[last] - opens[first] <= limit + 1).all())
-
-
-def _rows_by_line(
-    handle, lines_before: int, units: int
-) -> tuple[list[ConfigId], list[str], np.ndarray]:
-    """The data rows parsed one at a time with int() and float(): ids,
-    payloads and value rows. An error names the first file line of its
-    record: the first row, in file order, that LearningCurveTable refuses,
-    and failing that the first record that does not parse."""
-
-    def error(line: int, message) -> FormatError:
-        return FormatError(f"line {line}: {message}")
-
-    records = []  # (line, id, payload, value row) per record
-    unparsed = None
-    try:
-        for number, fields in _csv_records(handle, lines_before, 2 * units + 3, error):
-            try:
-                records.append((number, int(fields[0]), fields[1], [float(x) for x in fields[2:]]))
-            except ValueError as exc:
-                raise error(number, exc) from exc
-    except FormatError as exc:
-        unparsed = exc  # a bad row read before it is named first
-    ids = [record[1] for record in records]
-    values = np.array([record[3] for record in records]).reshape(len(records), 2 * units + 1)
-    bad = _first_bad_row(
-        np.array(ids, dtype=object), values[:, :units], values[:, units:-1], values[:, -1]
-    )
-    if bad is not None:
-        raise error(records[bad[0]][0], bad[1])
-    if unparsed is not None:
-        raise unparsed
-    return ids, [record[2] for record in records], values
 
 
 def _signs(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -165,7 +165,9 @@ def _refusal(exc: configparser.Error, path: str) -> str:
 
 
 def _read_experiment_file(path: str) -> tuple[dict[str, str], list[MethodSpec]]:
-    parser = configparser.ConfigParser(interpolation=None)  # a value's % is a literal %
+    # a value's % is a literal %; no header spells the default section, so a
+    # [DEFAULT] is an unknown section like any other
+    parser = configparser.ConfigParser(interpolation=None, default_section="\n")
     try:
         found = parser.read(path, encoding="utf-8")
     except configparser.Error as exc:

@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .benchgen import _array_pass, _csv_field, _csv_records, load
+from .benchgen import _csv_field, _read_records, load
 from .core import DataError, ResourceSpec, TunesimError, UsageError, _moments, _rounded, _std
 from .ranking import RankingCriterion
 from .scheduler import MODES, SchedulerConfig, _Mode
@@ -30,15 +30,13 @@ SEED_PLACEHOLDER = "{seed}"
 
 REPORT_FORMATS = ("markdown", "csv")
 
-# the cells file's columns in CellResult order: (header name, the type its text parses to)
+# the cells file's columns in CellResult order: (header name, the type its text parses to,
+# field count)
 _CELL_COLUMNS = (
-    ("method", str), ("scheduler_seed", int), ("benchmark_seed", int), ("metric", float),
-    ("runtime_s", float), ("max_resources", int), ("units", int), ("jobs", int),
+    ("method", str, 1), ("scheduler_seed", int, 1), ("benchmark_seed", int, 1), ("metric", float, 1),
+    ("runtime_s", float, 1), ("max_resources", int, 1), ("units", int, 1), ("jobs", int, 1),
 )
-CELL_FIELDS = tuple(name for name, _ in _CELL_COLUMNS)
-_CELL_DTYPE = np.dtype(
-    [(name, {str: object, int: np.int64}.get(kind, kind)) for name, kind in _CELL_COLUMNS]
-)
+CELL_FIELDS = tuple(name for name, _, _ in _CELL_COLUMNS)
 
 
 @dataclass(frozen=True)
@@ -75,7 +73,8 @@ class ExperimentSpec:
     The benchmark is a file path: a literal "{seed}" expands to each
     benchmark seed, and missing seed files are imputed by averaging the
     available ones elementwise. Without one, pass the tables to run_cells.
-    Each seed list names a seed at most once.
+    Each seed list names a seed at most once, and no scheduler seed is
+    negative: random.Random(-s) draws exactly as random.Random(s).
     """
 
     methods: tuple[MethodSpec, ...]
@@ -93,10 +92,14 @@ class ExperimentSpec:
         names = [m.name for m in self.methods]
         if len(set(names)) != len(names):
             raise UsageError(f"duplicate method names: {names}")
+        if self.num_configs < 1:
+            raise UsageError(f"num_configs must be >= 1, got {self.num_configs}")
         if self.workers < 1:
             raise UsageError(f"workers must be >= 1, got {self.workers}")
         if not self.scheduler_seeds or not self.benchmark_seeds:
             raise UsageError("need at least one scheduler seed and one benchmark seed")
+        if min(self.scheduler_seeds) < 0:  # it would repeat the cells of its absolute value
+            raise UsageError(f"scheduler seeds must be >= 0, got {min(self.scheduler_seeds)}")
         for what, seeds in (("scheduler", self.scheduler_seeds), ("benchmark", self.benchmark_seeds)):
             ordered = sorted(seeds)  # a repeated seed would weight its cells twice in the report
             repeated = [a for a, b in zip(ordered, ordered[1:]) if a == b]
@@ -485,11 +488,8 @@ def write_cells(cells: list[CellResult], path: str) -> None:
 
 def read_cells(path: str) -> list[CellResult]:
     """Read a cells file back; a bad row, or a non-finite metric or runtime, is
-    a DataError naming the first physical line of its record.
-
-    The rows are parsed in one numpy pass; anything that pass refuses is read
-    again row by row, which names the bad line.
-    """
+    a DataError naming the first physical line of its record (see
+    benchgen._read_records)."""
     names, codes, columns = _cell_columns(path)
     methods = [names[code] for code in codes.tolist()]
     return list(map(CellResult, methods, *(column.tolist() for column in columns)))
@@ -507,51 +507,32 @@ def report_cells(path: str) -> ExperimentReport:
 
 def _cell_columns(path: str) -> tuple[list[str], np.ndarray, list[np.ndarray]]:
     """A cells file's method names in first-appearance order, each row's index
-    into them, and its other seven fields as columns in CELL_FIELDS order.
+    into them, and its other seven fields as columns in CELL_FIELDS order."""
 
-    The rows are parsed in one numpy pass (see benchgen._array_pass); rows
-    that pass refuses, or that hold a non-finite metric or runtime, are read
-    again by _cells_by_line, which names the bad line.
-    """
+    def error(line: int, message) -> DataError:
+        return DataError(f"{path}:{line}: {message}")
+
     try:
         with open(path, "r", encoding="utf-8", newline="") as handle:
             try:
                 header = next(csv.reader([handle.readline()]), None)
             except csv.Error as exc:
-                raise DataError(f"{path}:1: {exc}") from exc
+                raise error(1, exc) from exc
             if header != list(CELL_FIELDS):
                 raise DataError(f"{path}: not a per-run cells file (unexpected header)")
-            data = _array_pass(handle, _CELL_DTYPE)
-            finite = ("metric", "runtime_s")
-            if data is not None and all(np.isfinite(data[f]).all() for f in finite):
-                methods, columns = data["method"].tolist(), [data[f] for f in CELL_FIELDS[1:]]
-            else:
-                methods, *columns = zip(*_cells_by_line(handle, path))
-                columns = [np.array(column, dtype=object) for column in columns]
+            methods, *columns = _read_records(handle, 1, _CELL_COLUMNS, _first_non_finite, error)
     except UnicodeDecodeError as exc:  # no line: the decoder reads ahead
         raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from exc
-    names, codes = _method_codes(methods)
+    if not methods.size:
+        raise DataError(f"{path}: no data rows")
+    names, codes = _method_codes(methods.tolist())
     return names, codes, columns
 
 
-def _cells_by_line(handle, path: str) -> list[CellResult]:
-    """The data rows parsed one at a time from handle, which starts after the
-    header line; a bad row, or a non-finite metric or runtime, is a DataError
-    naming the first physical line of its record."""
-
-    def error(line: int, message) -> DataError:
-        return DataError(f"{path}:{line}: {message}")
-
-    cells = []
-    for number, row in _csv_records(handle, 1, len(CELL_FIELDS), error):
-        try:
-            cell = CellResult(*(kind(text) for (_, kind), text in zip(_CELL_COLUMNS, row)))
-        except ValueError as exc:
-            raise error(number, exc) from exc
-        metric, runtime = cell.metric, cell.runtime
-        if not (math.isfinite(metric) and math.isfinite(runtime)):
-            raise error(number, f"non-finite {'runtime' if math.isfinite(metric) else 'metric'}")
-        cells.append(cell)
-    if not cells:
-        raise DataError(f"{path}: no data rows")
-    return cells
+def _first_non_finite(_method, _ss, _bs, metrics, runtimes, *_) -> tuple[int, str] | None:
+    """The first cell whose metric or runtime is not finite, with the reason."""
+    bad = ~(np.isfinite(metrics) & np.isfinite(runtimes))
+    if not bad.any():
+        return None
+    row = int(bad.argmax())
+    return row, f"non-finite {'runtime' if math.isfinite(metrics[row]) else 'metric'}"

@@ -216,8 +216,8 @@ CATALOGUE = (
     ),
     Mutant(
         "config-values-interpolated", "cli.py",
-        "configparser.ConfigParser(interpolation=None)",
-        "configparser.ConfigParser()",
+        "configparser.ConfigParser(interpolation=None, ",
+        "configparser.ConfigParser(",
         ("tests/test_cli.py::TestConfigFile::test_a_percent_in_a_value_is_read_literally",),
     ),
     # one refusal wrapper per config-file section, the first bad line named,
@@ -245,6 +245,26 @@ CATALOGUE = (
         "mask = codes == slot",
         "mask = codes >= slot",
         ("tests/test_report_digests.py::TestReportDigests::test_report_bytes_are_pinned",),
+    ),
+    # one typed-record reader for benchmark tables and cells files
+    Mutant(
+        "array-pass-skips-the-row-check", "benchgen.py",
+        "        if first_bad(*arrays) is None:\n            return arrays\n",
+        "        return arrays\n",
+        (
+            "tests/test_benchgen.py::TestOnePassLoad::test_one_pass_and_row_by_row_agree",
+            "tests/test_experiment.py::TestOnePassCells::"
+            "test_one_pass_row_by_row_and_column_fold_agree",
+        ),
+    ),
+    Mutant(
+        "row-path-names-the-unparsable-record-first", "benchgen.py",
+        "unparsed = exc  # a bad row read before it is named first",
+        "raise",
+        (
+            "tests/test_benchgen.py::TestOnePassLoad::test_the_first_bad_record_in_file_order_is_named",
+            "tests/test_experiment.py::TestCellsIO::test_the_first_bad_record_in_file_order_is_named",
+        ),
     ),
 )
 

@@ -649,7 +649,7 @@ class TestOnePassLoad:
             path = os.path.join(d, "bench.csv")
             save(table, path)
             with mock.patch.object(
-                benchgen, "_rows_by_line", side_effect=AssertionError("fell back")
+                benchgen, "_csv_records", side_effect=AssertionError("fell back")
             ):
                 assert load(path) == table
 
@@ -688,6 +688,34 @@ class TestOnePassLoad:
         table = load(str(path))
         assert table.config_ids() == [10, big]
         assert table.costs[0].tolist() == [10.5]
+
+    def test_ids_read_row_by_row_stay_int64(self, tmp_path):
+        path = tmp_path / "bench.csv"
+        path.write_text(
+            FORMAT_MAGIC + "\nunits=1\ndirection=maximize\nconfigs=2\n\n"
+            "1_0,,0.5,1.0,0.5\n3,,0.25,1.0,0.25\n"
+        )
+        table = load(str(path))
+        assert table.config_ids() == [3, 10]
+        assert table.ids.dtype == np.int64
+
+    @pytest.mark.parametrize("refused_first", [True, False])
+    def test_the_first_bad_record_in_file_order_is_named(self, tmp_path, refused_first):
+        """A non-finite metric and an unparsable record: whichever comes first
+        is named, as the cells reader names a cells file's."""
+        refused, unparsable = "0,,nan,1.0,0.5", "1,,x,1.0,0.5"
+        rows = [refused, unparsable] if refused_first else [unparsable, refused]
+        path = tmp_path / "bench.csv"
+        path.write_text(
+            FORMAT_MAGIC + "\nunits=1\ndirection=maximize\nconfigs=2\n\n" + "\n".join(rows) + "\n"
+        )
+        reason = (
+            "non-finite metric in curve for config 0" if refused_first
+            else "could not convert string to float: 'x'"
+        )
+        with pytest.raises(FormatError) as raised:
+            load(str(path))
+        assert str(raised.value) == f"{path}: line 6: {reason}"
 
     def test_load_leaves_numpy_ma_unimported(self, tmp_path):
         """np.unique imports numpy.ma the first time it runs, 10-19 ms inside

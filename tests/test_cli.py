@@ -163,6 +163,9 @@ class TestRunVerb:
             ("--seeds", "0,0,1", "seed 0 is listed more than once in the scheduler seeds"),
             ("--seeds", "0..2,1", "seed 1 is listed more than once in the scheduler seeds"),
             ("--bench-seeds", "2,2", "seed 2 is listed more than once in the benchmark seeds"),
+            # random.Random(-1) draws as random.Random(1)
+            ("--seeds", "-1,1", "scheduler seeds must be >= 0, got -1"),
+            ("--seeds", "-1..1", "scheduler seeds must be >= 0, got -1"),
         ],
     )
     def test_repeated_seed_is_a_usage_error_before_any_table_loads(
@@ -171,10 +174,19 @@ class TestRunVerb:
         # the benchmark does not exist: loading it would be exit 2, not 1
         code = main(
             ["run", "--benchmark", str(tmp_path / "absent-{seed}.csv"), "--method", "asha",
-             "--method", "random", "--max-resource", "9", "--num-configs", "12", flag, seeds]
+             "--method", "random", "--max-resource", "9", "--num-configs", "12",
+             f"{flag}={seeds}"]
         )
         assert code == 1
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_zero_num_configs_is_a_usage_error_before_any_table_loads(self, tmp_path, capsys):
+        code = main(
+            ["run", "--benchmark", str(tmp_path / "absent.csv"), "--method", "asha",
+             "--max-resource", "9", "--num-configs", "0"]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == "error: num_configs must be >= 1, got 0\n"
 
     def test_regret_on_a_minimize_table_names_the_cell(self, tmp_path, capsys):
         # metrics of a minimize table are negated on load, so relative regret
@@ -420,6 +432,14 @@ class TestConfigFile:
         assert main(["run", "--config", config]) == 2
         assert "unknown section" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("default", ["[DEFAULT]\nworkers = 2\n", "[DEFAULT]\n"])
+    def test_a_default_section_is_an_unknown_section(self, bench, tmp_path, capsys, default):
+        # configparser would otherwise copy its keys into every section
+        path = Path(self.write_config(tmp_path, bench))
+        path.write_text(default + "\n" + path.read_text())
+        assert main(["run", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == "error: config file: unknown section [DEFAULT]\n"
+
     def test_unknown_method_key_is_a_data_error(self, bench, tmp_path, capsys):
         config = self.write_config(
             tmp_path, bench, "\n[method:one-epoch]\nworkers = 2\n"
@@ -467,6 +487,7 @@ class TestConfigFile:
         [
             ("seeds = 0..2,1", "seed 1 is listed more than once in the scheduler seeds"),
             ("bench-seeds = 0,0", "seed 0 is listed more than once in the benchmark seeds"),
+            ("seeds = -1,1", "scheduler seeds must be >= 0, got -1"),
         ],
     )
     def test_repeated_seed_in_the_file_is_a_usage_error(
@@ -477,6 +498,15 @@ class TestConfigFile:
         path.write_text(path.read_text().replace("seeds = 0,1\n", line + "\n"))
         assert main(["run", "--config", config]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_zero_num_configs_in_the_file_is_a_usage_error_before_any_table_loads(
+        self, tmp_path, capsys
+    ):
+        config = self.write_config(tmp_path, str(tmp_path / "absent.csv"))
+        path = tmp_path / "experiment.ini"
+        path.write_text(path.read_text().replace("num-configs = 12\n", "num-configs = 0\n"))
+        assert main(["run", "--config", config]) == 1
+        assert capsys.readouterr().err == "error: num_configs must be >= 1, got 0\n"
 
     def test_required_setting_missing_from_flag_and_file(self, bench, tmp_path, capsys):
         config = self.write_config(tmp_path, bench)

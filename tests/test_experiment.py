@@ -38,7 +38,7 @@ from tunesim import (
     save,
     write_cells,
 )
-from tunesim import experiment
+from tunesim import benchgen, experiment
 from tunesim.core import _moments, _std
 from tunesim.experiment import (
     CELL_FIELDS,
@@ -142,6 +142,10 @@ class TestExperimentSpec:
         with pytest.raises(UsageError, match="duplicate"):
             small_spec(methods=(MethodSpec.parse("asha"), MethodSpec.parse("asha")))
 
+    def test_rejects_zero_num_configs(self):
+        with pytest.raises(UsageError, match="^num_configs must be >= 1, got 0$"):
+            small_spec(num_configs=0)
+
     def test_rejects_zero_workers(self):
         with pytest.raises(UsageError, match="workers"):
             small_spec(workers=0)
@@ -165,6 +169,15 @@ class TestExperimentSpec:
             UsageError, match=f"^seed {seed} is listed more than once in the {what} seeds$"
         ):
             small_spec(**{field: seeds})
+
+    @pytest.mark.parametrize("seeds", [(-1, 1), (2, -1, 0, 1)])
+    def test_rejects_a_negative_scheduler_seed(self, seeds):
+        # random.Random(-1) draws as random.Random(1): its cells would repeat seed 1's
+        with pytest.raises(UsageError, match="^scheduler seeds must be >= 0, got -1$"):
+            small_spec(scheduler_seeds=seeds)
+
+    def test_a_negative_benchmark_seed_names_a_file_and_is_kept(self):
+        assert small_spec(benchmark_seeds=(-1, 1)).benchmark_seeds == (-1, 1)
 
     def test_rejects_unknown_report_format(self):
         with pytest.raises(UsageError, match="format"):
@@ -770,6 +783,20 @@ class TestCellsIO:
             read_cells(str(path))
         assert str(raised.value) == f"{path}:3: invalid literal for int() with base 10: 'one'"
 
+    @pytest.mark.parametrize("refused_first", [True, False])
+    def test_the_first_bad_record_in_file_order_is_named(self, tmp_path, refused_first):
+        """A non-finite runtime and an unparsable record: whichever comes
+        first is named, as load names a table's."""
+        refused, unparsable = "asha,0,0,0.9,inf,9,10,5", "asha,1,0,0.9,x,9,10,5"
+        rows = [refused, unparsable] if refused_first else [unparsable, refused]
+        path = tmp_path / "cells.csv"
+        path.write_text("\n".join([",".join(CELL_FIELDS), *rows]) + "\n")
+        reason = "non-finite runtime" if refused_first else "could not convert string to float: 'x'"
+        for read in (read_cells, report_cells):
+            with pytest.raises(DataError) as raised:
+                read(str(path))
+            assert str(raised.value) == f"{path}:2: {reason}"
+
     def test_empty_file_is_an_error(self, tmp_path):
         path = str(tmp_path / "cells.csv")
         write_cells(self.cells(), path)
@@ -829,7 +856,7 @@ def _outcome(read, path):
 
 
 def _cells_by_line_only(path):
-    with mock.patch.object(experiment, "_array_pass", lambda handle, dtype: None):
+    with mock.patch.object(benchgen, "_array_pass", lambda handle, dtype: None):
         return read_cells(path)
 
 
@@ -911,7 +938,7 @@ class TestOnePassCells:
         ]
         write_cells(cells, path)
         with mock.patch.object(
-            experiment, "_cells_by_line", side_effect=AssertionError("fell back")
+            benchgen, "_csv_records", side_effect=AssertionError("fell back")
         ):
             assert read_cells(path) == cells
             assert report_cells(path) == aggregate(cells)

@@ -29,7 +29,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tunesim import CellResult, DataError, aggregate, emit_report, read_cells, write_cells
-from tunesim import experiment
+from tunesim import benchgen
 from tunesim.core import _moments, _std
 from tunesim.experiment import _mean_std, report_cells
 
@@ -86,7 +86,7 @@ class TestReportDigests:
 
     def test_the_file_takes_the_one_pass(self, cells_path):
         with mock.patch.object(
-            experiment, "_cells_by_line", side_effect=AssertionError("fell back")
+            benchgen, "_csv_records", side_effect=AssertionError("fell back")
         ):
             report_cells(cells_path)
 
