@@ -20,6 +20,7 @@ from .experiment import (
     REPORT_FORMATS,
     ExperimentSpec,
     MethodSpec,
+    _check_format,
     emit_report,
     report_cells,
     run_experiment,
@@ -223,8 +224,10 @@ def _run_command(args) -> int:
         if value is None and key in settings:
             try:
                 value = cast(settings[key])
-                if key == "ranking":  # a bad spelling is the file's, like a bad int
+                if key == "ranking":  # a bad spelling or format is the file's, like a bad int
                     RankingCriterion.parse(value)
+                elif key == "format":
+                    _check_format(value)
             except (ValueError, UsageError) as exc:
                 raise DataError(f"config file {key}: {exc}") from exc
         values[key] = default if value is None else value

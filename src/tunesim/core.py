@@ -105,7 +105,7 @@ class UsageError(TunesimError):
 
 
 class DataError(TunesimError):
-    """Bad input data: benchmark files, infeasible generation, exhausted universes."""
+    """Bad input data: benchmark files, infeasible generation, more draws than configs."""
 
 
 class InternalError(TunesimError):

@@ -105,11 +105,14 @@ class ExperimentSpec:
             repeated = [a for a, b in zip(ordered, ordered[1:]) if a == b]
             if repeated:
                 raise UsageError(f"seed {repeated[0]} is listed more than once in the {what} seeds")
-        if self.format not in REPORT_FORMATS:
-            raise UsageError(
-                f"unknown report format {self.format!r}; expected one of "
-                + ", ".join(REPORT_FORMATS)
-            )
+        _check_format(self.format)
+
+
+def _check_format(format: str) -> None:
+    if format not in REPORT_FORMATS:
+        raise UsageError(
+            f"unknown report format {format!r}; expected one of " + ", ".join(REPORT_FORMATS)
+        )
 
 
 class CellResult(NamedTuple):
@@ -441,10 +444,7 @@ def emit_report(report: ExperimentReport, format: str = "markdown") -> str:
     The csv form additionally preserves raw seconds and raw ratios next to
     every formatted value, so nothing is lost to display rounding.
     """
-    if format not in REPORT_FORMATS:
-        raise UsageError(
-            f"unknown report format {format!r}; expected one of " + ", ".join(REPORT_FORMATS)
-        )
+    _check_format(format)
     if format == "markdown":
         lines = [
             f"| Method | {report.metric_name} | Runtime | Speedup | Max resources | Repetitions |",

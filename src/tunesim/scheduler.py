@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .core import (
     ConfigId,
@@ -81,26 +81,17 @@ class Job(NamedTuple):
     target_resource: int
 
 
-class RandomSearcher:
-    """Uniform draws without replacement from a fixed config universe.
-
-    Any object with a draw() -> ConfigId method can stand in for it when a
-    different search strategy is wanted.
-    """
-
-    def __init__(self, universe: Sequence[ConfigId], seed: int):
-        self._ids = sorted(universe)
-        random.Random(seed).shuffle(self._ids)
-        self._next = 0
-
-    def draw(self) -> ConfigId:
-        if self._next >= len(self._ids):
-            raise DataError(
-                f"config universe exhausted after {len(self._ids)} draws"
-            )
-        config = self._ids[self._next]
-        self._next += 1
-        return config
+def _draws(
+    universe: Iterable[ConfigId], seed: int, count: int
+) -> tuple[list[ConfigId], random.Random]:
+    """The first count configs of sorted(universe) shuffled by random.Random(seed),
+    and that generator: every mode's draw order, and the random baseline's pool."""
+    ids = sorted(universe)
+    if count > len(ids):
+        raise DataError(f"asked for {count} draws from a universe of {len(ids)} configs")
+    rng = random.Random(seed)
+    rng.shuffle(ids)
+    return ids[:count], rng
 
 
 class _Growth:
@@ -155,7 +146,8 @@ class Scheduler:
 
     Every mode is a starting cap and a ceiling: jobs target levels up to the
     cap, and only pasha starts below its ceiling, growing toward it when the
-    top rungs rank configs differently.
+    top rungs rank configs differently. draws lists the configs in draw order
+    (see _draws), of which get_job issues the first num_configs.
 
     The configs in also share this run's jobs for as long as they make the
     same growth decisions: they must equal config in resources,
@@ -165,11 +157,7 @@ class Scheduler:
     """
 
     def __init__(
-        self,
-        config: SchedulerConfig,
-        universe: Sequence[ConfigId],
-        searcher=None,
-        also: Sequence[SchedulerConfig] = (),
+        self, config: SchedulerConfig, draws: Sequence[ConfigId], also: Sequence[SchedulerConfig] = ()
     ):
         spec = config.resources
         r, top = spec.min_resource, spec.max_resource
@@ -186,7 +174,7 @@ class Scheduler:
         self.spec = spec
         self.levels = rung_levels(spec)
         self.ladder = RungLadder(self.levels)
-        self.searcher = searcher if searcher is not None else RandomSearcher(universe, config.seed)
+        self.draws = draws
         self.cap, self.ceiling = rows[config.mode]
         self._own = _Growth(-1, self.ceiling, config)
         self.criterion = self._own.criterion
@@ -219,7 +207,7 @@ class Scheduler:
             entry = self.ladder.promote(k)
             config, rung = entry.config, k + 1
         elif self.drawn < self.config.num_configs:
-            config, rung, entry = self.searcher.draw(), 0, None
+            config, rung, entry = self.draws[self.drawn], 0, None
             self.drawn += 1
         else:
             return None

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import heapq
 import math
-import random
 import statistics
 from bisect import insort
 from dataclasses import dataclass, field, replace
@@ -20,7 +19,7 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .core import ConfigId, DataError, InternalError, RungLadder, UsageError, _left_sum
-from .scheduler import Job, Scheduler, SchedulerConfig
+from .scheduler import Job, Scheduler, SchedulerConfig, _draws
 
 
 @dataclass
@@ -279,15 +278,8 @@ def _random_result(
     config: SchedulerConfig, table: LearningCurveTable, collect_trace: bool
 ) -> SimResult:
     """The random baseline: draw a pool, pick uniformly, train nothing."""
-    pool_size = config.random_draws or config.num_configs
-    ids = table.config_ids()
-    if pool_size > len(ids):
-        raise DataError(
-            f"random baseline asked for {pool_size} draws from a universe of {len(ids)}"
-        )
-    rng = random.Random(config.seed)
-    rng.shuffle(ids)
-    chosen = rng.choice(ids[:pool_size])
+    pool, rng = _draws(table.config_ids(), config.seed, config.random_draws or config.num_configs)
+    chosen = rng.choice(pool)
     return SimResult(
         wall_clock=0.0,
         chosen=chosen,
@@ -334,7 +326,8 @@ def simulate(
         if also:
             raise UsageError("the random baseline runs no jobs to share with other configs")
         return _random_result(config, table, collect_trace)
-    sched = Scheduler(config, table.config_ids(), also=also)
+    draws, _ = _draws(table.config_ids(), config.seed, config.num_configs)
+    sched = Scheduler(config, draws, also=also)
     if sched.ceiling > table.resource_units:  # refused before the first job, in every mode
         raise DataError(
             f"the benchmark covers {table.resource_units} units; requested {sched.ceiling}"
@@ -459,7 +452,7 @@ def replay_trace(
     so the returned ladder must equal the one the original run produced; any
     divergence raises.
     """
-    sched = Scheduler(config, table.config_ids())
+    sched = Scheduler(config, _draws(table.config_ids(), config.seed, config.num_configs)[0])
     pending: dict[tuple[ConfigId, int], Job] = {}
     for ev in events:
         if ev.kind == "assign":

@@ -266,6 +266,22 @@ CATALOGUE = (
             "tests/test_experiment.py::TestCellsIO::test_the_first_bad_record_in_file_order_is_named",
         ),
     ),
+    # one draw order per seed: every mode's draws and the random pool from one shuffle
+    Mutant(
+        "random-pick-from-a-fresh-generator", "simulator.py",
+        "chosen = rng.choice(pool)",
+        'chosen = __import__("random").Random(config.seed).choice(pool)',
+        (REFERENCE, "tests/test_mode_digests.py::test_mode_digest"),
+    ),
+    Mutant(
+        "draw-count-off-by-one", "scheduler.py",
+        "if count > len(ids):",
+        "if count >= len(ids):",
+        (
+            "tests/test_simulator.py::TestAccounting::"
+            "test_every_mode_refuses_more_draws_than_the_table_holds_before_the_first_job",
+        ),
+    ),
 )
 
 

@@ -18,6 +18,7 @@ from tunesim.benchgen import FORMAT_MAGIC
 from tunesim import cli
 from tunesim.cli import _parse_seeds, main
 from tunesim.core import InternalError
+from tunesim.scheduler import MODES
 
 
 @pytest.fixture
@@ -82,6 +83,17 @@ class TestGenerateVerb:
 
 
 class TestRunVerb:
+    @pytest.mark.parametrize("mode", MODES)
+    def test_more_configs_than_the_table_holds_is_one_refusal_in_every_mode(
+        self, bench, mode, capsys
+    ):
+        argv = ["run", "--benchmark", bench, "--method", mode, "--max-resource", "9"]
+        assert main([*argv, "--num-configs", "30"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: cell (method {mode!r}, scheduler seed 0, benchmark seed 0): "
+            "asked for 30 draws from a universe of 12 configs\n"
+        )
+
     def test_end_to_end_report_cells_and_reaggregation(self, bench, tmp_path, capsys):
         report_path = str(tmp_path / "report.md")
         cells_path = str(tmp_path / "cells.csv")
@@ -721,6 +733,18 @@ class TestConfigFile:
         # the flag beats the file's value, and a bad flag stays a usage error
         assert main(["run", "--config", config, "--ranking", "soft:0.1%"]) == 1
         assert capsys.readouterr().err == f"error: {spelling}\n"
+
+    def test_a_bad_experiment_format_is_the_files_refusal(self, bench, tmp_path, capsys):
+        config = self.write_config(tmp_path, bench)
+        path = tmp_path / "experiment.ini"
+        path.write_text(path.read_text().replace("[experiment]\n", "[experiment]\nformat = xml\n"))
+        assert main(["run", "--config", config]) == 2
+        assert capsys.readouterr().err == (
+            "error: config file format: unknown report format 'xml'; expected one of markdown, csv\n"
+        )
+        # the flag beats the file's value
+        assert main(["run", "--config", config, "--format", "csv"]) == 0
+        assert capsys.readouterr().out.startswith("method,")
 
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["run", "--config", str(tmp_path / "ghost.ini")]) == 2

@@ -18,7 +18,7 @@ from tunesim.core import (
     max_rung_index,
     rung_levels,
 )
-from tunesim.scheduler import Scheduler
+from tunesim.scheduler import Scheduler, _draws
 from util import pasha_scheduler
 
 
@@ -337,7 +337,7 @@ class TestIncrementalLadderProperties:
     @given(eta=st.integers(2, 4), data=st.data())
     def test_ladder_matches_a_brute_force_sort(self, eta, data):
         config = SchedulerConfig(ResourceSpec(1, eta, eta**3), num_configs=1, mode="asha")
-        sched = Scheduler(config, [0])
+        sched = Scheduler(config, _draws([0], config.seed, 1)[0])
         ladder = sched.ladder
         filled = _Filled(ladder)
         for _ in range(data.draw(st.integers(0, 50), label="steps")):

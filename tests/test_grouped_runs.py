@@ -30,7 +30,7 @@ from tunesim import (
 )
 from tunesim import experiment
 from tunesim.experiment import CellResult, _trace_name
-from tunesim.scheduler import Scheduler
+from tunesim.scheduler import Scheduler, _draws
 
 from util import TOP_CHURN
 
@@ -115,9 +115,10 @@ def parts(config, other, t, events) -> bool:
     """Whether other's scheduler, fed config's run, raises or ever holds
     another cap than config's after a report; or other's ceiling exceeds the
     table's units."""
-    if Scheduler(other, t.config_ids()).ceiling > t.resource_units:
+    draws, _ = _draws(t.config_ids(), config.seed, config.num_configs)  # grouped: other's too
+    if Scheduler(other, draws).ceiling > t.resource_units:
         return True
-    own, mine = Scheduler(config, t.config_ids()), Scheduler(other, t.config_ids())
+    own, mine = Scheduler(config, draws), Scheduler(other, draws)
     pending = {}
     for ev in events:
         if ev.kind == "assign":

@@ -28,7 +28,7 @@ from tunesim.core import ResourceSpec
 from tunesim.ranking import (
     arrr, epsilon_mean_distance, epsilon_median_distance, epsilon_sigma, rbo, rrr,
 )
-from tunesim.scheduler import Scheduler
+from tunesim.scheduler import Scheduler, _draws
 
 from util import TOP_CHURN, soft_rank, table_from_rows
 
@@ -160,7 +160,8 @@ def observed(res):
 def caps_along(events, config: SchedulerConfig, table) -> list[int]:
     """The cap after each completion of a Scheduler driven through events: a
     growth decision that the events alone would show only later shows here."""
-    sched, running, caps = Scheduler(config, table.config_ids()), {}, []
+    draws, _ = _draws(table.config_ids(), config.seed, config.num_configs)
+    sched, running, caps = Scheduler(config, draws), {}, []
     for _, _, config_id, rung, resource, metric, kind in events:
         if kind == "assign":
             running[config_id] = sched.get_job()

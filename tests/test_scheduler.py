@@ -21,16 +21,16 @@ from tunesim import (
 from tunesim.benchgen import generate
 from tunesim.core import rung_levels
 from tunesim.ranking import is_stable
-from tunesim.scheduler import MODES, Job, RandomSearcher, Scheduler
-from util import NOISY_TIGHT, TOP_CHURN, ScriptedSearcher, table_from_rows
+from tunesim.scheduler import MODES, Job, Scheduler, _draws
+from util import NOISY_TIGHT, TOP_CHURN, table_from_rows
 
 
 def make_scheduler(mode="asha", eta=3, r=1, cap=81, n=8, order=None, **kwargs):
     config = SchedulerConfig(
         resources=ResourceSpec(r, eta, cap), num_configs=n, mode=mode, **kwargs
     )
-    searcher = ScriptedSearcher(order) if order is not None else None
-    return Scheduler(config, universe=range(max(n, 16)), searcher=searcher)
+    draws = order if order is not None else _draws(range(max(n, 16)), config.seed, n)[0]
+    return Scheduler(config, draws)
 
 
 def drain_serial(sched, metric_fn):
@@ -316,29 +316,21 @@ class TestBestConfig:
         assert (config, metric, resource) == (0, 0.55, 3)
 
 
-class TestRandomSearcher:
+class TestDraws:
     def test_seeded_draws_are_deterministic(self):
-        a = RandomSearcher(range(10), seed=4)
-        b = RandomSearcher(range(10), seed=4)
-        assert [a.draw() for _ in range(10)] == [b.draw() for _ in range(10)]
+        assert _draws(range(10), 4, 10)[0] == _draws(range(10), 4, 10)[0]
 
     def test_draws_without_replacement(self):
-        searcher = RandomSearcher(range(10), seed=0)
-        drawn = [searcher.draw() for _ in range(10)]
-        assert sorted(drawn) == list(range(10))
+        assert sorted(_draws(range(10), 0, 10)[0]) == list(range(10))
 
-    def test_exhaustion_is_a_data_error(self):
-        searcher = RandomSearcher(range(3), seed=0)
-        for _ in range(3):
-            searcher.draw()
-        with pytest.raises(DataError):
-            searcher.draw()
+    def test_an_over_count_is_a_data_error(self):
+        assert len(_draws(range(3), 0, 3)[0]) == 3
+        with pytest.raises(DataError, match="asked for 4 draws from a universe of 3 configs"):
+            _draws(range(3), 0, 4)
 
     def test_different_seeds_differ_somewhere(self):
-        a = [RandomSearcher(range(50), seed=0).draw() for _ in range(1)]
-        b = [RandomSearcher(range(50), seed=1).draw() for _ in range(1)]
-        c = [RandomSearcher(range(50), seed=2).draw() for _ in range(1)]
-        assert len({tuple(a), tuple(b), tuple(c)}) > 1
+        firsts = {_draws(range(50), seed, 1)[0][0] for seed in range(3)}
+        assert len(firsts) > 1
 
 
 class TestBaselines:

@@ -32,6 +32,7 @@ from tunesim import (
 )
 
 from tunesim.core import _left_sum
+from tunesim.scheduler import MODES, Scheduler
 from util import table_from_rows, trace_text
 
 
@@ -397,6 +398,16 @@ class TestAccounting:
         with pytest.raises(DataError, match=f"covers 1 units; requested {ceiling}$"):
             run(mode, table, n=9, spec=(2, 3, 18))
         assert run(mode, rising_table(9, ceiling), n=9, spec=(2, 3, 18)).jobs_executed > 0
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_every_mode_refuses_more_draws_than_the_table_holds_before_the_first_job(
+        self, mode, monkeypatch
+    ):
+        table = rising_table(9, 9)
+        assert run(mode, table, n=9).chosen in range(9)  # the whole table can be drawn
+        monkeypatch.setattr(Scheduler, "get_job", lambda self: pytest.fail("a job was issued"))
+        with pytest.raises(DataError, match="^asked for 10 draws from a universe of 9 configs$"):
+            run(mode, table, n=10)
 
 
 class TestRandomBaseline:

@@ -83,19 +83,6 @@ def table_from_rows(
     )
 
 
-class ScriptedSearcher:
-    """Deterministic searcher handing out a fixed id sequence."""
-
-    def __init__(self, order):
-        self.order = list(order)
-        self.next = 0
-
-    def draw(self) -> int:
-        config = self.order[self.next]
-        self.next += 1
-        return config
-
-
 def trace_text(events) -> str:
     """The bytes write_trace must produce, formatted one event at a time.
 
